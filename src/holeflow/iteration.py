@@ -192,6 +192,18 @@ def choose_tail_start(alpha: float, n: int, budget: float, r0: float,
     return hi
 
 
+def _cutoff_slab_mass(v: DiscreteVarifold, profile: CutoffProfile,
+                     t_plane: Plane, r: float, quad_order: int) -> float:
+    """||V||(chi_r^2 restricted to {|T_perp| < sqrt(2) r}), subdiv 2."""
+
+    def integrand(p):
+        chi = cylindrical_cutoff(profile, t_plane, r, p)
+        slab = t_plane.normal_norm(p) < math.sqrt(2.0) * r
+        return chi ** 2 * slab
+
+    return weight_measure(v, integrand, quad_order, 2)
+
+
 def density_floor_check(gamma0: DiscreteVarifold, profile: CutoffProfile,
                         t_plane: Plane, r: float, q: int,
                         quad_order: int = 3):
@@ -201,13 +213,7 @@ def density_floor_check(gamma0: DiscreteVarifold, profile: CutoffProfile,
     {|T_perp| < sqrt(2) r}).
     """
     n = gamma0.surface_dim
-
-    def integrand(p):
-        chi = cylindrical_cutoff(profile, t_plane, r, p)
-        slab = t_plane.normal_norm(p) < math.sqrt(2.0) * r
-        return chi ** 2 * slab
-
-    mass = weight_measure(gamma0, integrand, quad_order, 2)
+    mass = _cutoff_slab_mass(gamma0, profile, t_plane, r, quad_order)
     ratio = mass / (UNIT_BALL_VOLUME[n] * r ** n)
     return ratio >= 1.0 + (q - 1) / 2.0, ratio
 
@@ -434,15 +440,9 @@ def orchestrate(cfg: ExperimentConfig,
 
     r_f = 2.0 ** (cfg.j / 2.0) * cfg.eps
 
-    def lef2_weight(v):
-        def integrand(p):
-            chi = cylindrical_cutoff(profile, t_plane, r_f, p)
-            slab = t_plane.normal_norm(p) < math.sqrt(2.0) * r_f
-            return chi ** 2 * slab
-        return weight_measure(v, integrand, cfg.quad_order, 2)
-
-    lef2_lhs = lef2_weight(traj.snapshot_at(t_end))
-    lef2_rhs = lef2_weight(v0)
+    lef2_lhs = _cutoff_slab_mass(traj.snapshot_at(t_end), profile, t_plane,
+                                 r_f, cfg.quad_order)
+    lef2_rhs = _cutoff_slab_mass(v0, profile, t_plane, r_f, cfg.quad_order)
 
     mass_initial = v0.total_mass()
     mass_final = traj.snapshots[-1].total_mass()

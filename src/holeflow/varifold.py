@@ -125,18 +125,6 @@ class DiscreteVarifold:
         ])
         return float(np.min(e))
 
-    def face_min_edges(self) -> np.ndarray:
-        """Shortest edge of each face."""
-        c = self.face_corners()
-        if self.surface_dim == 1:
-            return self.face_measures()
-        e = np.stack([
-            np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
-            np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
-            np.linalg.norm(c[:, 0] - c[:, 2], axis=1),
-        ])
-        return np.min(e, axis=0)
-
     def face_altitudes(self) -> np.ndarray:
         """Smallest altitude per face: 2 area / longest edge (length for n=1).
 
@@ -194,10 +182,6 @@ class TestField:
     jacobian_fn: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     center: np.ndarray = None
-
-    def __post_init__(self):
-        if self.center is None:
-            object.__setattr__(self, "center", None)
 
 
 @dataclass(frozen=True)

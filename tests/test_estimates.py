@@ -3,16 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from holeflow.estimates import (ExpandingHolesConfig, dissipation_check,
-                                expanding_holes_run, gaussian_density_sup,
-                                height_excess_sq, curvature_l2_sq,
-                                l2_height_bound_check, slab_weighted_mass)
+from hypothesis import given, settings, strategies as st
+
+from holeflow.estimates import (ExpandingHolesConfig, _faces_reaching,
+                                dissipation_check, expanding_holes_run,
+                                gaussian_density_sup, height_excess_sq,
+                                curvature_l2_sq, l2_height_bound_check,
+                                slab_weighted_mass)
 from holeflow.fixtures import icosphere, make_fixture, square_sheet
 from holeflow.flow import DtPolicy, FlowTrajectory, evolve
-from holeflow.geom import coordinate_plane
-from holeflow.kernels import make_profile
+from holeflow.geom import coordinate_plane, random_plane
+from holeflow.kernels import (cylindrical_cutoff, cylindrical_cutoff_gradient,
+                              make_profile)
+from holeflow.nucleation import nucleate
+from holeflow.quadrature import simplex_rule
 from holeflow.varifold import (DiscreteVarifold, density_ratio,
-                               mean_curvature, parabolic_rescale)
+                               mean_curvature, parabolic_rescale,
+                               weight_measure, weighted_first_variation_perp)
 
 EPS = 0.05
 
@@ -200,3 +207,109 @@ class TestScaleCovariance:
         a = density_ratio(parabolic_rescale(stack, lam), np.zeros(3), r)
         b = density_ratio(stack, np.zeros(3), lam * r)
         assert a == pytest.approx(b, rel=1e-10)
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(b), 1e-300)
+
+
+class TestCulledPasses:
+    """The culled one-pass integrals equal the uniform full-mesh ones."""
+
+    @pytest.fixture(scope="class")
+    def nucleated(self, t_plane):
+        v0 = make_fixture("perturbed_stack", 2, 3, radius=4 * EPS,
+                          spacing=0.06)
+        return nucleate(v0, t_plane, EPS)
+
+    @pytest.mark.parametrize("subdiv", [2, 3])
+    def test_window_integrals_match_full_mesh(self, nucleated, t_plane,
+                                              subdiv):
+        v = parabolic_rescale(nucleated, EPS)
+        cfg = ExpandingHolesConfig(
+            t_plane=t_plane, t1=0.0, t2=1.0, r1=1.0, r2=math.sqrt(2.0),
+            rhat1=math.sqrt(2.0), rhat2=2.0, profile=make_profile(0.1),
+            subdiv=subdiv)
+        h = mean_curvature(v)
+        tangential = t_plane.tangential_norm(v.vertices)[v.faces]
+        for t in (cfg.t1, cfg.t2):
+            big_r = cfg.radius_at(t)
+            # the window has faces on both sides of the cutoff edge, and
+            # the cull drops some of them
+            assert np.any((tangential.min(axis=1) < big_r)
+                          & (tangential.max(axis=1) >= big_r))
+            assert not np.all(_faces_reaching(v, t_plane.tangential_norm(
+                v.vertices), big_r))
+
+            def chi(p):
+                return cylindrical_cutoff(cfg.profile, t_plane, big_r, p)
+
+            def chi_sq(p):
+                return chi(p) ** 2
+
+            def chi_sq_grad(p):
+                return 2.0 * chi(p)[:, None] * cylindrical_cutoff_gradient(
+                    cfg.profile, t_plane, big_r, p)
+
+            def slab(p):
+                return chi_sq(p) * (t_plane.normal_norm(p)
+                                    <= cfg.rhat1 * (1.0 + 1e-12))
+
+            row = dissipation_check(v, cfg, t)
+            ref = {"lhs": weighted_first_variation_perp(
+                       v, chi_sq, chi_sq_grad, h, cfg.quad_order, subdiv),
+                   "mu_sq": height_excess_sq(v, t_plane, big_r,
+                                             cfg.quad_order, subdiv),
+                   "alpha_sq": curvature_l2_sq(v, h, chi_sq, cfg.quad_order,
+                                               subdiv),
+                   "slab_mass": weight_measure(v, slab, cfg.quad_order,
+                                               subdiv)}
+            for key, want in ref.items():
+                assert _rel(row[key], want) <= 1e-12, (t, key)
+
+        rep = expanding_holes_run(static_trajectory(v, times=(0.0, 1.0)), cfg)
+        assert _rel(rep.mass_ratio_start * cfg.r1**2,
+                    slab_weighted_mass(v, cfg, cfg.t1)) <= 1e-12
+        assert _rel(rep.mass_ratio_end * cfg.r2**2,
+                    slab_weighted_mass(v, cfg, cfg.t2)) <= 1e-12
+
+    def test_density_sup_matches_density_ratio_grid(self, nucleated):
+        r0, eps = 0.1, 0.05
+        traj = FlowTrajectory(times=[0.0, 0.005],
+                              snapshots=[nucleated, parabolic_rescale(
+                                  nucleated, 1.3)],
+                              cumulative_dissipation=[0.0, 0.0], ledger=[],
+                              policy=DtPolicy())
+        got = gaussian_density_sup(traj, r0, eps)
+        want = max(density_ratio(v, np.zeros(3), r)
+                   for v in traj.snapshots
+                   for r in np.geomspace(eps, r0, 12))
+        assert _rel(got, want) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**31 - 1), st.floats(0.05, 1.0))
+def test_cull_skips_only_faces_outside_the_support(seed, frac):
+    """A skipped face has every quadrature point outside the cylinder or
+    ball, at every rule and subdivision level."""
+    rng = np.random.default_rng(seed)
+    size = rng.uniform(0.01, 1.0)
+    corners = size * (rng.uniform(-3.0, 3.0, 3)
+                      + rng.uniform(-1.0, 1.0, (3, 3)))
+    if np.linalg.norm(np.cross(corners[1] - corners[0],
+                               corners[2] - corners[0])) < 1e-9:
+        return
+    v = DiscreteVarifold(corners, np.array([[0, 1, 2]]), np.array([1]),
+                         np.zeros(3, dtype=bool))
+    plane = random_plane(2, 3, rng)
+    for dist in (plane.tangential_norm,
+                 lambda x: np.linalg.norm(x, axis=-1)):
+        # radii up to the nearest corner: some faces are skipped, some
+        # straddle the boundary
+        radius = frac * np.min(dist(corners))
+        if _faces_reaching(v, dist(v.vertices), radius)[0]:
+            continue
+        for order in (1, 2, 3):
+            for subdiv in range(4):
+                bary, _ = simplex_rule(2, order, subdiv)
+                assert np.all(dist(bary @ corners) >= radius)
