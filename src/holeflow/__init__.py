@@ -5,7 +5,7 @@ evolution with a dissipation ledger, expanding-holes mass-ratio estimates,
 and the iteration schedule that quantifies the resulting mass drop.
 """
 
-from .geom import Ball, Cylinder, Plane, coordinate_plane, grassmann_gap, make_plane
+from .geom import Plane, coordinate_plane, grassmann_gap, make_plane
 from .varifold import (DiscreteVarifold, ScalarTest, TestField, density_ratio,
                        first_variation, mean_curvature, parabolic_rescale,
                        weight_measure, weighted_first_variation)

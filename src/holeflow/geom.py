@@ -1,10 +1,10 @@
 """Euclidean and Grassmannian primitives.
 
 Planes are stored as dense orthogonal projection matrices (the ambient
-dimension is small), cylinders and balls as plain dataclasses.  The module
-also provides the five projection-operator inequalities relating two planes
-(idempotence, trace gap, Hilbert-Schmidt vs operator norm, and the two
-mixed-projection vector bounds) that the excess estimates rely on.
+dimension is small).  The module also provides the five projection-operator
+inequalities relating two planes (idempotence, trace gap, Hilbert-Schmidt vs
+operator norm, and the two mixed-projection vector bounds) that the excess
+estimates rely on.
 """
 
 from __future__ import annotations
@@ -17,33 +17,9 @@ import numpy as np
 UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
 
 
-def operator_norm(a: np.ndarray, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Largest singular value of a small matrix by power iteration on a^T a."""
-    a = np.asarray(a, dtype=float)
-    fro = np.sqrt(np.sum(a * a))
-    if fro == 0.0:
-        return 0.0
-    b = a.T @ a
-    n = b.shape[0]
-    # Deterministic, generic start vector.
-    v = 1.0 + np.arange(n) * 0.137
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = b @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v happened to be in the kernel; restart orthogonally.
-            v = np.roll(v, 1) + 0.311
-            v /= np.linalg.norm(v)
-            continue
-        v_new = w / nw
-        lam_new = float(v_new @ (b @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam, v = lam_new, v_new
-    return float(np.sqrt(max(lam, 0.0)))
+def operator_norm(a: np.ndarray) -> float:
+    """Largest singular value of a matrix (the spectral norm)."""
+    return float(np.linalg.norm(np.asarray(a, dtype=float), 2))
 
 
 @dataclass(frozen=True)
@@ -154,38 +130,6 @@ def grassmann_gap(s: Plane, t: Plane) -> dict:
 def tangential_divergence(g_jacobian: np.ndarray, s: Plane) -> float:
     """div^S g = sum_ij S_ij dg_i/dx_j for a Jacobian J_ij = dg_i/dx_j."""
     return float(np.sum(np.asarray(g_jacobian) * s.proj))
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """Infinite cylinder {y : |T(y - center)| < radius} orthogonal to a plane."""
-
-    axis_plane: Plane
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("cylinder radius must be positive")
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        d = np.asarray(x) - self.center
-        return self.axis_plane.tangential_norm(d) < self.radius
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    radius: float
-    closed: bool = False
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(np.asarray(x) - self.center, axis=-1)
-        return d <= self.radius if self.closed else d < self.radius
 
 
 def random_plane(k: int, ambient_dim: int, rng: np.random.Generator) -> Plane:

@@ -101,9 +101,19 @@ def _thin_face_edges(verts, faces, median):
     return np.sort(out, axis=1)
 
 
+def _unique_pairs(pairs: np.ndarray, nv: int) -> np.ndarray:
+    """``np.unique(pairs, axis=0)`` for sorted pairs a < b < nv.
+
+    Sorts the 1-D keys a * nv + b, which order the pairs lexicographically,
+    instead of the rows themselves.
+    """
+    key = np.unique(pairs[:, 0] * nv + pairs[:, 1])
+    return np.stack([key // nv, key % nv], axis=1)
+
+
 def _collapse_pass(verts, faces, mult, boundary, median):
     pairs, _ = _edges_of(faces)
-    pairs = np.unique(pairs, axis=0)
+    pairs = _unique_pairs(pairs, len(verts))
     lengths = np.linalg.norm(verts[pairs[:, 0]] - verts[pairs[:, 1]], axis=1)
     short_mask = lengths < COLLAPSE_FACTOR * median
     cand = pairs[short_mask][np.argsort(lengths[short_mask], kind="stable")]

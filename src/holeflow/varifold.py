@@ -30,7 +30,20 @@ class DiscreteVarifold:
     boundary : (nv,) bool array; flagged vertices are fixed by every flow step
 
     Instances are treated as immutable; flow steps and surgeries return new
-    objects.  Derived face geometry is computed once and cached.
+    objects.  All four arrays are read-only, so a copy made by
+    ``with_vertices`` shares ``faces``, ``multiplicity`` and ``boundary``
+    with its parent.  Derived geometry is computed once, on first use, and
+    kept in ``_cache``:
+
+    - face corners, ``(nf, d, d)``;
+    - face measures and, for n = 2, unit normals, both from one cross
+      product per face (the degenerate-face check reads the measures);
+    - edge lengths, ``(edges per face, nf)``, and their minimum and median;
+    - face projectors and quadrature points, when asked for;
+    - lumped vertex masses (``vertex_masses``).
+
+    Edge vectors and raw cross products are not kept: trajectories hold
+    many snapshots, and those arrays would add to every one of them.
     """
 
     vertices: np.ndarray
@@ -77,23 +90,25 @@ class DiscreteVarifold:
 
     def face_measures(self) -> np.ndarray:
         """Area (n=2) or length (n=1) of each face."""
-        if "measures" in self._cache:
-            return self._cache["measures"]
-        c = self.face_corners()
-        if self.surface_dim == 1:
-            m = np.linalg.norm(c[:, 1] - c[:, 0], axis=1)
-        else:
-            n = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
-            m = 0.5 * np.linalg.norm(n, axis=1)
-        self._cache["measures"] = m
-        return m
+        if "measures" not in self._cache:
+            c = self.face_corners()
+            if self.surface_dim == 1:
+                self._cache["measures"] = np.linalg.norm(c[:, 1] - c[:, 0],
+                                                         axis=1)
+            else:
+                n = _cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+                norm = np.linalg.norm(n, axis=1)
+                self._cache["measures"] = 0.5 * norm
+                # a degenerate face has no normal; __post_init__ rejects it
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    self._cache["normals"] = n / norm[:, None]
+        return self._cache["measures"]
 
     def face_normals(self) -> np.ndarray:
         """Unit normals (n=2 only), orientation per stored vertex order."""
-        if "normals" not in self._cache:
-            c = self.face_corners()
-            n = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
-            self._cache["normals"] = n / np.linalg.norm(n, axis=1, keepdims=True)
+        if self.surface_dim != 2:
+            raise ValueError("face normals need surface dimension 2")
+        self.face_measures()
         return self._cache["normals"]
 
     def face_projectors(self) -> np.ndarray:
@@ -114,16 +129,27 @@ class DiscreteVarifold:
     def total_mass(self) -> float:
         return float(np.sum(self.multiplicity * self.face_measures()))
 
+    def _edge_lengths(self) -> np.ndarray:
+        """(edges per face, nf) edge lengths.
+
+        For n=2 the rows are the edges 0-1, 1-2 and 2-0 of every face; for
+        n=1 the single row is the face measures.
+        """
+        if "edge_lengths" not in self._cache:
+            if self.surface_dim == 1:
+                e = self.face_measures()[None, :]
+            else:
+                c = self.face_corners()
+                e = np.stack([np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
+                              np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
+                              np.linalg.norm(c[:, 0] - c[:, 2], axis=1)])
+            self._cache["edge_lengths"] = e
+        return self._cache["edge_lengths"]
+
     def min_edge_length(self) -> float:
-        c = self.face_corners()
-        if self.surface_dim == 1:
-            return float(np.min(self.face_measures()))
-        e = np.concatenate([
-            np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
-            np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
-            np.linalg.norm(c[:, 0] - c[:, 2], axis=1),
-        ])
-        return float(np.min(e))
+        if "min_edge" not in self._cache:
+            self._cache["min_edge"] = float(np.min(self._edge_lengths()))
+        return self._cache["min_edge"]
 
     def face_altitudes(self) -> np.ndarray:
         """Smallest altitude per face: 2 area / longest edge (length for n=1).
@@ -131,26 +157,14 @@ class DiscreteVarifold:
         The honest stiffness scale: a sliver with moderate edges but tiny
         height is as stiff as a uniformly tiny triangle.
         """
-        c = self.face_corners()
         if self.surface_dim == 1:
             return self.face_measures()
-        e = np.stack([
-            np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
-            np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
-            np.linalg.norm(c[:, 0] - c[:, 2], axis=1),
-        ])
-        return 2.0 * self.face_measures() / np.max(e, axis=0)
+        return 2.0 * self.face_measures() / np.max(self._edge_lengths(), axis=0)
 
     def median_edge_length(self) -> float:
-        c = self.face_corners()
-        if self.surface_dim == 1:
-            return float(np.median(self.face_measures()))
-        e = np.concatenate([
-            np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
-            np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
-            np.linalg.norm(c[:, 0] - c[:, 2], axis=1),
-        ])
-        return float(np.median(e))
+        if "median_edge" not in self._cache:
+            self._cache["median_edge"] = float(np.median(self._edge_lengths()))
+        return self._cache["median_edge"]
 
     def quad_points(self, quad_order: int, subdiv: int = 0):
         """Quadrature points and scaled weights for all faces.
@@ -166,8 +180,12 @@ class DiscreteVarifold:
         return self._cache[key]
 
     def with_vertices(self, new_vertices: np.ndarray) -> "DiscreteVarifold":
-        return DiscreteVarifold(new_vertices, self.faces.copy(),
-                                self.multiplicity.copy(), self.boundary.copy())
+        """Same topology at new vertex positions.
+
+        The read-only topology arrays are shared; the cached geometry is not.
+        """
+        return DiscreteVarifold(new_vertices, self.faces, self.multiplicity,
+                                self.boundary)
 
 
 @dataclass(frozen=True)
@@ -242,11 +260,29 @@ def _scatter_add(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(idx, weights=weights, minlength=size)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of two (m, 3) arrays.
+
+    The same products and differences as ``np.cross``, so the results are
+    bitwise equal, without its per-call shape handling.
+    """
+    return np.column_stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]])
+
+
 def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
-    """Lumped vertex masses: adjacent multiplicity-weighted measure / (n+1)."""
-    contrib = v.multiplicity * v.face_measures() / v.ambient_dim
-    return _scatter_add(v.faces.ravel(),
-                        np.repeat(contrib, v.ambient_dim), v.num_vertices)
+    """Lumped vertex masses: adjacent multiplicity-weighted measure / (n+1).
+
+    Cached on ``v`` and returned read-only.
+    """
+    if "vertex_masses" not in v._cache:
+        contrib = v.multiplicity * v.face_measures() / v.ambient_dim
+        m = _scatter_add(v.faces.ravel(),
+                         np.repeat(contrib, v.ambient_dim), v.num_vertices)
+        m.setflags(write=False)
+        v._cache["vertex_masses"] = m
+    return v._cache["vertex_masses"]
 
 
 def area_gradient(v: DiscreteVarifold) -> np.ndarray:
@@ -262,7 +298,7 @@ def area_gradient(v: DiscreteVarifold) -> np.ndarray:
         nu = v.face_normals()
         # d(area)/d(corner j) = 0.5 * (opposite edge as seen from j) x normal
         per_corner = np.stack(
-            [0.5 * mult[:, None] * np.cross(c[:, a] - c[:, b], nu)
+            [0.5 * mult[:, None] * _cross(c[:, a] - c[:, b], nu)
              for a, b in [(1, 2), (2, 0), (0, 1)]], axis=1)
     idx = v.faces.ravel()
     return np.column_stack([

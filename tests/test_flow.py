@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holeflow.fixtures import (circle_mesh, cylinder_tube, icosphere,
                                make_fixture, square_sheet)
@@ -9,7 +10,7 @@ from holeflow.flow import (ResolutionExhausted, barrier_monitor,
                            barrier_offset_factor, brakke_inequality_test,
                            evolve, sphere_barrier_from_scale, step,
                            SphereBarrier)
-from holeflow.remesh import remesh
+from holeflow.remesh import _edges_of, _unique_pairs, remesh
 from holeflow.testfunctions import bump_scalar_test, random_scalar_test
 from holeflow.varifold import weight_measure
 from holeflow.kernels import make_profile
@@ -249,3 +250,16 @@ class TestRemesh:
         s = icosphere(3)
         out, delta = remesh(s)
         assert out is s and delta == 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(3, 40),
+           st.sampled_from([2, 3]))
+    def test_unique_pairs_match_row_unique(self, seed, nf, nv, d):
+        rng = np.random.default_rng(seed)
+        faces = np.array([rng.choice(nv, d, replace=False)
+                          for _ in range(nf)], dtype=np.int64)
+        pairs, _ = _edges_of(faces)
+        got = _unique_pairs(pairs, nv)
+        want = np.unique(pairs, axis=0)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holeflow.geom import (Ball, Cylinder, coordinate_plane, grassmann_gap,
-                           make_plane, operator_norm, random_plane,
-                           tangential_divergence)
+from holeflow.geom import (coordinate_plane, grassmann_gap, make_plane,
+                           operator_norm, random_plane, tangential_divergence)
 
 
 def gram_schmidt_projector(basis):
@@ -116,16 +115,3 @@ def test_projection_inequalities_random(seed, k):
             <= g["op_norm"] * np.linalg.norm(v) + 1e-10)
     assert (np.linalg.norm(t.apply(s.apply_perp(t.apply(v))))
             <= g["op_norm"] ** 2 * np.linalg.norm(v) + 1e-10)
-
-
-def test_cylinder_and_ball_membership():
-    t = coordinate_plane([0, 1], 3)
-    c = Cylinder(axis_plane=t, center=np.zeros(3), radius=1.0)
-    assert c.contains(np.array([0.5, 0.0, 7.0]))
-    assert not c.contains(np.array([1.5, 0.0, 0.0]))
-    b = Ball(center=np.zeros(3), radius=1.0)
-    assert b.contains(np.array([0.5, 0, 0])) and not b.contains(np.array([1.0, 0, 0]))
-    bc = Ball(center=np.zeros(3), radius=1.0, closed=True)
-    assert bc.contains(np.array([1.0, 0, 0]))
-    with pytest.raises(ValueError):
-        Ball(center=np.zeros(3), radius=-1.0)

@@ -238,3 +238,85 @@ def test_interpolate_vertex_field(sphere4):
     field = sphere4.vertices.copy()  # linear field: interpolation is exact
     interp = interpolate_vertex_field(sphere4, field, bary)
     assert np.max(np.abs(interp - pts)) <= 1e-12
+
+
+def _direct_geometry(v):
+    """The cached geometry recomputed with the direct formulas it replaced."""
+    c = v.vertices[v.faces]
+    if v.surface_dim == 1:
+        measures = np.linalg.norm(c[:, 1] - c[:, 0], axis=1)
+        edges, altitudes, normals = measures, measures, None
+    else:
+        n = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+        measures = 0.5 * np.linalg.norm(n, axis=1)
+        normals = n / np.linalg.norm(n, axis=1, keepdims=True)
+        per_edge = [np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
+                    np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
+                    np.linalg.norm(c[:, 0] - c[:, 2], axis=1)]
+        edges = np.concatenate(per_edge)
+        altitudes = 2.0 * measures / np.max(np.stack(per_edge), axis=0)
+    contrib = v.multiplicity * measures / v.ambient_dim
+    masses = np.bincount(v.faces.ravel(),
+                         weights=np.repeat(contrib, v.ambient_dim),
+                         minlength=v.num_vertices)
+    return {"measures": measures, "normals": normals,
+            "min_edge": float(np.min(edges)),
+            "median_edge": float(np.median(edges)),
+            "altitudes": altitudes, "masses": masses}
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _assert_cached_geometry_matches(v):
+    ref = _direct_geometry(v)
+    # twice: the first call fills the cache, the second reads it
+    for _ in range(2):
+        _assert_same_bits(v.face_measures(), ref["measures"])
+        if ref["normals"] is not None:
+            _assert_same_bits(v.face_normals(), ref["normals"])
+        _assert_same_bits(v.min_edge_length(), ref["min_edge"])
+        _assert_same_bits(v.median_edge_length(), ref["median_edge"])
+        _assert_same_bits(v.face_altitudes(), ref["altitudes"])
+        _assert_same_bits(vertex_masses(v), ref["masses"])
+
+
+@pytest.fixture(scope="module")
+def nucleated_stack():
+    from holeflow.geom import coordinate_plane
+    from holeflow.nucleation import nucleate
+    v0 = make_fixture("perturbed_stack", 2, 3, radius=0.2, spacing=0.06)
+    return nucleate(v0, coordinate_plane([0, 1], 3), 0.05)
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "nucleated"])
+def test_cached_geometry_equals_direct_formulas(kind, nucleated_stack):
+    v = {"circle": lambda: circle_mesh(4),
+         "sphere": lambda: icosphere(3),
+         "nucleated": lambda: nucleated_stack}[kind]()
+    _assert_cached_geometry_matches(v)
+
+
+def test_with_vertices_recomputes_geometry():
+    v = icosphere(2)
+    _assert_cached_geometry_matches(v)
+    child = v.with_vertices(v.vertices * [1.0, 1.0, 0.5])
+    assert child._cache is not v._cache
+    _assert_cached_geometry_matches(child)
+    assert child.min_edge_length() != v.min_edge_length()
+    assert not np.array_equal(vertex_masses(child), vertex_masses(v))
+
+
+def test_with_vertices_shares_read_only_topology():
+    v = icosphere(2)
+    child = v.with_vertices(v.vertices + 0.1)
+    assert child.faces is v.faces
+    assert child.multiplicity is v.multiplicity
+    assert child.boundary is v.boundary
+    for a in (child.vertices, child.faces, child.multiplicity, child.boundary,
+              vertex_masses(child)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
