@@ -51,7 +51,6 @@ class Config:
     quad_order: int = 3
     seed: int = 0
     log_base: str = "natural"
-    threads: int = 1
 
     def log_base_value(self) -> float:
         return 2.0 if self.log_base == "two" else math.e
@@ -89,7 +88,6 @@ def load_config(path) -> Config:
 
 def apply_overrides(cfg: Config, args) -> Config:
     for f in fields(Config):
-        flag = f.name.replace("_", "-")
         val = getattr(args, f.name, None)
         if val is not None:
             setattr(cfg, f.name, val)
@@ -141,7 +139,6 @@ def cmd_gen_fixture(cfg: Config, args) -> int:
     v = make_fixture(args.kind, cfg.Q, cfg.mesh_level, radius=radius,
                      spacing=args.spacing)
     write_dvar(v, args.out)
-    t_plane = coordinate_plane([0, 1], 3)
     ratio = density_ratio(v, np.zeros(3), radius / 2.0, cfg.quad_order)
     print(f"wrote {args.out}: {v.num_vertices} vertices, {v.num_faces} faces, "
           f"mass {v.total_mass():.6g}, density ratio at origin {ratio:.4f}")
@@ -236,7 +233,7 @@ def cmd_expanding_holes(cfg: Config, args) -> int:
         t_plane=t_plane, t1=0.0, t2=1.0, r1=1.0, r2=math.sqrt(2.0),
         rhat1=math.sqrt(2.0), rhat2=2.0, profile=prof,
         quad_order=cfg.quad_order)
-    rep = expanding_holes_run(rtraj, run_cfg, threads=cfg.threads)
+    rep = expanding_holes_run(rtraj, run_cfg)
     meta = {"config": config_echo(cfg),
             "inputs_sha1": git_blob_sha1(config_echo(cfg).encode())}
     Path(args.out).write_text(rep.to_json(_meta=meta))
@@ -284,8 +281,7 @@ def cmd_experiment(cfg: Config, args) -> int:
         eps=cfg.eps, j=args.j, q=cfg.Q, alpha=cfg.alpha, r0=cfg.r0,
         zeta=cfg.zeta, delta=cfg.delta, mesh_level=cfg.mesh_level,
         kind=args.kind, spacing=args.spacing, dt_factor=cfg.dt_factor,
-        quad_order=cfg.quad_order, seed=cfg.seed,
-        log_base=cfg.log_base_value(), threads=cfg.threads)
+        quad_order=cfg.quad_order, log_base=cfg.log_base_value())
     try:
         res = orchestrate(exp_cfg, keep_trajectory=True)
     except ResolutionExhausted as e:

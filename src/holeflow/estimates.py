@@ -4,14 +4,13 @@ All inequality constants that the continuum theory leaves implicit are
 treated as measured quantities: each check reports the minimal constant
 making its inequality hold, and regression tests pin those measurements,
 not theoretical values.  Everything here is pure over immutable
-trajectories, so per-snapshot work can run in a thread pool.
+trajectories.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -19,9 +18,9 @@ import numpy as np
 
 from .geom import UNIT_BALL_VOLUME, Plane
 from .kernels import CutoffProfile, cylindrical_cutoff
-from .quadrature import simplex_rule
-from .varifold import (DiscreteVarifold, interpolate_vertex_field,
-                       mean_curvature, weight_measure, MEASUREMENT_SUBDIV)
+from .varifold import (DiscreteVarifold, _face_sum, _normal_part,
+                       interpolate_vertex_field, mean_curvature,
+                       weight_measure, MEASUREMENT_SUBDIV)
 from .flow import FlowTrajectory
 
 DISSIPATION_COEF = 320.0          # rho^2 R^-4 mu^2 coefficient in the bound
@@ -53,11 +52,9 @@ def curvature_l2_sq(v: DiscreteVarifold, h_field: np.ndarray, weight_fn,
     if v.num_faces == 0:
         return 0.0
     pts, bary, w = v.quad_points(quad_order, subdiv)
-    flat = pts.reshape(-1, v.ambient_dim)
-    wt = weight_fn(flat).reshape(v.num_faces, -1)
+    wt = weight_fn(pts.reshape(-1, v.ambient_dim)).reshape(v.num_faces, -1)
     hq = interpolate_vertex_field(v, h_field, bary)
-    integrand = wt * np.sum(hq * hq, axis=2)
-    return float(np.sum(v.multiplicity * v.face_measures() * (integrand @ w)))
+    return _face_sum(v, wt * np.sum(hq * hq, axis=2), w)
 
 
 @dataclass(frozen=True)
@@ -125,19 +122,9 @@ def _faces_reaching(v: DiscreteVarifold, vertex_dist: np.ndarray,
     contributes exactly zero to an integrand supported in {dist < radius}.
     The slack keeps roundoff in the quadrature points from breaking that.
     """
-    c = v.face_corners()
-    longest = np.max(np.linalg.norm(c - np.roll(c, 1, axis=1), axis=2), axis=1)
+    longest = np.max(v._edge_lengths(), axis=0)
     lower = np.min(vertex_dist[v.faces], axis=1) - longest
     return lower < radius * (1.0 + CULL_SLACK)
-
-
-def _face_points(v: DiscreteVarifold, keep: np.ndarray, quad_order: int,
-                 subdiv: int):
-    """Quadrature on the kept faces only: points (nk, m, d), bary, rule
-    weights, and the face weights multiplicity * measure."""
-    bary, w = simplex_rule(v.surface_dim, quad_order, subdiv)
-    return (bary @ v.face_corners()[keep], bary, w,
-            v.multiplicity[keep] * v.face_measures()[keep])
 
 
 def _window_pass(v: DiscreteVarifold, cfg: ExpandingHolesConfig, t: float,
@@ -151,7 +138,7 @@ def _window_pass(v: DiscreteVarifold, cfg: ExpandingHolesConfig, t: float,
     big_r = cfg.radius_at(t)
     plane = cfg.t_plane
     keep = _faces_reaching(v, plane.tangential_norm(v.vertices), big_r)
-    pts, bary, w, fw = _face_points(v, keep, cfg.quad_order, cfg.subdiv)
+    pts, bary, w = v.quad_points(cfg.quad_order, cfg.subdiv, keep)
     tx = plane.apply(pts)
     s = np.linalg.norm(tx, axis=-1)
     height = plane.normal_norm(pts)
@@ -161,14 +148,13 @@ def _window_pass(v: DiscreteVarifold, cfg: ExpandingHolesConfig, t: float,
     nz = s > 0
     coef[nz] = cfg.profile.d1(s[nz] / big_r) / (big_r * s[nz])
     grad = 2.0 * chi[..., None] * (coef[..., None] * tx)
-    perp = np.eye(v.ambient_dim) - v.face_projectors()[keep]
-    grad_perp = grad @ perp.transpose(0, 2, 1)
-    hq = bary @ h_field[v.faces[keep]]
+    grad_perp = _normal_part(v, grad, keep)
+    hq = interpolate_vertex_field(v, h_field, bary, keep)
     h_sq = np.sum(hq * hq, axis=-1)
     chi_sq = chi ** 2
 
     def integral(f):
-        return float(np.sum(fw * (f @ w)))
+        return _face_sum(v, f, w, keep)
 
     return (integral(-chi_sq * h_sq + np.sum(hq * grad_perp, axis=-1)),
             integral(height ** 2 * (s < big_r)),
@@ -230,8 +216,8 @@ class ExcessReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def expanding_holes_run(traj: FlowTrajectory, cfg: ExpandingHolesConfig,
-                        threads: int = 1) -> ExcessReport:
+def expanding_holes_run(traj: FlowTrajectory,
+                        cfg: ExpandingHolesConfig) -> ExcessReport:
     """Evaluate the mass-ratio bound over [t1, t2] of a trajectory.
 
     The gain of the normalized weighted mass between the window endpoints is
@@ -244,15 +230,7 @@ def expanding_holes_run(traj: FlowTrajectory, cfg: ExpandingHolesConfig,
     if not times or abs(times[0] - cfg.t1) > 1e-9 or abs(times[-1] - cfg.t2) > 1e-9:
         raise ValueError("trajectory does not cover [t1, t2] at its endpoints")
 
-    def at_time(t):
-        v = traj.snapshot_at(t)
-        return dissipation_check(v, cfg, t)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            checks = list(ex.map(at_time, times))
-    else:
-        checks = [at_time(t) for t in times]
+    checks = [dissipation_check(traj.snapshot_at(t), cfg, t) for t in times]
 
     mu_sq = [c["mu_sq"] for c in checks]
     alpha_sq = [c["alpha_sq"] for c in checks]
@@ -346,10 +324,10 @@ def gaussian_density_sup(traj: FlowTrajectory, r0: float, eps: float,
             continue
         keep = _faces_reaching(v, np.linalg.norm(v.vertices, axis=1),
                                np.max(radii))
-        pts, _, w, fw = _face_points(v, keep, quad_order, MEASUREMENT_SUBDIV)
+        pts, _, w = v.quad_points(quad_order, MEASUREMENT_SUBDIV, keep)
         dist = np.linalg.norm(pts, axis=-1)
         n = v.surface_dim
         for r in radii:
-            mass = float(np.sum(fw * ((dist < r).astype(float) @ w)))
+            mass = _face_sum(v, (dist < r).astype(float), w, keep)
             out = max(out, mass / (UNIT_BALL_VOLUME[n] * r ** n))
     return out

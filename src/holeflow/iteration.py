@@ -289,9 +289,7 @@ class ExperimentConfig:
     dt_factor: float = 0.1
     quad_order: int = 3
     cadence: int = 20
-    seed: int = 0
     log_base: float = math.e
-    threads: int = 1
 
     def fixture_radius(self) -> float:
         return self.radius_factor * self.eps
@@ -419,7 +417,7 @@ def orchestrate(cfg: ExperimentConfig,
             t_plane=t_plane, t1=(0.0 if h == 1 else 0.5), t2=1.0,
             r1=1.0, r2=math.sqrt(2.0), rhat1=math.sqrt(2.0), rhat2=2.0,
             profile=profile, quad_order=cfg.quad_order)
-        rep = expanding_holes_run(wtraj, cfg_h, threads=cfg.threads)
+        rep = expanding_holes_run(wtraj, cfg_h)
         reports.append(rep)
         bound, big_l = _analytic_excess_bound(cfg, h, e0)
         if math.isnan(bound):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .varifold import DiscreteVarifold
+from .varifold import (DiscreteVarifold, _face_edge_lengths,
+                       _face_measures_normals)
 
 SPLIT_FACTOR = 2.0
 COLLAPSE_FACTOR = 0.5
@@ -82,14 +83,8 @@ def _thin_face_edges(verts, faces, median):
     if faces.shape[1] == 2 or len(faces) == 0:
         return np.zeros((0, 2), dtype=np.int64)
     c = verts[faces]
-    e = np.stack([
-        np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
-        np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
-        np.linalg.norm(c[:, 0] - c[:, 2], axis=1),
-    ])
-    area = 0.5 * np.linalg.norm(
-        np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]), axis=1)
-    alt = 2.0 * area / np.max(e, axis=0)
+    e = _face_edge_lengths(c)
+    alt = 2.0 * _face_measures_normals(c)[0] / np.max(e, axis=0)
     thin = alt < COLLAPSE_FACTOR * median
     if not np.any(thin):
         return np.zeros((0, 2), dtype=np.int64)
@@ -154,15 +149,8 @@ def _collapse_pass(verts, faces, mult, boundary, median):
 def _drop_degenerate(verts, faces, mult, median):
     if len(faces) == 0:
         return faces, mult
-    c = verts[faces]
-    if faces.shape[1] == 2:
-        area = np.linalg.norm(c[:, 1] - c[:, 0], axis=1)
-        floor = DEGENERATE_REL * median
-    else:
-        area = 0.5 * np.linalg.norm(
-            np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]), axis=1)
-        floor = DEGENERATE_REL * median**2
-    ok = area > floor
+    area = _face_measures_normals(verts[faces])[0]
+    ok = area > DEGENERATE_REL * median ** (faces.shape[1] - 1)
     return faces[ok], mult[ok]
 
 

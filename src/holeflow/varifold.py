@@ -30,16 +30,16 @@ class DiscreteVarifold:
     boundary : (nv,) bool array; flagged vertices are fixed by every flow step
 
     Instances are treated as immutable; flow steps and surgeries return new
-    objects.  All four arrays are read-only, so a copy made by
-    ``with_vertices`` shares ``faces``, ``multiplicity`` and ``boundary``
-    with its parent.  Derived geometry is computed once, on first use, and
+    objects.  All four arrays are read-only; a writeable input is copied,
+    never frozen in place.  A copy made by ``with_vertices`` shares
+    ``faces``, ``multiplicity`` and ``boundary`` with its parent.  Derived geometry is computed once, on first use, and
     kept in ``_cache``:
 
     - face corners, ``(nf, d, d)``;
     - face measures and, for n = 2, unit normals, both from one cross
       product per face (the degenerate-face check reads the measures);
     - edge lengths, ``(edges per face, nf)``, and their minimum and median;
-    - face projectors and quadrature points, when asked for;
+    - face projectors, when asked for;
     - lumped vertex masses (``vertex_masses``).
 
     Edge vectors and raw cross products are not kept: trajectories hold
@@ -53,18 +53,16 @@ class DiscreteVarifold:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
-        self.faces = np.ascontiguousarray(self.faces, dtype=np.int64)
-        self.multiplicity = np.ascontiguousarray(self.multiplicity, dtype=np.int64)
-        self.boundary = np.ascontiguousarray(self.boundary, dtype=bool)
+        self.vertices = _owned_read_only(self.vertices, float)
+        self.faces = _owned_read_only(self.faces, np.int64)
+        self.multiplicity = _owned_read_only(self.multiplicity, np.int64)
+        self.boundary = _owned_read_only(self.boundary, bool)
         if self.faces.ndim != 2 or self.faces.shape[1] != self.ambient_dim:
             raise ValueError("faces must be (nf, ambient_dim) simplices")
         if np.any(self.multiplicity < 1):
             raise ValueError("multiplicities must be >= 1")
         if self.num_faces and np.any(self.face_measures() <= 0.0):
             raise ValueError("degenerate face")
-        for a in (self.vertices, self.faces, self.multiplicity, self.boundary):
-            a.setflags(write=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -91,17 +89,8 @@ class DiscreteVarifold:
     def face_measures(self) -> np.ndarray:
         """Area (n=2) or length (n=1) of each face."""
         if "measures" not in self._cache:
-            c = self.face_corners()
-            if self.surface_dim == 1:
-                self._cache["measures"] = np.linalg.norm(c[:, 1] - c[:, 0],
-                                                         axis=1)
-            else:
-                n = _cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
-                norm = np.linalg.norm(n, axis=1)
-                self._cache["measures"] = 0.5 * norm
-                # a degenerate face has no normal; __post_init__ rejects it
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    self._cache["normals"] = n / norm[:, None]
+            m, nu = _face_measures_normals(self.face_corners())
+            self._cache["measures"], self._cache["normals"] = m, nu
         return self._cache["measures"]
 
     def face_normals(self) -> np.ndarray:
@@ -130,20 +119,9 @@ class DiscreteVarifold:
         return float(np.sum(self.multiplicity * self.face_measures()))
 
     def _edge_lengths(self) -> np.ndarray:
-        """(edges per face, nf) edge lengths.
-
-        For n=2 the rows are the edges 0-1, 1-2 and 2-0 of every face; for
-        n=1 the single row is the face measures.
-        """
+        """(edges per face, nf) edge lengths (see ``_face_edge_lengths``)."""
         if "edge_lengths" not in self._cache:
-            if self.surface_dim == 1:
-                e = self.face_measures()[None, :]
-            else:
-                c = self.face_corners()
-                e = np.stack([np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
-                              np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
-                              np.linalg.norm(c[:, 0] - c[:, 2], axis=1)])
-            self._cache["edge_lengths"] = e
+            self._cache["edge_lengths"] = _face_edge_lengths(self.face_corners())
         return self._cache["edge_lengths"]
 
     def min_edge_length(self) -> float:
@@ -166,18 +144,17 @@ class DiscreteVarifold:
             self._cache["median_edge"] = float(np.median(self._edge_lengths()))
         return self._cache["median_edge"]
 
-    def quad_points(self, quad_order: int, subdiv: int = 0):
-        """Quadrature points and scaled weights for all faces.
+    def quad_points(self, quad_order: int, subdiv: int = 0, keep=None):
+        """Quadrature points and rule weights on all faces or a face mask.
 
-        Returns (points (nf, m, d), bary (m, d), weights (m,)); the integral
-        of f is  sum_f mult_f * measure_f * sum_i w_i f(points[f, i]).
+        Returns (points (nk, m, d), bary (m, d), weights (m,)) for the nk
+        faces selected by the boolean mask ``keep`` (all faces when None);
+        the integral of f is ``_face_sum(v, f(points), weights, keep)``.
+        Not cached: placing the points is one matmul.
         """
-        key = ("quad", quad_order, subdiv)
-        if key not in self._cache:
-            bary, w = simplex_rule(self.surface_dim, quad_order, subdiv)
-            pts = np.einsum("md,fdk->fmk", bary, self.face_corners())
-            self._cache[key] = (pts, bary, w)
-        return self._cache[key]
+        bary, w = simplex_rule(self.surface_dim, quad_order, subdiv)
+        c = self.face_corners()
+        return bary @ (c if keep is None else c[keep]), bary, w
 
     def with_vertices(self, new_vertices: np.ndarray) -> "DiscreteVarifold":
         """Same topology at new vertex positions.
@@ -227,8 +204,7 @@ def weight_measure(v: DiscreteVarifold, phi, quad_order: int = 3,
         return 0.0
     pts, _, w = v.quad_points(quad_order, subdiv)
     vals = phi(pts.reshape(-1, v.ambient_dim)).reshape(v.num_faces, -1)
-    per_face = vals @ w
-    return float(np.sum(v.multiplicity * v.face_measures() * per_face))
+    return _face_sum(v, vals, w)
 
 
 def density_ratio(v: DiscreteVarifold, center, r: float,
@@ -253,11 +229,53 @@ def first_variation(v: DiscreteVarifold, g: TestField, quad_order: int = 3) -> f
     jac = g.jacobian_fn(pts.reshape(-1, v.ambient_dim))
     jac = jac.reshape(v.num_faces, -1, v.ambient_dim, v.ambient_dim)
     div = np.einsum("fmab,fab->fm", jac, v.face_projectors())
-    return float(np.sum(v.multiplicity * v.face_measures() * (div @ w)))
+    return _face_sum(v, div, w)
+
+
+def _face_sum(v: DiscreteVarifold, vals: np.ndarray, w: np.ndarray,
+              keep=None) -> float:
+    """sum_f mult_f measure_f sum_i w_i vals[f, i], vals (nk, m) given on
+    the faces of the boolean mask keep (all faces when None)."""
+    fw = v.multiplicity * v.face_measures()
+    return float(np.sum((fw if keep is None else fw[keep]) * (vals @ w)))
 
 
 def _scatter_add(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(idx, weights=weights, minlength=size)
+
+
+def _owned_read_only(a, dtype) -> np.ndarray:
+    """a as a contiguous read-only array.  An unconverted writeable input
+    is the caller's, so it is copied before it is frozen; a read-only one
+    (such as the topology ``with_vertices`` passes on) is shared."""
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if out.flags.writeable:
+        if out is a:
+            out = out.copy()
+        out.setflags(write=False)
+    return out
+
+
+def _face_measures_normals(c: np.ndarray):
+    """Measures and unit normals (None for n = 1) of faces with corners c
+    (nf, d, d), from one cross product per triangle.  A degenerate
+    triangle gets a nan normal and a measure that is not positive."""
+    if c.shape[1] == 2:
+        return np.linalg.norm(c[:, 1] - c[:, 0], axis=1), None
+    n = _cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+    norm = np.linalg.norm(n, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return 0.5 * norm, n / norm[:, None]
+
+
+def _face_edge_lengths(c: np.ndarray) -> np.ndarray:
+    """(edges per face, nf) edge lengths of faces with corners c: rows
+    0-1, 1-2 and 2-0 for triangles, one row for segments."""
+    if c.shape[1] == 2:
+        return np.linalg.norm(c[:, 1] - c[:, 0], axis=1)[None, :]
+    return np.stack([np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
+                     np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
+                     np.linalg.norm(c[:, 0] - c[:, 2], axis=1)])
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -365,27 +383,42 @@ def perpendicularity_defect(v: DiscreteVarifold, h_field: np.ndarray,
 
 
 def interpolate_vertex_field(v: DiscreteVarifold, field: np.ndarray,
-                             bary: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation of a per-vertex field to quadrature points.
+                             bary: np.ndarray, keep=None) -> np.ndarray:
+    """Barycentric interpolation of a per-vertex vector field (nv, k) to
+    quadrature points: (nk, m, k) on the faces of the boolean mask keep
+    (all faces when None)."""
+    return bary @ field[v.faces if keep is None else v.faces[keep]]
 
-    Returns (nf, m, ...) for field of shape (nv, ...).
-    """
-    return np.einsum("md,fd...->fm...", bary, field[v.faces])
+
+def _normal_part(v: DiscreteVarifold, vecs: np.ndarray, keep=None):
+    """S_perp applied to per-point vectors (nk, m, d) on the faces of keep."""
+    p = v.face_projectors()
+    perp = np.eye(v.ambient_dim) - (p if keep is None else p[keep])
+    return vecs @ perp.transpose(0, 2, 1)
 
 
-def weighted_first_variation(v: DiscreteVarifold, phi_value, phi_gradient,
-                             h_field: np.ndarray, quad_order: int = 3,
-                             subdiv: int = 0) -> float:
-    """delta(V, phi)(h) = integral of (-phi |h|^2 + h . grad phi) d||V||."""
+def _weighted_variation(v, phi_value, phi_gradient, h_field, quad_order,
+                        subdiv, project) -> float:
+    """integral of (-phi |h|^2 + h . G) d||V||, G = grad phi or S_perp of it."""
     if v.num_faces == 0:
         return 0.0
     pts, bary, w = v.quad_points(quad_order, subdiv)
     flat = pts.reshape(-1, v.ambient_dim)
     phi = phi_value(flat).reshape(v.num_faces, -1)
     grad = phi_gradient(flat).reshape(v.num_faces, -1, v.ambient_dim)
+    if project:
+        grad = _normal_part(v, grad)
     hq = interpolate_vertex_field(v, h_field, bary)
-    integrand = -phi * np.sum(hq * hq, axis=2) + np.sum(hq * grad, axis=2)
-    return float(np.sum(v.multiplicity * v.face_measures() * (integrand @ w)))
+    return _face_sum(v, -phi * np.sum(hq * hq, axis=2)
+                     + np.sum(hq * grad, axis=2), w)
+
+
+def weighted_first_variation(v: DiscreteVarifold, phi_value, phi_gradient,
+                             h_field: np.ndarray, quad_order: int = 3,
+                             subdiv: int = 0) -> float:
+    """delta(V, phi)(h) = integral of (-phi |h|^2 + h . grad phi) d||V||."""
+    return _weighted_variation(v, phi_value, phi_gradient, h_field,
+                               quad_order, subdiv, project=False)
 
 
 def weighted_first_variation_perp(v: DiscreteVarifold, phi_value, phi_gradient,
@@ -399,17 +432,8 @@ def weighted_first_variation_perp(v: DiscreteVarifold, phi_value, phi_gradient,
     spurious tangential components, and projecting the gradient onto S_perp
     reproduces the continuum mechanism faithfully.
     """
-    if v.num_faces == 0:
-        return 0.0
-    pts, bary, w = v.quad_points(quad_order, subdiv)
-    flat = pts.reshape(-1, v.ambient_dim)
-    phi = phi_value(flat).reshape(v.num_faces, -1)
-    grad = phi_gradient(flat).reshape(v.num_faces, -1, v.ambient_dim)
-    perp = np.eye(v.ambient_dim)[None] - v.face_projectors()
-    grad_perp = np.einsum("fab,fmb->fma", perp, grad)
-    hq = interpolate_vertex_field(v, h_field, bary)
-    integrand = -phi * np.sum(hq * hq, axis=2) + np.sum(hq * grad_perp, axis=2)
-    return float(np.sum(v.multiplicity * v.face_measures() * (integrand @ w)))
+    return _weighted_variation(v, phi_value, phi_gradient, h_field,
+                               quad_order, subdiv, project=True)
 
 
 def parabolic_rescale(v: DiscreteVarifold, lam: float) -> DiscreteVarifold:

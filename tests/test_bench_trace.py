@@ -1,0 +1,46 @@
+"""The benchmark's trace layer still binds to the library.
+
+``perfbench/tracing.py`` wraps holeflow functions by name and reads the
+quadrature counters from their parameters ``v``, ``quad_order`` and
+``subdiv``, so renaming one of them breaks the traced benchmark run.  This
+test enters the same recorder on a small mesh.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+from holeflow import estimates, varifold
+from holeflow.fixtures import icosphere
+from holeflow.quadrature import simplex_rule
+
+
+def test_trace_counts_every_quadrature_evaluation(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    v = icosphere(1)
+    h = varifold.mean_curvature(v)
+
+    def phi(p):
+        return np.exp(-np.sum(p * p, axis=1))
+
+    def grad(p):
+        return -2.0 * phi(p)[:, None] * p
+
+    # (module, function, arguments, keywords, (quad_order, subdiv) used)
+    calls = [(varifold, "weight_measure", (v, phi), {}, (3, 0)),
+             (varifold, "weighted_first_variation", (v, phi, grad, h),
+              {"quad_order": 2}, (2, 0)),
+             (varifold, "weighted_first_variation_perp", (v, phi, grad, h),
+              {"subdiv": 1}, (3, 1)),
+             (estimates, "curvature_l2_sq", (v, h, phi), {"quad_order": 1},
+              (1, varifold.MEASUREMENT_SUBDIV))]
+    recorder = tracing.SpanRecorder()
+    with recorder.patched():
+        # looked up inside the block, where the names hold the wrappers
+        for module, name, args, kwargs, _ in calls:
+            getattr(module, name)(*args, **kwargs)
+    got = tracing.layer_metrics(recorder.spans)["varifold.quad_evals"]
+    assert got == sum(v.num_faces * len(simplex_rule(2, order, subdiv)[1])
+                      for *_, (order, subdiv) in calls)

@@ -127,13 +127,6 @@ class TestExpandingHolesRun:
         with pytest.raises(ValueError, match="endpoints"):
             expanding_holes_run(traj, window_cfg)
 
-    def test_threaded_equals_serial(self, window_cfg):
-        stack = make_fixture("flat_stack", 2, 4, radius=6.0, spacing=0.001)
-        traj = static_trajectory(stack)
-        a = expanding_holes_run(traj, window_cfg, threads=1)
-        b = expanding_holes_run(traj, window_cfg, threads=4)
-        assert a.mu_sq == b.mu_sq and a.mass_ratio_end == b.mass_ratio_end
-
 
 class TestL2HeightBound:
     def test_plane_in_reference(self, t_plane):
@@ -272,6 +265,14 @@ class TestCulledPasses:
                     slab_weighted_mass(v, cfg, cfg.t1)) <= 1e-12
         assert _rel(rep.mass_ratio_end * cfg.r2**2,
                     slab_weighted_mass(v, cfg, cfg.t2)) <= 1e-12
+
+    def test_cull_reads_the_cached_longest_edges(self, nucleated):
+        # the cull's longest edge per face, against the corner-difference
+        # formula it replaced: equal bit for bit, so the mask is unchanged
+        c = nucleated.face_corners()
+        rolled = np.linalg.norm(c - np.roll(c, 1, axis=1), axis=2)
+        assert (np.max(nucleated._edge_lengths(), axis=0).tobytes()
+                == np.max(rolled, axis=1).tobytes())
 
     def test_density_sup_matches_density_ratio_grid(self, nucleated):
         r0, eps = 0.1, 0.05

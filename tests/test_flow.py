@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from holeflow.fixtures import (circle_mesh, cylinder_tube, icosphere,
                                make_fixture, square_sheet)
@@ -10,7 +10,7 @@ from holeflow.flow import (ResolutionExhausted, barrier_monitor,
                            barrier_offset_factor, brakke_inequality_test,
                            evolve, sphere_barrier_from_scale, step,
                            SphereBarrier)
-from holeflow.remesh import _edges_of, _unique_pairs, remesh
+from holeflow.remesh import DEGENERATE_REL, _edges_of, _unique_pairs, remesh
 from holeflow.testfunctions import bump_scalar_test, random_scalar_test
 from holeflow.varifold import weight_measure
 from holeflow.kernels import make_profile
@@ -263,3 +263,61 @@ class TestRemesh:
         want = np.unique(pairs, axis=0)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def _jittered_sheet(seed, level, amp):
+    """A square sheet whose interior vertices move by up to amp grid
+    spacings in the plane and 0.3 amp spacings out of it.  Beyond half a
+    spacing, edges to the rim get short and faces get thin, so the pass
+    collapses next to the boundary and drops near-degenerate faces."""
+    sheet = square_sheet(2.0, level)
+    rng = np.random.default_rng(seed)
+    inner = ~sheet.boundary
+    spacing = 2.0 / 2 ** level
+    verts = sheet.vertices.copy()
+    verts[inner] += spacing * amp * rng.uniform(-1.0, 1.0, (inner.sum(), 3)) \
+        * [1.0, 1.0, 0.3]
+    try:
+        return sheet.with_vertices(verts)
+    except ValueError:  # a jittered face came out degenerate
+        assume(False)
+
+
+REMESH_CASES = dict(seed=st.integers(0, 2**31 - 1), level=st.integers(2, 3),
+                    amp=st.floats(0.0, 0.8))
+
+
+class TestRemeshProperties:
+    """Properties of one remesh pass on randomly jittered sheets."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**REMESH_CASES)
+    def test_boundary_vertices_bitwise_fixed(self, seed, level, amp):
+        v = _jittered_sheet(seed, level, amp)
+        out, _ = remesh(v)
+        assert (out.vertices[out.boundary].tobytes()
+                == v.vertices[v.boundary].tobytes())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**REMESH_CASES)
+    def test_no_face_at_degenerate_floor(self, seed, level, amp):
+        v = _jittered_sheet(seed, level, amp)
+        out, _ = remesh(v)
+        floor = DEGENERATE_REL * v.median_edge_length() ** 2
+        assert np.all(out.face_measures() > floor)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**REMESH_CASES)
+    def test_no_interior_vertex_without_face(self, seed, level, amp):
+        v = _jittered_sheet(seed, level, amp)
+        out, _ = remesh(v)
+        used = np.zeros(out.num_vertices, dtype=bool)
+        used[out.faces.ravel()] = True
+        assert np.all(used | out.boundary)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**REMESH_CASES)
+    def test_delta_is_mass_change(self, seed, level, amp):
+        v = _jittered_sheet(seed, level, amp)
+        out, delta = remesh(v)
+        assert delta == out.total_mass() - v.total_mass()

@@ -320,3 +320,14 @@ def test_with_vertices_shares_read_only_topology():
               vertex_masses(child)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
+
+
+def test_construction_leaves_caller_arrays_writeable():
+    v = icosphere(2)
+    verts = v.vertices.copy()
+    child = v.with_vertices(verts)
+    verts[0] = 0.0
+    assert not np.array_equal(child.vertices[0], verts[0])
+    faces = v.faces.copy()
+    DiscreteVarifold(v.vertices, faces, v.multiplicity, v.boundary)
+    faces[0] = faces[0]
