@@ -11,7 +11,7 @@ from .varifold import (DiscreteVarifold, ScalarTest, TestField, density_ratio,
                        weight_measure, weighted_first_variation)
 from .kernels import CutoffProfile, HeatKernel, cylindrical_cutoff, make_profile
 from .nucleation import GrowthEnvelope, SquashMap, envelope_check, nucleate
-from .flow import DtPolicy, FlowTrajectory, ResolutionExhausted, evolve, step
+from .flow import DtPolicy, FlowTrajectory, ResolutionExhausted, evolve
 from .estimates import ExpandingHolesConfig, ExcessReport, expanding_holes_run
 from .iteration import (ExperimentConfig, ExperimentResult, IterationSchedule,
                         build_schedule, orchestrate, series_term, tail_sum)

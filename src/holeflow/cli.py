@@ -19,16 +19,19 @@ from pathlib import Path
 
 import numpy as np
 
+from . import verify as verify_mod
 from .dvar import DvarParseError, read_dvar, write_dvar
 from .estimates import ExpandingHolesConfig, expanding_holes_run
 from .fixtures import FIXTURE_KINDS, make_fixture
-from .flow import DtPolicy, FlowTrajectory, ResolutionExhausted, evolve
+from .flow import DtPolicy, ResolutionExhausted, evolve
 from .geom import coordinate_plane
-from .iteration import (ExperimentConfig, build_schedule, orchestrate,
-                        series_term)
+from .iteration import (FIXTURE_RADIUS_FACTOR, ExperimentConfig,
+                        build_schedule, orchestrate, rescaled_window,
+                        series_term, window_end, window_times)
 from .kernels import make_profile
-from .nucleation import (GrowthEnvelope, SquashMap, nucleate, verify_nucleation)
-from .varifold import density_ratio, parabolic_rescale
+from .nucleation import (GrowthEnvelope, SquashMap, nucleate,
+                         nucleation_passes, verify_nucleation)
+from .varifold import density_ratio
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -135,7 +138,7 @@ def write_plot(path, header: str, pairs) -> None:
 # ---------------------------------------------------------------- commands
 
 def cmd_gen_fixture(cfg: Config, args) -> int:
-    radius = args.radius if args.radius else 4.0 * cfg.eps
+    radius = args.radius if args.radius else FIXTURE_RADIUS_FACTOR * cfg.eps
     v = make_fixture(args.kind, cfg.Q, cfg.mesh_level, radius=radius,
                      spacing=args.spacing)
     write_dvar(v, args.out)
@@ -156,8 +159,7 @@ def cmd_nucleate(cfg: Config, args) -> int:
     write_dvar(va, args.out)
     env = GrowthEnvelope(alpha=cfg.alpha, r0=cfg.r0)
     rep = verify_nucleation(v0, va, t_plane, cfg.eps, env, cfg.Q, cfg.quad_order)
-    ok = (rep["prop1_local"] and rep["prop3_envelope"] and rep["prop4_ok"]
-          and rep["prop5_ok"])
+    ok = nucleation_passes(rep)
     for k, v in rep.items():
         print(f"  {k} = {v}")
     print(f"wrote {args.out}; surgery checks {'pass' if ok else 'FAIL'}")
@@ -187,8 +189,6 @@ def cmd_evolve(cfg: Config, args) -> int:
 
 
 def cmd_verify(cfg: Config, args) -> int:
-    from . import verify as verify_mod
-
     if args.mesh:
         try:
             v = read_dvar(args.mesh)
@@ -206,64 +206,54 @@ def cmd_verify(cfg: Config, args) -> int:
 
 def cmd_expanding_holes(cfg: Config, args) -> int:
     v0 = read_dvar(args.mesh) if args.mesh else make_fixture(
-        args.kind, cfg.Q, cfg.mesh_level, radius=4.0 * cfg.eps,
-        spacing=args.spacing)
+        args.kind, cfg.Q, cfg.mesh_level,
+        radius=FIXTURE_RADIUS_FACTOR * cfg.eps, spacing=args.spacing)
     t_plane = coordinate_plane(list(range(v0.surface_dim)), v0.ambient_dim)
     try:
         va = nucleate(v0, t_plane, cfg.eps, SquashMap(delta=cfg.delta))
     except ValueError as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    lam_sq = cfg.eps ** 2
-    times = np.linspace(0.0, 1.0, 21) * lam_sq
     try:
-        traj = evolve(va, lam_sq, DtPolicy(c_stab=cfg.dt_factor),
-                      snapshot_times=times)
+        traj = evolve(va, window_end(cfg.eps, 1),
+                      DtPolicy(c_stab=cfg.dt_factor),
+                      snapshot_times=window_times(cfg.eps, 1))
     except ResolutionExhausted as e:
         print(f"aborted: {e}", file=sys.stderr)
         return EXIT_RESOLUTION
-    rtraj = FlowTrajectory(
-        times=[t / lam_sq for t in traj.times],
-        snapshots=[parabolic_rescale(traj.snapshot_at(t), cfg.eps)
-                   for t in traj.times],
-        cumulative_dissipation=[0.0] * len(traj.times), ledger=[],
-        policy=traj.policy)
-    prof = make_profile(cfg.zeta)
-    run_cfg = ExpandingHolesConfig(
-        t_plane=t_plane, t1=0.0, t2=1.0, r1=1.0, r2=math.sqrt(2.0),
-        rhat1=math.sqrt(2.0), rhat2=2.0, profile=prof,
-        quad_order=cfg.quad_order)
-    rep = expanding_holes_run(rtraj, run_cfg)
+    run_cfg = ExpandingHolesConfig(t_plane=t_plane,
+                                   profile=make_profile(cfg.zeta),
+                                   quad_order=cfg.quad_order)
+    rep = expanding_holes_run(rescaled_window(traj, cfg.eps, 1), run_cfg)
     meta = {"config": config_echo(cfg),
             "inputs_sha1": git_blob_sha1(config_echo(cfg).encode())}
     Path(args.out).write_text(rep.to_json(_meta=meta))
-    ok = all(c["pass"] for c in rep.dissipation)
+    ok = rep.dissipation_ok
     print(f"wrote {args.out}; dissipation checks "
           f"{'pass' if ok else 'FAIL'}; "
           f"ratio {rep.mass_ratio_start:.6f} -> {rep.mass_ratio_end:.6f}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _emit_schedule(cfg: Config, args, out_dir: Path, header: str) -> None:
-    sched = build_schedule(args.J, args.K, cfg.alpha, 2, cfg.r0,
-                           log_base=cfg.log_base_value())
+def cmd_series(cfg: Config, args) -> int:
+    try:
+        sched = build_schedule(args.J, args.K, cfg.alpha, 2, cfg.r0,
+                               log_base=cfg.log_base_value())
+    except ValueError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    header = output_header(cfg, [config_echo(cfg).encode()])
     payload = sched.to_json_dict()
     payload["_meta"] = {"config": config_echo(cfg)}
     (out_dir / "schedule.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True))
     plot_dir = out_dir / "plot"
     plot_dir.mkdir(exist_ok=True)
-    qs = range(args.K, args.J)
     write_plot(plot_dir / "series.dat", header,
                [(q, series_term(q, cfg.alpha, 2, cfg.log_base_value()))
-                for q in qs])
-
-
-def cmd_series(cfg: Config, args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header = output_header(cfg, [config_echo(cfg).encode()])
-    _emit_schedule(cfg, args, out_dir, header)
+                for q in range(args.K, args.J)])
     print(f"wrote {out_dir / 'schedule.json'}")
     return EXIT_OK
 
@@ -272,11 +262,6 @@ def cmd_experiment(cfg: Config, args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = output_header(cfg, [config_echo(cfg).encode()])
-    if args.series_only:
-        _emit_schedule(cfg, args, out_dir, header)
-        print(f"wrote {out_dir / 'schedule.json'} (series only)")
-        return EXIT_OK
-
     exp_cfg = ExperimentConfig(
         eps=cfg.eps, j=args.j, q=cfg.Q, alpha=cfg.alpha, r0=cfg.r0,
         zeta=cfg.zeta, delta=cfg.delta, mesh_level=cfg.mesh_level,
@@ -353,6 +338,13 @@ def cmd_report(cfg: Config, args) -> int:
     return EXIT_OK if summary.get("passes") else EXIT_CHECK_FAILED
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value configuration file")
@@ -385,12 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = add("evolve", help="run the flow on a mesh")
     e.add_argument("--mesh", required=True)
-    e.add_argument("--t-end", type=float, required=True)
+    e.add_argument("--t-end", type=_positive_float, required=True)
     e.add_argument("--snapshots", type=int, default=21)
     e.add_argument("--out-dir", required=True)
 
     v = add("verify", help="run verification suites")
-    v.add_argument("--suite", default=None)
+    v.add_argument("--suite", choices=list(verify_mod.SUITES), default=None)
     v.add_argument("--mesh", default=None)
 
     x = add("expanding-holes", help="one expansion window")
@@ -408,9 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--j", type=int, default=2)
     r.add_argument("--kind", choices=FIXTURE_KINDS, default="flat_stack")
     r.add_argument("--spacing", type=float, default=0.0)
-    r.add_argument("--series-only", action="store_true")
-    r.add_argument("--K", type=int, default=50)
-    r.add_argument("--J", type=int, default=200)
     r.add_argument("--out-dir", default="experiment_out")
 
     t = add("report", help="summarize an experiment directory")

@@ -6,14 +6,17 @@ Layout:
     f i j [k] m        0-based vertex indices plus integer multiplicity
     b i                boundary flag for vertex i
 
-Parse errors carry the offending line number.
+Parse errors carry the offending line number.  Coordinates must be finite
+and every face must have positive measure.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .varifold import DiscreteVarifold
+from .varifold import DiscreteVarifold, _face_measures_normals
 
 
 class DvarParseError(ValueError):
@@ -50,6 +53,7 @@ def read_dvar(path) -> DiscreteVarifold:
         raise DvarParseError(1, f"unsupported ambient dimension {dim}")
 
     vertices, faces, mults, bnd_idx = [], [], [], []
+    face_lines, bnd_lines = [], []
     for no, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
@@ -59,9 +63,12 @@ def read_dvar(path) -> DiscreteVarifold:
             if len(parts) != dim + 1:
                 raise DvarParseError(no, f"vertex needs {dim} coordinates")
             try:
-                vertices.append([float(x) for x in parts[1:]])
+                coords = [float(x) for x in parts[1:]]
             except ValueError:
                 raise DvarParseError(no, "bad vertex coordinate") from None
+            if not all(map(math.isfinite, coords)):
+                raise DvarParseError(no, "non-finite vertex coordinate")
+            vertices.append(coords)
         elif tag == "f":
             if len(parts) != dim + 2:
                 raise DvarParseError(no, f"face needs {dim} indices and a multiplicity")
@@ -70,10 +77,11 @@ def read_dvar(path) -> DiscreteVarifold:
                 m = int(parts[-1])
             except ValueError:
                 raise DvarParseError(no, "bad face entry") from None
-            if m < 1:
-                raise DvarParseError(no, "multiplicity must be >= 1")
+            if not 1 <= m < 2 ** 63:
+                raise DvarParseError(no, "multiplicity must be in [1, 2^63)")
             faces.append(idx)
             mults.append(m)
+            face_lines.append(no)
         elif tag == "b":
             if len(parts) != 2:
                 raise DvarParseError(no, "boundary flag needs one index")
@@ -81,18 +89,24 @@ def read_dvar(path) -> DiscreteVarifold:
                 bnd_idx.append(int(parts[1]))
             except ValueError:
                 raise DvarParseError(no, "bad boundary index") from None
+            bnd_lines.append(no)
         else:
             raise DvarParseError(no, f"unknown record {tag!r}")
 
     nv = len(vertices)
+    for no, idx in zip(face_lines, faces):
+        if min(idx) < 0 or max(idx) >= nv:
+            raise DvarParseError(no, "face index out of range")
     verts = np.asarray(vertices, dtype=float).reshape(nv, dim)
     face_arr = np.asarray(faces, dtype=np.int64).reshape(len(faces), dim)
-    if len(face_arr) and (face_arr.min() < 0 or face_arr.max() >= nv):
-        raise DvarParseError(len(lines), "face index out of range")
+    measures, _ = _face_measures_normals(verts[face_arr])
+    degenerate = np.flatnonzero(~(measures > 0.0))
+    if len(degenerate):
+        raise DvarParseError(face_lines[degenerate[0]], "degenerate face")
     boundary = np.zeros(nv, dtype=bool)
-    for i in bnd_idx:
+    for no, i in zip(bnd_lines, bnd_idx):
         if not 0 <= i < nv:
-            raise DvarParseError(len(lines), f"boundary index {i} out of range")
+            raise DvarParseError(no, f"boundary index {i} out of range")
         boundary[i] = True
     return DiscreteVarifold(verts, face_arr, np.asarray(mults, dtype=np.int64),
                             boundary)

@@ -62,17 +62,21 @@ class ExpandingHolesConfig:
     """Window, radii, and profile for one expanding-holes measurement.
 
     R(t)^2 = R1^2 + sigma (t - t1) with sigma = (R2^2 - R1^2)/(t2 - t1);
-    the flow support must avoid the annulus Rhat1 < |T_perp| < Rhat2.
+    the flow support must avoid the annulus Rhat1 < |T_perp| < Rhat2.  The
+    defaults are the paper's parabolic blow-up window of step one: t in
+    [0, 1], R growing from 1 to sqrt(2), and the forbidden annulus
+    sqrt(2) < |T_perp x| < 2.  The iteration windows h >= 2 start at
+    t1 = 1/2 with the same radii.
     """
 
     t_plane: Plane
-    t1: float
-    t2: float
-    r1: float
-    r2: float
-    rhat1: float
-    rhat2: float
     profile: CutoffProfile
+    t1: float = 0.0
+    t2: float = 1.0
+    r1: float = 1.0
+    r2: float = math.sqrt(2.0)
+    rhat1: float = math.sqrt(2.0)
+    rhat2: float = 2.0
     quad_order: int = 3
     subdiv: int = MEASUREMENT_SUBDIV
 
@@ -209,6 +213,11 @@ class ExcessReport:
     @property
     def ratio_gain(self) -> float:
         return self.mass_ratio_end - self.mass_ratio_start
+
+    @property
+    def dissipation_ok(self) -> bool:
+        """Every per-snapshot dissipation check of the window passed."""
+        return all(check["pass"] for check in self.dissipation)
 
     def to_json(self, **extra) -> str:
         payload = asdict(self)

@@ -170,17 +170,6 @@ def circle_mesh(level: int, radius: float = 1.0) -> DiscreteVarifold:
                             np.zeros(n, dtype=bool))
 
 
-def line_mesh(level: int, half_length: float = 1.0) -> DiscreteVarifold:
-    """Straight segment on the x-axis in R^2, endpoints fixed (n = 1)."""
-    m = 2 ** level
-    xs = np.linspace(-half_length, half_length, m + 1)
-    verts = np.column_stack([xs, np.zeros(m + 1)])
-    faces = np.column_stack([np.arange(m), np.arange(1, m + 1)])
-    bnd = np.zeros(m + 1, dtype=bool)
-    bnd[0] = bnd[-1] = True
-    return DiscreteVarifold(verts, faces, np.ones(m, dtype=np.int64), bnd)
-
-
 def cylinder_tube(level: int, radius: float = 1.0,
                   half_height: float = 1.0) -> DiscreteVarifold:
     """Tube around the z-axis with fixed end rings."""

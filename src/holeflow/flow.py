@@ -1,7 +1,8 @@
 """Discrete gradient flow of the mass functional with fixed boundary.
 
 Interior vertices move by dt * h per step (explicit), with dt capped by
-c_stab * (min edge length)^2.  Each trajectory carries a dissipation ledger
+c_stab * (smallest altitude of a moving face)^2 and by a per-step
+displacement cap.  Each trajectory carries a dissipation ledger
 mirroring the integral mass inequality of the continuum flow: at every
 recorded time,  mass(t) + sum of dt * integral |h|^2  must not exceed the
 initial mass beyond a tolerance.  No topological surgery happens during
@@ -54,30 +55,11 @@ class FlowTrajectory:
     invalid_reason: str = ""
 
     def snapshot_at(self, t: float) -> DiscreteVarifold:
-        i = self._index_of(t)
-        return self.snapshots[i]
-
-    def dissipation_at(self, t: float) -> float:
-        return self.cumulative_dissipation[self._index_of(t)]
-
-    def _index_of(self, t: float) -> int:
         arr = np.asarray(self.times)
         i = int(np.argmin(np.abs(arr - t)))
         if abs(arr[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"no snapshot at t={t}")
-        return i
-
-    def span(self):
-        return self.times[0], self.times[-1]
-
-
-def step(v: DiscreteVarifold, dt: float, c_stab: float = 0.1) -> DiscreteVarifold:
-    """Single explicit step; boundary vertices stay fixed."""
-    dt_max = c_stab * v.min_edge_length() ** 2
-    if dt > dt_max * (1.0 + 1e-9):
-        raise ValueError(f"stability violated: dt={dt:.3e} > {dt_max:.3e}")
-    h = mean_curvature(v)
-    return v.with_vertices(v.vertices + dt * h)
+        return self.snapshots[i]
 
 
 def evolve(v0: DiscreteVarifold, t_end: float,
@@ -181,7 +163,7 @@ def brakke_inequality_test(traj: FlowTrajectory, phi: ScalarTest,
             delta(V_t, phi(., t))(h) + ||V_t||(d phi/dt).
     Nonnegative slack (up to discretization) is the flow inequality.
     """
-    lo, hi = traj.span()
+    lo, hi = traj.times[0], traj.times[-1]
     if not (lo <= t1 < t2 <= hi * (1 + 1e-12)):
         raise ValueError("requested interval outside trajectory span")
     times = np.asarray(traj.times)
@@ -223,10 +205,6 @@ class SphereBarrier:
         if r2 <= 0:
             return 0.0
         return math.sqrt(r2)
-
-    @property
-    def vanish_time(self) -> float:
-        return self.initial_radius**2 / (2.0 * self.n)
 
 
 def barrier_monitor(traj: FlowTrajectory, b: SphereBarrier):

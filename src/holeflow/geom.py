@@ -34,6 +34,7 @@ class Plane:
         Dimension d of the ambient space.
     proj : np.ndarray
         (d, d) symmetric idempotent matrix projecting onto the subspace.
+        The plane keeps its own read-only float copy of the given matrix.
     """
 
     k: int
@@ -41,7 +42,9 @@ class Plane:
     proj: np.ndarray
 
     def __post_init__(self):
-        self.proj.setflags(write=False)
+        proj = np.array(self.proj, dtype=float)
+        proj.setflags(write=False)
+        object.__setattr__(self, "proj", proj)
 
     @property
     def perp(self) -> np.ndarray:

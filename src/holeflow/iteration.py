@@ -30,7 +30,7 @@ from .kernels import CutoffProfile, cylindrical_cutoff, make_profile
 from .varifold import DiscreteVarifold, weight_measure, parabolic_rescale
 from .fixtures import make_fixture
 from .nucleation import (GrowthEnvelope, SquashMap, envelope_check, nucleate,
-                         verify_nucleation)
+                         nucleation_passes, verify_nucleation)
 from .flow import (DtPolicy, FlowTrajectory, barrier_monitor, evolve,
                    sphere_barrier_from_scale)
 from .estimates import (ExpandingHolesConfig, expanding_holes_run,
@@ -38,6 +38,8 @@ from .estimates import (ExpandingHolesConfig, expanding_holes_run,
 
 LN2 = math.log(2.0)
 MAX_TAIL_START = 10 ** 9
+FIXTURE_RADIUS_FACTOR = 4.0   # fixture radius in units of eps
+WINDOW_CADENCE = 20           # snapshots per unit of rescaled window time
 
 
 def _check_q(q) -> None:
@@ -285,14 +287,12 @@ class ExperimentConfig:
     mesh_level: int = 5
     kind: str = "flat_stack"
     spacing: float = 0.0
-    radius_factor: float = 4.0
     dt_factor: float = 0.1
     quad_order: int = 3
-    cadence: int = 20
     log_base: float = math.e
 
     def fixture_radius(self) -> float:
-        return self.radius_factor * self.eps
+        return FIXTURE_RADIUS_FACTOR * self.eps
 
 
 @dataclass
@@ -311,7 +311,7 @@ class ExperimentResult:
     chain_gaps: list
     barrier_contacts: list
     schedule_note: str
-    passes: bool
+    passes: bool = False
     trajectory: FlowTrajectory = None
     reports: list = None
 
@@ -324,19 +324,35 @@ class ExperimentResult:
         return self.lef2_lhs < self.lef2_rhs
 
 
-def _window_times(cfg: ExperimentConfig, h: int) -> np.ndarray:
-    t1 = 0.0 if h == 1 else 0.5
-    npts = max(2, int(round(cfg.cadence * (1.0 - t1))) + 1)
-    lam_sq = 2.0 ** (h - 1) * cfg.eps ** 2
-    return np.linspace(t1, 1.0, npts) * lam_sq
+def window_start(h: int) -> float:
+    """Rescaled start time t1 of window h: 0 for step one, 1/2 after."""
+    return 0.0 if h == 1 else 0.5
 
 
-def _rescaled_window(traj: FlowTrajectory, cfg: ExperimentConfig,
-                     h: int) -> FlowTrajectory:
-    lam = 2.0 ** ((h - 1) / 2.0) * cfg.eps
-    lam_sq = 2.0 ** (h - 1) * cfg.eps ** 2
+def window_scale(eps: float, h: int) -> float:
+    """Parabolic scale lambda_h = 2^((h-1)/2) eps of window h."""
+    return 2.0 ** ((h - 1) / 2.0) * eps
+
+
+def window_end(eps: float, h: int) -> float:
+    """Flow time lambda_h^2 = 2^(h-1) eps^2 at which window h ends."""
+    return 2.0 ** (h - 1) * eps ** 2
+
+
+def window_times(eps: float, h: int) -> np.ndarray:
+    """Flow times of the snapshots that window h measures."""
+    t1 = window_start(h)
+    npts = max(2, int(round(WINDOW_CADENCE * (1.0 - t1))) + 1)
+    return np.linspace(t1, 1.0, npts) * window_end(eps, h)
+
+
+def rescaled_window(traj: FlowTrajectory, eps: float,
+                    h: int) -> FlowTrajectory:
+    """The snapshots of window h blown up by 1/lambda_h, in rescaled time."""
+    lam = window_scale(eps, h)
+    lam_sq = window_end(eps, h)
     times = [t for t in traj.times
-             if (0.0 if h == 1 else 0.5) * lam_sq - 1e-18 <= t <= lam_sq * (1 + 1e-12)]
+             if window_start(h) * lam_sq - 1e-18 <= t <= lam_sq * (1 + 1e-12)]
     snaps = [parabolic_rescale(traj.snapshot_at(t), lam) for t in times]
     return FlowTrajectory(times=[t / lam_sq for t in times], snapshots=snaps,
                           cumulative_dissipation=[0.0] * len(times),
@@ -349,7 +365,7 @@ def _analytic_excess_bound(cfg: ExperimentConfig, h: int, e0: float):
     Needs a window scale L >= 2 with 2 L lambda_h < r0; at coarse desk
     scales no such L exists and the bound is not applicable (NaN).
     """
-    lam = 2.0 ** ((h - 1) / 2.0) * cfg.eps
+    lam = window_scale(cfg.eps, h)
     l_max = cfg.r0 / (2.0 * lam)
     if l_max <= 2.0:
         return float("nan"), float("nan")
@@ -385,9 +401,10 @@ def orchestrate(cfg: ExperimentConfig,
     if not ok:
         raise ValueError(f"growth-envelope precheck failed (excess {excess:.3e})")
     profile = make_profile(cfg.zeta)
-    r_floor = min(2.0 ** (cfg.j / 2.0) * cfg.eps, cfg.r0)
+    r_f = 2.0 ** (cfg.j / 2.0) * cfg.eps
     floor_ok, floor_ratio = density_floor_check(v0, profile, t_plane,
-                                                r_floor, cfg.q, cfg.quad_order)
+                                                min(r_f, cfg.r0), cfg.q,
+                                                cfg.quad_order)
     if not floor_ok:
         raise ValueError(f"density floor precheck failed (ratio {floor_ratio:.4f})")
 
@@ -395,9 +412,9 @@ def orchestrate(cfg: ExperimentConfig,
     nuc_report = verify_nucleation(v0, v_nuc, t_plane, cfg.eps, envelope, cfg.q,
                                 cfg.quad_order)
 
-    t_end = 2.0 ** (cfg.j - 1) * cfg.eps ** 2
+    t_end = window_end(cfg.eps, cfg.j)
     snap_times = sorted({float(t) for h in range(1, cfg.j + 1)
-                         for t in _window_times(cfg, h)})
+                         for t in window_times(cfg.eps, h)})
     policy = DtPolicy(c_stab=cfg.dt_factor)
     traj = evolve(v_nuc, t_end, policy, snapshot_times=snap_times)
 
@@ -408,15 +425,13 @@ def orchestrate(cfg: ExperimentConfig,
     schedule_notes = []
     prev_ratio_end = None
     for h in range(1, cfg.j + 1):
-        lam = 2.0 ** ((h - 1) / 2.0) * cfg.eps
-        wtraj = _rescaled_window(traj, cfg, h)
+        wtraj = rescaled_window(traj, cfg.eps, h)
         barrier = sphere_barrier_from_scale(1.0, n, t_plane)
         contact = barrier_monitor(wtraj, barrier)
         contacts.append(contact)
-        cfg_h = ExpandingHolesConfig(
-            t_plane=t_plane, t1=(0.0 if h == 1 else 0.5), t2=1.0,
-            r1=1.0, r2=math.sqrt(2.0), rhat1=math.sqrt(2.0), rhat2=2.0,
-            profile=profile, quad_order=cfg.quad_order)
+        cfg_h = ExpandingHolesConfig(t_plane=t_plane, profile=profile,
+                                     t1=window_start(h),
+                                     quad_order=cfg.quad_order)
         rep = expanding_holes_run(wtraj, cfg_h)
         reports.append(rep)
         bound, big_l = _analytic_excess_bound(cfg, h, e0)
@@ -428,7 +443,7 @@ def orchestrate(cfg: ExperimentConfig,
             chain_gaps.append(abs(rep.mass_ratio_start - prev_ratio_end))
         prev_ratio_end = rep.mass_ratio_end
         rows.append({
-            "h": h, "scale": lam,
+            "h": h, "scale": window_scale(cfg.eps, h),
             "mu_h_sq_measured": rep.mu_bar_sq,
             "mu_h_sq_bound": bound,
             "ratio_before": rep.mass_ratio_start,
@@ -436,31 +451,24 @@ def orchestrate(cfg: ExperimentConfig,
             "M_empirical": rep.empirical_M,
         })
 
-    r_f = 2.0 ** (cfg.j / 2.0) * cfg.eps
-
     lef2_lhs = _cutoff_slab_mass(traj.snapshot_at(t_end), profile, t_plane,
                                  r_f, cfg.quad_order)
     lef2_rhs = _cutoff_slab_mass(v0, profile, t_plane, r_f, cfg.quad_order)
 
-    mass_initial = v0.total_mass()
-    mass_final = traj.snapshots[-1].total_mass()
-    required = 0.5 * (cfg.q - 1) * omega * cfg.eps ** n
-
-    diss_ok = all(c["pass"] for rep in reports for c in rep.dissipation)
-    passes = (nuc_report["prop1_local"] and nuc_report["prop3_envelope"]
-              and nuc_report["prop4_ok"] and nuc_report["prop5_ok"]
-              and diss_ok and all(c is None for c in contacts)
-              and lef2_lhs < lef2_rhs
-              and mass_final <= mass_initial - required
-              and traj.valid)
-
-    return ExperimentResult(
-        rows=rows, mass_initial=mass_initial,
-        mass_after_nucleation=v_nuc.total_mass(), mass_final=mass_final,
-        mass_drop_required=required, lef2_lhs=lef2_lhs, lef2_rhs=lef2_rhs,
+    res = ExperimentResult(
+        rows=rows, mass_initial=v0.total_mass(),
+        mass_after_nucleation=v_nuc.total_mass(),
+        mass_final=traj.snapshots[-1].total_mass(),
+        mass_drop_required=0.5 * (cfg.q - 1) * omega * cfg.eps ** n,
+        lef2_lhs=lef2_lhs, lef2_rhs=lef2_rhs,
         final_ratio=prev_ratio_end if prev_ratio_end is not None else 0.0,
         omega_n=omega, density_sup=e0, nucleation_report=nuc_report,
         chain_gaps=chain_gaps, barrier_contacts=contacts,
-        schedule_note="; ".join(schedule_notes), passes=passes,
+        schedule_note="; ".join(schedule_notes),
         trajectory=traj if keep_trajectory else None,
         reports=reports)
+    res.passes = (nucleation_passes(nuc_report)
+                  and all(rep.dissipation_ok for rep in reports)
+                  and all(c is None for c in contacts)
+                  and res.lef2_ok and res.mass_drop_ok and traj.valid)
+    return res

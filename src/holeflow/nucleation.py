@@ -254,3 +254,10 @@ def verify_nucleation(v_before: DiscreteVarifold, v_after: DiscreteVarifold,
         "hole_mass_before": mass5_before,
         "containment": "assumed by construction",
     }
+
+
+def nucleation_passes(report: dict) -> bool:
+    """The surgery verdict of a verify_nucleation report: properties 1, 3,
+    4 and 5 all hold."""
+    return (report["prop1_local"] and report["prop3_envelope"]
+            and report["prop4_ok"] and report["prop5_ok"])

@@ -13,11 +13,11 @@ import pytest
 
 from holeflow.estimates import ExpandingHolesConfig, expanding_holes_run
 from holeflow.fixtures import icosphere, make_fixture, square_sheet
-from holeflow.flow import (DtPolicy, FlowTrajectory, brakke_inequality_test,
-                           evolve)
+from holeflow.flow import DtPolicy, brakke_inequality_test, evolve
 from holeflow.geom import coordinate_plane, grassmann_gap, random_plane
 from holeflow.iteration import (ExperimentConfig, orchestrate, partial_sum,
-                                series_term, tail_sum)
+                                rescaled_window, series_term, tail_sum,
+                                window_end, window_times)
 from holeflow.kernels import HeatKernel, heat_identity_residual, make_profile
 from holeflow.nucleation import (GrowthEnvelope, SquashMap, nucleate,
                                  squash_points, verify_nucleation)
@@ -221,22 +221,14 @@ def test_criterion_06_flow_inequality_tester():
 
 
 def _expansion_window(level):
-    prof = make_profile(0.1)
-    cfg = ExpandingHolesConfig(
-        t_plane=T_PLANE, t1=0.0, t2=1.0, r1=1.0, r2=math.sqrt(2.0),
-        rhat1=math.sqrt(2.0), rhat2=2.0, profile=prof, subdiv=3)
+    cfg = ExpandingHolesConfig(t_plane=T_PLANE, profile=make_profile(0.1),
+                               subdiv=3)
     v0 = make_fixture("perturbed_stack", 2, level, radius=4 * EPS,
                       spacing=0.06)
     va = nucleate(v0, T_PLANE, EPS)
-    tgrid = np.linspace(0.0, 1.0, 21) * EPS**2
-    traj = evolve(va, EPS**2, DtPolicy(), snapshot_times=tgrid)
-    rtraj = FlowTrajectory(
-        times=[t / EPS**2 for t in traj.times],
-        snapshots=[parabolic_rescale(traj.snapshot_at(t), EPS)
-                   for t in traj.times],
-        cumulative_dissipation=[0.0] * len(traj.times), ledger=[],
-        policy=traj.policy)
-    return expanding_holes_run(rtraj, cfg)
+    traj = evolve(va, window_end(EPS, 1), DtPolicy(),
+                  snapshot_times=window_times(EPS, 1))
+    return expanding_holes_run(rescaled_window(traj, EPS, 1), cfg)
 
 
 def test_criterion_07_expanding_holes_window():
@@ -246,8 +238,7 @@ def test_criterion_07_expanding_holes_window():
     t0 = time.time()
     rep4 = _expansion_window(4)
     rep5 = _expansion_window(5)
-    diss_ok = (all(c["pass"] for c in rep4.dissipation)
-               and all(c["pass"] for c in rep5.dissipation))
+    diss_ok = rep4.dissipation_ok and rep5.dissipation_ok
     m4, m5 = rep4.empirical_M, rep5.empirical_M
     stable = (m4 is not None and m5 is not None
               and abs(m4 - m5) <= 0.2 * max(abs(m4), abs(m5), 1.0))

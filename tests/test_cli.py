@@ -106,17 +106,30 @@ class TestVerifyCommand:
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_unknown_suite_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("verify", "--suite", "bogus")
+        assert err.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
 
 class TestSeriesAndReport:
     def test_series_only_schedule(self, tmp_path):
         out_dir = tmp_path / "series"
-        rc = run_cli("experiment", "--series-only", "--K", "50", "--J", "200",
+        rc = run_cli("series", "--K", "50", "--J", "200",
                      "--out-dir", str(out_dir))
         assert rc == 0
         sched = json.loads((out_dir / "schedule.json").read_text())
         assert sched["depth"] == 200 and sched["tail_start"] == 50
         assert len(sched["terms"]) == 150
         assert (out_dir / "plot" / "series.dat").exists()
+
+    def test_tail_start_below_three_is_usage_error(self, tmp_path, capsys):
+        rc = run_cli("series", "--K", "2", "--J", "10",
+                     "--out-dir", str(tmp_path / "s"))
+        assert rc == 2
+        assert "tail start must be >= 3" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_series_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -183,6 +196,13 @@ class TestExperimentCommand:
 
 
 class TestEvolveCommand:
+    def test_negative_end_time_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("evolve", "--mesh", str(tmp_path / "unread.dvar"),
+                    "--t-end", "-1", "--out-dir", str(tmp_path / "run"))
+        assert err.value.code == 2
+        assert "--t-end: must be positive" in capsys.readouterr().err
+
     def test_resolution_exhausted_exit_code(self, tmp_path, capsys):
         from holeflow.dvar import write_dvar
         from holeflow.fixtures import icosphere

@@ -31,12 +31,9 @@ def static_trajectory(v, times=(0.0, 0.5, 1.0)):
 
 
 @pytest.fixture(scope="module")
-def window_cfg(t_plane=None):
-    prof = make_profile(0.1)
-    return ExpandingHolesConfig(
-        t_plane=coordinate_plane([0, 1], 3), t1=0.0, t2=1.0,
-        r1=1.0, r2=math.sqrt(2.0), rhat1=math.sqrt(2.0), rhat2=2.0,
-        profile=prof)
+def window_cfg():
+    return ExpandingHolesConfig(t_plane=coordinate_plane([0, 1], 3),
+                                profile=make_profile(0.1))
 
 
 class TestHeightExcess:
@@ -219,10 +216,8 @@ class TestCulledPasses:
     def test_window_integrals_match_full_mesh(self, nucleated, t_plane,
                                               subdiv):
         v = parabolic_rescale(nucleated, EPS)
-        cfg = ExpandingHolesConfig(
-            t_plane=t_plane, t1=0.0, t2=1.0, r1=1.0, r2=math.sqrt(2.0),
-            rhat1=math.sqrt(2.0), rhat2=2.0, profile=make_profile(0.1),
-            subdiv=subdiv)
+        cfg = ExpandingHolesConfig(t_plane=t_plane, profile=make_profile(0.1),
+                                   subdiv=subdiv)
         h = mean_curvature(v)
         tangential = t_plane.tangential_norm(v.vertices)[v.faces]
         for t in (cfg.t1, cfg.t2):

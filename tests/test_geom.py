@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holeflow.geom import (coordinate_plane, grassmann_gap, make_plane,
+from holeflow.geom import (Plane, coordinate_plane, grassmann_gap, make_plane,
                            operator_norm, random_plane, tangential_divergence)
 
 
@@ -40,6 +40,17 @@ def test_make_plane_matches_gram_schmidt():
 def test_make_plane_degenerate():
     with pytest.raises(ValueError, match="degenerate basis"):
         make_plane([[1, 0, 0], [2, 0, 0]])
+
+
+def test_plane_construction_leaves_caller_proj_writeable():
+    proj = np.diag([1.0, 1.0, 0.0])
+    plane = Plane(2, 3, proj)
+    proj[2, 2] = 1.0  # the caller's array stays its own
+    assert plane.proj[2, 2] == 0.0
+    assert not plane.proj.flags.writeable
+    listed = Plane(2, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    assert listed.proj.dtype == float and not listed.proj.flags.writeable
+    assert listed.normal_norm(np.array([3.0, 4.0, -2.0])) == 2.0
 
 
 def test_operator_norm_matches_svd(rng):
