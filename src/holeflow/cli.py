@@ -345,6 +345,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value configuration file")
@@ -378,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = add("evolve", help="run the flow on a mesh")
     e.add_argument("--mesh", required=True)
     e.add_argument("--t-end", type=_positive_float, required=True)
-    e.add_argument("--snapshots", type=int, default=21)
+    e.add_argument("--snapshots", type=_non_negative_int, default=21)
     e.add_argument("--out-dir", required=True)
 
     v = add("verify", help="run verification suites")

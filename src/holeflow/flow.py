@@ -129,7 +129,9 @@ def evolve(v0: DiscreteVarifold, t_end: float,
             else:
                 dt = t_next - t
             diss = dt * float(np.sum(vertex_masses(v) * hn * hn))
-            v = v.with_vertices(v.vertices + dt * h)
+            moved = v.vertices + dt * h
+            moved.setflags(write=False)  # fresh: hand it over uncopied
+            v = v.with_vertices(moved)
             t += dt
             cum_diss += diss
             steps += 1

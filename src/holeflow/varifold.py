@@ -247,7 +247,8 @@ def _scatter_add(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 def _owned_read_only(a, dtype) -> np.ndarray:
     """a as a contiguous read-only array.  An unconverted writeable input
     is the caller's, so it is copied before it is frozen; a read-only one
-    (such as the topology ``with_vertices`` passes on) is shared."""
+    (such as the topology ``with_vertices`` passes on, or a fresh vertex
+    array its maker froze to hand it over) is shared."""
     out = np.ascontiguousarray(a, dtype=dtype)
     if out.flags.writeable:
         if out is a:
@@ -440,4 +441,6 @@ def parabolic_rescale(v: DiscreteVarifold, lam: float) -> DiscreteVarifold:
     """Push-forward under y -> y / lam; mass scales by lam^{-n}."""
     if lam <= 0:
         raise ValueError("scale factor must be positive")
-    return v.with_vertices(v.vertices / lam)
+    scaled = v.vertices / lam
+    scaled.setflags(write=False)  # fresh: hand it over uncopied
+    return v.with_vertices(scaled)

@@ -203,6 +203,24 @@ class TestEvolveCommand:
         assert err.value.code == 2
         assert "--t-end: must be positive" in capsys.readouterr().err
 
+    def test_negative_snapshot_count_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("evolve", "--mesh", str(tmp_path / "unread.dvar"),
+                    "--t-end", "0.01", "--snapshots", "-1",
+                    "--out-dir", str(tmp_path / "run"))
+        assert err.value.code == 2
+        assert "--snapshots: must be non-negative" in capsys.readouterr().err
+
+    def test_zero_snapshots_still_evolves(self, tmp_path):
+        from holeflow.dvar import write_dvar
+        from holeflow.fixtures import icosphere
+        mesh = tmp_path / "s.dvar"
+        write_dvar(icosphere(2), mesh)
+        rc = run_cli("evolve", "--mesh", str(mesh), "--t-end", "0.01",
+                     "--snapshots", "0", "--out-dir", str(tmp_path / "run"))
+        assert rc == 0
+        assert (tmp_path / "run" / "ledger.csv").exists()
+
     def test_resolution_exhausted_exit_code(self, tmp_path, capsys):
         from holeflow.dvar import write_dvar
         from holeflow.fixtures import icosphere

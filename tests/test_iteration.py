@@ -1,4 +1,10 @@
+import importlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -9,8 +15,10 @@ from holeflow.iteration import (ExperimentConfig, am1_holds, am2_holds,
                                 build_schedule, choose_tail_start,
                                 density_floor_check, empty_spot_scale_log,
                                 orchestrate, partial_sum, series_term,
-                                tail_sum)
+                                tail_sum, _tail_integral)
 from holeflow.varifold import DiscreteVarifold
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def series_term_oracle(q, alpha, n):
@@ -61,6 +69,46 @@ class TestSeriesTerm:
         assert nat != two and np.isfinite(two)
 
 
+def tail_integral_oracle(cuts, alpha, n, log_base, dps=30):
+    """30-digit integral_q^inf a_x^2 dx (u = log x) for each increasing cut.
+
+    The last tail is one ``mp.quad`` to infinity; each earlier one adds the
+    integral over [log q_i, log q_(i+1)] to the tail after it.
+    """
+    with mp.workdps(dps):
+        lb = mp.mpf(math.log(log_base))
+        half_ln2 = mp.log(2) / 2
+        power = -2 * mp.mpf(alpha)
+
+        def integrand(u):
+            lq = u / lb
+            inner = ((mp.exp(u) - 1) * half_ln2 - mp.log(lq)) / lb
+            gauss = mp.exp(-((lq - 1) ** 2) / 8)
+            return lq ** (n + 2) * (inner ** power + gauss) * mp.exp(u)
+
+        us = [mp.log(q) for q in cuts]
+        last = us[-1]
+        tails = [mp.quad(integrand, [last, last + 2, last + 20, last + 200,
+                                     mp.inf])]
+        for a, b in zip(us[-2::-1], us[:0:-1]):
+            pts = [a] + [x for x in (a + 2, a + 20) if x < b] + [b]
+            tails.append(tails[-1] + mp.quad(integrand, pts))
+        return [float(t) for t in tails[::-1]]
+
+
+class TestTailIntegral:
+    CUTS = (3, 37, 4096, 10**7, 10**9)
+
+    @pytest.mark.parametrize("log_base", [math.e, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.51, 0.6, 0.75, 1.0, 1.5])
+    def test_matches_extended_precision(self, alpha, n, log_base):
+        oracle = tail_integral_oracle(self.CUTS, alpha, n, log_base)
+        for q, want in zip(self.CUTS, oracle):
+            got = _tail_integral(q, alpha, n, log_base)
+            assert got == pytest.approx(want, rel=1e-12), q
+
+
 class TestTailSum:
     def test_finite_and_decreasing_in_start(self):
         vals = [tail_sum(k, 0.75, 2) for k in (10, 11, 20, 50)]
@@ -85,6 +133,44 @@ class TestTailSum:
         # increments do not decay over the tested range
         incs = [partial_sum(10**d, 10**(d + 1), 0.5, 2) for d in (2, 4, 6)]
         assert incs[0] < incs[1] < incs[2]
+
+
+def test_series_certified_numbers_match_baseline(monkeypatch):
+    # the float64 tail reproduces the benchmark's recorded series numbers
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    baseline = json.loads((ROOT / "perfbench" / "baseline.json").read_text())
+    wl = workloads.WORKLOADS["series"]
+    for seed in (0, 1):
+        res = wl.call(wl.setup(seed))
+        assert wl.failures(res) == []
+        got = wl.certified(res)
+        want = baseline["certified"]["series"][str(seed)]
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if key.endswith("k_unit"):
+                assert got[key] == value, key
+            else:
+                assert got[key] == pytest.approx(value, rel=1e-12), key
+
+
+def test_series_runtime_does_not_import_mpmath():
+    code = (
+        "import sys, holeflow\n"
+        "from holeflow.iteration import (build_schedule, choose_tail_start,\n"
+        "                                empty_spot_scale_log, tail_sum)\n"
+        "tail_sum(10, 0.75, 2)\n"
+        "choose_tail_start(1.0, 2, 1.0, 0.1, empty_spot_scale_log(2, 0.1, 1.0),"
+        " 1.0)\n"
+        "build_schedule(200, 140, 1.0, 2, 0.1)\n"
+        "if 'mpmath' in sys.modules:\n"
+        "    sys.exit('mpmath imported')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestConditionsAndScale:
