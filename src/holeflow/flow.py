@@ -8,6 +8,15 @@ recorded time,  mass(t) + sum of dt * integral |h|^2  must not exceed the
 initial mass beyond a tolerance.  No topological surgery happens during
 evolution beyond periodic edge-length equalization; runs that lose spatial
 resolution abort with a dedicated exception.
+
+A step does work only where the surface moves.  A face is active when one
+of its corners has nonzero h; the step-size caps read the altitudes and
+the largest corner |h| of active faces only.  The next mesh is told which
+vertices changed, bit for bit, and recomputes the geometry of the faces
+touching them only, unless most faces did (``with_vertices``); its
+geometry is bitwise that of a full rebuild.  A recorded snapshot keeps its
+geometry but not the per-corner area-gradient terms that each step hands
+to the next.
 """
 
 from __future__ import annotations
@@ -19,8 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .geom import Plane
-from .varifold import (DiscreteVarifold, ScalarTest, mean_curvature,
-                       vertex_masses, weight_measure, weighted_first_variation)
+from .varifold import (DiscreteVarifold, ScalarTest, _rows_any,
+                       mean_curvature, vertex_masses, weight_measure,
+                       weighted_first_variation)
 from .remesh import remesh
 
 
@@ -87,6 +97,7 @@ def evolve(v0: DiscreteVarifold, t_end: float,
     steps = 0
 
     def record(tt):
+        v._leave_step_chain()
         traj.times.append(tt)
         traj.snapshots.append(v)
         traj.cumulative_dissipation.append(cum_diss)
@@ -103,6 +114,7 @@ def evolve(v0: DiscreteVarifold, t_end: float,
                 need_remesh = (v.min_edge_length()
                                < policy.remesh_min_ratio * v.median_edge_length())
             if need_remesh:
+                v._leave_step_chain()  # the new topology starts a new chain
                 v, delta = remesh(v)
                 steps_since_remesh = 0
             if v.num_faces == 0 or v.median_edge_length() < floor:
@@ -111,9 +123,9 @@ def evolve(v0: DiscreteVarifold, t_end: float,
                     "below the policy floor", traj)
             h = mean_curvature(v)
             hn = np.linalg.norm(h, axis=1)
-            face_h = np.max(hn[v.faces], axis=1)
-            active = face_h > 0.0
-            if np.any(active):
+            moving = hn > 0.0
+            active = np.flatnonzero(_rows_any(moving[v.faces]))
+            if len(active):
                 # stability and displacement caps from faces with moving
                 # corners only; static slivers must not throttle the step
                 scales = v.face_altitudes()[active]
@@ -122,16 +134,20 @@ def evolve(v0: DiscreteVarifold, t_end: float,
                         f"resolution exhausted at t={t:.6g} "
                         f"(moving-region edge {np.min(scales):.3e} "
                         f"< {floor:.3e})", traj)
+                face_h = np.max(hn[v.faces[active]], axis=1)
                 dt = float(np.min(np.minimum(
                     policy.c_stab * scales**2,
-                    policy.disp_cap * scales / face_h[active])))
+                    policy.disp_cap * scales / face_h)))
                 dt = min(dt, t_next - t)
             else:
                 dt = t_next - t
             diss = dt * float(np.sum(vertex_masses(v) * hn * hn))
             moved = v.vertices + dt * h
             moved.setflags(write=False)  # fresh: hand it over uncopied
-            v = v.with_vertices(moved)
+            # bit patterns, not values: x + dt * 0.0 turns -0.0 into +0.0
+            changed = _rows_any(moved.view(np.int64)
+                                != v.vertices.view(np.int64))
+            v = v.with_vertices(moved, changed)
             t += dt
             cum_diss += diss
             steps += 1

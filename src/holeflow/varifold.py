@@ -19,6 +19,15 @@ from .quadrature import simplex_rule
 
 MEASUREMENT_SUBDIV = 2  # default virtual refinement for clipped/cutoff integrals
 
+# ``with_vertices`` builds a moved mesh fresh, rather than copying its
+# parent's clean face rows and recomputing the others, when more than this
+# share of the faces has a moved corner.  Copying costs a pass over every
+# cached per-face array on top of the recomputed rows; on nucleated level-4
+# and level-5 stacks it stops paying at 60-70 % dirty faces, so half keeps
+# mostly-dirty steps (a perturbed stack moves 99.6 % of its faces) on the
+# fresh build.
+FRESH_BUILD_DIRTY_FRACTION = 0.5
+
 
 @dataclass
 class DiscreteVarifold:
@@ -32,18 +41,24 @@ class DiscreteVarifold:
     Instances are treated as immutable; flow steps and surgeries return new
     objects.  All four arrays are read-only; a writeable input is copied,
     never frozen in place.  A copy made by ``with_vertices`` shares
-    ``faces``, ``multiplicity`` and ``boundary`` with its parent.  Derived geometry is computed once, on first use, and
-    kept in ``_cache``:
+    ``faces``, ``multiplicity`` and ``boundary`` with its parent.  Derived
+    geometry is computed once, on first use, and kept in ``_cache``:
 
     - face corners, ``(nf, d, d)``;
     - face measures and, for n = 2, unit normals, both from one cross
       product per face (the degenerate-face check reads the measures);
     - edge lengths, ``(edges per face, nf)``, and their minimum and median;
+    - smallest face altitudes;
     - face projectors, when asked for;
     - lumped vertex masses (``vertex_masses``).
 
+    A copy that ``with_vertices`` is told which vertices moved starts from
+    its parent's per-face rows and recomputes only the faces with a moved
+    corner (see there); its geometry is still bitwise that of a fresh mesh.
     Edge vectors and raw cross products are not kept: trajectories hold
-    many snapshots, and those arrays would add to every one of them.
+    many snapshots, and those arrays would add to every one of them.  For
+    the same reason the per-corner area-gradient terms are kept only on
+    the meshes of a flow's step chain (``area_gradient``).
     """
 
     vertices: np.ndarray
@@ -135,9 +150,10 @@ class DiscreteVarifold:
         The honest stiffness scale: a sliver with moderate edges but tiny
         height is as stiff as a uniformly tiny triangle.
         """
-        if self.surface_dim == 1:
-            return self.face_measures()
-        return 2.0 * self.face_measures() / np.max(self._edge_lengths(), axis=0)
+        if "altitudes" not in self._cache:
+            self._cache["altitudes"] = _face_altitudes(self.face_measures(),
+                                                       self._edge_lengths())
+        return self._cache["altitudes"]
 
     def median_edge_length(self) -> float:
         if "median_edge" not in self._cache:
@@ -156,13 +172,71 @@ class DiscreteVarifold:
         c = self.face_corners()
         return bary @ (c if keep is None else c[keep]), bary, w
 
-    def with_vertices(self, new_vertices: np.ndarray) -> "DiscreteVarifold":
+    def with_vertices(self, new_vertices: np.ndarray,
+                      changed=None) -> "DiscreteVarifold":
         """Same topology at new vertex positions.
 
-        The read-only topology arrays are shared; the cached geometry is not.
+        The read-only topology arrays are shared.  Without ``changed`` the
+        copy shares none of this mesh's cached geometry.
+
+        ``changed`` is a boolean mask over the vertices that must include
+        every vertex whose coordinates differ, bit for bit, from this
+        mesh's; a flow step passes it.  The copy is then a step of a flow
+        (see ``area_gradient``): it takes over this mesh's per-corner
+        area-gradient terms, which this mesh gives up.  Its faces with no
+        changed corner copy their rows of every per-face array this mesh
+        has cached (corners, measures, normals, edge lengths, altitudes and
+        the gradient terms); the other faces are recomputed by the same
+        row-wise helpers a fresh mesh uses, and every per-vertex sum is
+        still formed over all faces in face order.  So the copy's geometry
+        is bitwise equal to a fresh mesh's.  When more than
+        ``FRESH_BUILD_DIRTY_FRACTION`` of the faces have a changed corner
+        the copy is built fresh instead, as without ``changed``.
         """
+        if changed is None:
+            return DiscreteVarifold(new_vertices, self.faces,
+                                    self.multiplicity, self.boundary)
+        new_vertices = _owned_read_only(new_vertices, float)
+        gradients = self._cache.pop("corner_gradients", None)
+        dirty = np.flatnonzero(_rows_any(changed[self.faces]))
+        cache = {"corner_gradients": None}  # a step: keep them once formed
+        if len(dirty) <= FRESH_BUILD_DIRTY_FRACTION * self.num_faces:
+            cache.update(self._patched_rows(new_vertices, dirty, gradients))
         return DiscreteVarifold(new_vertices, self.faces, self.multiplicity,
-                                self.boundary)
+                                self.boundary, cache)
+
+    def _leave_step_chain(self) -> None:
+        """Stop being a flow step: drop the per-corner gradient terms kept
+        for the next step, so that a recorded snapshot does not hold them."""
+        self._cache.pop("corner_gradients", None)
+
+    def _patched_rows(self, new_vertices: np.ndarray, dirty: np.ndarray,
+                      gradients) -> dict:
+        """Every per-face array this mesh has cached, and its per-corner
+        gradient terms unless None, with the rows of the faces ``dirty``
+        (indices) recomputed at ``new_vertices``."""
+        c = new_vertices[self.faces[dirty]]
+        rows = {"corners": c}
+        rows["measures"], rows["normals"] = _face_measures_normals(c)
+        rows["edge_lengths"] = _face_edge_lengths(c)
+        rows["altitudes"] = _face_altitudes(rows["measures"],
+                                            rows["edge_lengths"])
+        old = dict(self._cache, corner_gradients=gradients)
+        if gradients is not None:
+            rows["corner_gradients"] = _corner_gradients(
+                c, rows["normals"], self.multiplicity[dirty])
+        out = {}
+        for key, new in rows.items():
+            if old.get(key) is None:
+                continue
+            # the gradient terms are this mesh's to give: patch them in place
+            full = old[key] if key == "corner_gradients" else old[key].copy()
+            if key == "edge_lengths":
+                full[:, dirty] = new
+            else:
+                full[dirty] = new
+            out[key] = full
+        return out
 
 
 @dataclass(frozen=True)
@@ -244,6 +318,15 @@ def _scatter_add(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(idx, weights=weights, minlength=size)
 
 
+def _rows_any(b: np.ndarray) -> np.ndarray:
+    """Row-wise any of a boolean (m, k) array, k small: an or of its
+    columns, which is several times faster than ``np.any(b, axis=1)``."""
+    out = b[:, 0].copy()
+    for k in range(1, b.shape[1]):
+        out |= b[:, k]
+    return out
+
+
 def _owned_read_only(a, dtype) -> np.ndarray:
     """a as a contiguous read-only array.  An unconverted writeable input
     is the caller's, so it is copied before it is frozen; a read-only one
@@ -290,6 +373,28 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                             a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]])
 
 
+def _face_altitudes(measures: np.ndarray, edge_lengths: np.ndarray):
+    """Smallest altitude of each face from its measure and (edges per
+    face, nf) edge lengths: the measure itself for segments."""
+    if edge_lengths.shape[0] == 1:
+        return measures
+    return 2.0 * measures / np.max(edge_lengths, axis=0)
+
+
+def _corner_gradients(c: np.ndarray, normals, mult: np.ndarray):
+    """(nf, d, d) gradient of each face's weighted measure with respect to
+    each of its corners c (nf, d, d); normals as ``_face_measures_normals``
+    returns them, mult the faces' multiplicities."""
+    mult = mult.astype(float)[:, None]
+    if c.shape[1] == 2:
+        t = c[:, 1] - c[:, 0]
+        t /= np.linalg.norm(t, axis=1, keepdims=True)
+        return np.stack([-mult * t, mult * t], axis=1)
+    # d(area)/d(corner j) = 0.5 * (opposite edge as seen from j) x normal
+    return np.stack([0.5 * mult * _cross(c[:, a] - c[:, b], normals)
+                     for a, b in [(1, 2), (2, 0), (0, 1)]], axis=1)
+
+
 def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
     """Lumped vertex masses: adjacent multiplicity-weighted measure / (n+1).
 
@@ -305,24 +410,24 @@ def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
 
 
 def area_gradient(v: DiscreteVarifold) -> np.ndarray:
-    """Gradient of total (multiplicity-weighted) mass wrt vertex positions."""
-    c = v.face_corners()
-    mult = v.multiplicity.astype(float)
-    d = v.ambient_dim
-    if v.surface_dim == 1:
-        t = c[:, 1] - c[:, 0]
-        t /= np.linalg.norm(t, axis=1, keepdims=True)
-        per_corner = np.stack([-mult[:, None] * t, mult[:, None] * t], axis=1)
-    else:
-        nu = v.face_normals()
-        # d(area)/d(corner j) = 0.5 * (opposite edge as seen from j) x normal
-        per_corner = np.stack(
-            [0.5 * mult[:, None] * _cross(c[:, a] - c[:, b], nu)
-             for a, b in [(1, 2), (2, 0), (0, 1)]], axis=1)
+    """Gradient of total (multiplicity-weighted) mass wrt vertex positions.
+
+    The per-corner terms are kept on ``v`` only when ``v`` is a step of a
+    flow (made by ``with_vertices`` with a mask), which hands them on to
+    the next step; on any other mesh, such as a snapshot being measured,
+    they are formed and dropped.
+    """
+    per_corner = v._cache.get("corner_gradients")
+    if per_corner is None:
+        per_corner = _corner_gradients(
+            v.face_corners(),
+            v.face_normals() if v.surface_dim == 2 else None, v.multiplicity)
+        if "corner_gradients" in v._cache:
+            v._cache["corner_gradients"] = per_corner
     idx = v.faces.ravel()
     return np.column_stack([
         _scatter_add(idx, per_corner[:, :, k].ravel(), v.num_vertices)
-        for k in range(d)])
+        for k in range(v.ambient_dim)])
 
 
 def mean_curvature(v: DiscreteVarifold) -> np.ndarray:

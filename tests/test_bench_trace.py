@@ -44,3 +44,29 @@ def test_trace_counts_every_quadrature_evaluation(monkeypatch):
     got = tracing.layer_metrics(recorder.spans)["varifold.quad_evals"]
     assert got == sum(v.num_faces * len(simplex_rule(2, order, subdiv)[1])
                       for *_, (order, subdiv) in calls)
+
+
+def test_trace_counts_one_curvature_call_per_flow_step(monkeypatch):
+    """``flow.face_steps`` is read from the ``mean_curvature`` spans under
+    ``flow.evolve``, so ``evolve`` must call the traced function once per
+    step, on the mesh it steps."""
+    from holeflow import flow
+    from holeflow.fixtures import make_fixture
+    from holeflow.geom import coordinate_plane
+    from holeflow.nucleation import nucleate
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    v0 = nucleate(make_fixture("flat_stack", 2, 3, radius=0.2),
+                  coordinate_plane([0, 1], 3), 0.05)
+    t_end = 0.05**2 / 20
+    recorder = tracing.SpanRecorder()
+    with recorder.patched():
+        traj = flow.evolve(v0, t_end, snapshot_times=[0.0, t_end])
+    got = tracing.layer_metrics(recorder.spans)
+    # no remesh, so every step's mesh has v0's faces
+    assert got["remesh.calls"] == 0
+    assert len(traj.ledger) > 5
+    assert got["flow.steps"] == len(traj.ledger)
+    assert got["varifold.mean_curvature_calls"] == len(traj.ledger)
+    assert got["flow.face_steps"] == len(traj.ledger) * v0.num_faces

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holeflow.fixtures import (circle_mesh, cylinder_tube, disk_triangulation,
                                icosphere, make_fixture, square_sheet)
-from holeflow.varifold import (DiscreteVarifold, density_ratio, first_variation,
+from holeflow.varifold import (FRESH_BUILD_DIRTY_FRACTION, DiscreteVarifold,
+                               area_gradient, density_ratio, first_variation,
                                interpolate_vertex_field, mean_curvature,
                                parabolic_rescale, perpendicularity_defect,
                                vertex_masses, weight_measure,
@@ -320,6 +322,61 @@ def test_with_vertices_shares_read_only_topology():
               vertex_masses(child)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
+
+
+def _step_parent(v, warm):
+    """v as a flow step holds it: on the step chain, with its corners,
+    measures and edge lengths cached, and its altitudes and area-gradient
+    terms too when warm."""
+    p = v.with_vertices(v.vertices, np.zeros(v.num_vertices, dtype=bool))
+    p.median_edge_length()
+    if warm:
+        p.face_altitudes()
+        mean_curvature(p)
+    return p
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["sphere", "circle", "nucleated"]),
+       seed=st.integers(0, 2**31 - 1), frac=st.floats(0.0, 0.1),
+       mask=st.sampled_from(["changed", "empty", "superset", "all"]),
+       warm=st.booleans())
+def test_incremental_geometry_equals_fresh_build(kind, seed, frac, mask, warm,
+                                                 nucleated_stack):
+    v = {"circle": lambda: circle_mesh(4),
+         "sphere": lambda: icosphere(2),
+         "nucleated": lambda: nucleated_stack}[kind]()
+    rng = np.random.default_rng(seed)
+    moved = rng.random(v.num_vertices) < (0.0 if mask == "empty" else frac)
+    jitter = 1e-3 * v.median_edge_length() * rng.uniform(-1.0, 1.0,
+                                                         v.vertices.shape)
+    new = np.where(moved[:, None], v.vertices + jitter, v.vertices)
+    changed = {"changed": moved, "empty": moved,
+               "superset": moved | (rng.random(v.num_vertices) < 0.05),
+               "all": np.ones(v.num_vertices, dtype=bool)}[mask]
+    parent = _step_parent(v, warm)
+    child = parent.with_vertices(new, changed)
+    assert "corner_gradients" not in parent._cache
+    dirty = np.mean(np.any(changed[v.faces], axis=1))
+    # only a copied cache holds edge lengths before they are asked for
+    assert ("edge_lengths" in child._cache) == (
+        dirty <= FRESH_BUILD_DIRTY_FRACTION)
+
+    fresh = DiscreteVarifold(new, v.faces, v.multiplicity, v.boundary)
+    _assert_same_bits(child.face_corners(), fresh.face_corners())
+    _assert_same_bits(child.face_measures(), fresh.face_measures())
+    if v.surface_dim == 2:
+        _assert_same_bits(child.face_normals(), fresh.face_normals())
+    _assert_same_bits(child._edge_lengths(), fresh._edge_lengths())
+    _assert_same_bits(child.min_edge_length(), fresh.min_edge_length())
+    _assert_same_bits(child.median_edge_length(), fresh.median_edge_length())
+    _assert_same_bits(child.face_altitudes(), fresh.face_altitudes())
+    _assert_same_bits(vertex_masses(child), vertex_masses(fresh))
+    _assert_same_bits(area_gradient(child), area_gradient(fresh))
+    _assert_same_bits(mean_curvature(child), mean_curvature(fresh))
+    # the step chain keeps the gradient terms; a fresh mesh does not
+    assert child._cache["corner_gradients"] is not None
+    assert "corner_gradients" not in fresh._cache
 
 
 def test_construction_leaves_caller_arrays_writeable():
