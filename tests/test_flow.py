@@ -6,13 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from holeflow.fixtures import (circle_mesh, cylinder_tube, icosphere,
                                make_fixture, square_sheet)
-from holeflow.flow import (ResolutionExhausted, barrier_monitor,
+from holeflow.flow import (REST_FLOOR, ResolutionExhausted, barrier_monitor,
                            barrier_offset_factor, brakke_inequality_test,
                            evolve, sphere_barrier_from_scale,
                            SphereBarrier)
 from holeflow.remesh import DEGENERATE_REL, _edges_of, _unique_pairs, remesh
 from holeflow.testfunctions import bump_scalar_test, random_scalar_test
-from holeflow.varifold import weight_measure
+from holeflow.varifold import mean_curvature, weight_measure
 from holeflow.kernels import make_profile
 
 
@@ -66,6 +66,23 @@ class TestEvolve:
         for v in traj.snapshots:
             assert v.total_mass() == pytest.approx(m0, abs=1e-10)
         assert traj.valid
+
+    def test_mesh_at_rest_reaches_each_snapshot_in_one_step(self,
+                                                            flat_square):
+        # turned off the coordinate planes, a flat sheet's h is roundoff
+        # rather than zero; under the rest floor the sheet does not move
+        k = np.array([[0.0, -3.0, 2.0], [3.0, 0.0, -1.0], [-2.0, 1.0, 0.0]])
+        k /= math.sqrt(14.0)  # cross-product matrix of the unit axis (1,2,3)
+        rot = np.eye(3) + math.sin(0.7) * k + (1.0 - math.cos(0.7)) * k @ k
+        sheet = flat_square.with_vertices(flat_square.vertices @ rot.T)
+        roundoff = (np.max(np.linalg.norm(mean_curvature(sheet), axis=1))
+                    * sheet.median_edge_length())
+        assert 0.0 < roundoff <= REST_FLOOR
+        times = [0.0, 0.002, 0.005, 0.01]
+        traj = evolve(sheet, 0.01, snapshot_times=times)
+        assert len(traj.ledger) == len(times) - 1
+        for v in traj.snapshots:
+            assert np.array_equal(v.vertices, sheet.vertices)
 
     def test_dissipation_nonnegative(self):
         s = icosphere(3)
