@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .geom import Plane
-from .varifold import (DiscreteVarifold, ScalarTest, _rows_any,
+from .varifold import (DiscreteVarifold, ScalarTest, _row_max,
                        mean_curvature, vertex_masses, weight_measure,
                        weighted_first_variation)
 from .remesh import remesh
@@ -141,9 +141,9 @@ def evolve(v0: DiscreteVarifold, t_end: float,
             rest = hn * initial_median <= REST_FLOOR
             h[rest] = 0.0
             hn[rest] = 0.0
-            moving = hn > 0.0
-            active = np.flatnonzero(_rows_any(moving[v.faces]))
-            if len(active):
+            face_h = _row_max(hn[v.faces])
+            active = face_h > 0.0
+            if np.any(active):
                 # stability and displacement caps from faces with moving
                 # corners only; static slivers must not throttle the step
                 scales = v.face_altitudes()[active]
@@ -152,10 +152,9 @@ def evolve(v0: DiscreteVarifold, t_end: float,
                         f"resolution exhausted at t={t:.6g} "
                         f"(moving-region edge {np.min(scales):.3e} "
                         f"< {floor:.3e})", traj)
-                face_h = np.max(hn[v.faces[active]], axis=1)
                 dt = float(np.min(np.minimum(
                     policy.c_stab * scales**2,
-                    policy.disp_cap * scales / face_h)))
+                    policy.disp_cap * scales / face_h[active])))
                 dt = min(dt, t_next - t)
             else:
                 dt = t_next - t
@@ -163,8 +162,8 @@ def evolve(v0: DiscreteVarifold, t_end: float,
             moved = v.vertices + dt * h
             moved.setflags(write=False)  # fresh: hand it over uncopied
             # bit patterns, not values: x + dt * 0.0 turns -0.0 into +0.0
-            changed = _rows_any(moved.view(np.int64)
-                                != v.vertices.view(np.int64))
+            changed = _row_max(moved.view(np.int64)
+                               != v.vertices.view(np.int64))
             v = v.with_vertices(moved, changed)
             t += dt
             cum_diss += diss

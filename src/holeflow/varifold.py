@@ -198,7 +198,7 @@ class DiscreteVarifold:
                                     self.multiplicity, self.boundary)
         new_vertices = _owned_read_only(new_vertices, float)
         gradients = self._cache.pop("corner_gradients", None)
-        dirty = np.flatnonzero(_rows_any(changed[self.faces]))
+        dirty = np.flatnonzero(_row_max(changed[self.faces]))
         cache = {"corner_gradients": None}  # a step: keep them once formed
         if len(dirty) <= FRESH_BUILD_DIRTY_FRACTION * self.num_faces:
             cache.update(self._patched_rows(new_vertices, dirty, gradients))
@@ -318,12 +318,13 @@ def _scatter_add(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(idx, weights=weights, minlength=size)
 
 
-def _rows_any(b: np.ndarray) -> np.ndarray:
-    """Row-wise any of a boolean (m, k) array, k small: an or of its
-    columns, which is several times faster than ``np.any(b, axis=1)``."""
-    out = b[:, 0].copy()
-    for k in range(1, b.shape[1]):
-        out |= b[:, k]
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Largest entry of each row of an (m, k) array with few columns, k - 1
+    column-wise ``np.maximum`` calls: the values of ``np.max(a, axis=1)``
+    (``np.any`` for booleans), several times faster."""
+    out = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        np.maximum(out, a[:, k], out=out)
     return out
 
 
