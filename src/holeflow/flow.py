@@ -17,8 +17,8 @@ largest corner |h| of active faces only.  The next mesh is told which
 vertices changed, bit for bit, and recomputes the geometry of the faces
 touching them only, unless most faces did (``with_vertices``); its
 geometry is bitwise that of a full rebuild.  A recorded snapshot keeps its
-geometry but not the per-corner area-gradient terms that each step hands
-to the next.
+geometry but not what only the steps use: the altitudes and the per-corner
+area-gradient terms that each step hands to the next.
 """
 
 from __future__ import annotations

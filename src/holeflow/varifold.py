@@ -58,7 +58,8 @@ class DiscreteVarifold:
     Edge vectors and raw cross products are not kept: trajectories hold
     many snapshots, and those arrays would add to every one of them.  For
     the same reason the per-corner area-gradient terms are kept only on
-    the meshes of a flow's step chain (``area_gradient``).
+    the meshes of a flow's step chain (``area_gradient``), and a recorded
+    snapshot drops them and its altitudes.
     """
 
     vertices: np.ndarray
@@ -182,54 +183,57 @@ class DiscreteVarifold:
         ``changed`` is a boolean mask over the vertices that must include
         every vertex whose coordinates differ, bit for bit, from this
         mesh's; a flow step passes it.  The copy is then a step of a flow
-        (see ``area_gradient``): it takes over this mesh's per-corner
-        area-gradient terms, which this mesh gives up.  Its faces with no
-        changed corner copy their rows of every per-face array this mesh
-        has cached (corners, measures, normals, edge lengths, altitudes and
-        the gradient terms); the other faces are recomputed by the same
-        row-wise helpers a fresh mesh uses, and every per-vertex sum is
-        still formed over all faces in face order.  So the copy's geometry
-        is bitwise equal to a fresh mesh's.  When more than
-        ``FRESH_BUILD_DIRTY_FRACTION`` of the faces have a changed corner
-        the copy is built fresh instead, as without ``changed``.
+        (see ``area_gradient``): it takes over what only the steps use,
+        this mesh's altitudes and per-corner area-gradient terms, which
+        this mesh gives up.  Its faces with no changed corner copy their
+        rows of every per-face array this mesh has cached (corners,
+        measures, normals, edge lengths, altitudes and the gradient terms);
+        the other faces are recomputed by the same row-wise helpers a fresh
+        mesh uses, and every per-vertex sum is still formed over all faces
+        in face order.  So the copy's geometry is bitwise equal to a fresh
+        mesh's.  When more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces
+        have a changed corner the copy is built fresh instead, as without
+        ``changed``.
         """
         if changed is None:
             return DiscreteVarifold(new_vertices, self.faces,
                                     self.multiplicity, self.boundary)
         new_vertices = _owned_read_only(new_vertices, float)
-        gradients = self._cache.pop("corner_gradients", None)
+        given = self._leave_step_chain()
         dirty = np.flatnonzero(_row_max(changed[self.faces]))
         cache = {"corner_gradients": None}  # a step: keep them once formed
         if len(dirty) <= FRESH_BUILD_DIRTY_FRACTION * self.num_faces:
-            cache.update(self._patched_rows(new_vertices, dirty, gradients))
+            cache.update(self._patched_rows(new_vertices, dirty, given))
         return DiscreteVarifold(new_vertices, self.faces, self.multiplicity,
                                 self.boundary, cache)
 
-    def _leave_step_chain(self) -> None:
-        """Stop being a flow step: drop the per-corner gradient terms kept
-        for the next step, so that a recorded snapshot does not hold them."""
-        self._cache.pop("corner_gradients", None)
+    def _leave_step_chain(self) -> dict:
+        """Stop being a flow step: give up what only the steps use, the
+        altitudes and the per-corner gradient terms (None where absent),
+        so that a recorded snapshot does not hold them."""
+        return {key: self._cache.pop(key, None)
+                for key in ("altitudes", "corner_gradients")}
 
     def _patched_rows(self, new_vertices: np.ndarray, dirty: np.ndarray,
-                      gradients) -> dict:
-        """Every per-face array this mesh has cached, and its per-corner
-        gradient terms unless None, with the rows of the faces ``dirty``
-        (indices) recomputed at ``new_vertices``."""
+                      given: dict) -> dict:
+        """Every per-face array this mesh has cached or ``given`` up, with
+        the rows of the faces ``dirty`` (indices) recomputed at
+        ``new_vertices``."""
         c = new_vertices[self.faces[dirty]]
         rows = {"corners": c}
         rows["measures"], rows["normals"] = _face_measures_normals(c)
         rows["edge_lengths"] = _face_edge_lengths(c)
         rows["altitudes"] = _face_altitudes(rows["measures"],
                                             rows["edge_lengths"])
-        old = dict(self._cache, corner_gradients=gradients)
-        if gradients is not None:
+        old = dict(self._cache, **given)
+        if old["corner_gradients"] is not None:
             rows["corner_gradients"] = _corner_gradients(
                 c, rows["normals"], self.multiplicity[dirty])
         out = {}
         for key, new in rows.items():
             if old.get(key) is None:
                 continue
-            # the gradient terms are this mesh's to give: patch them in place
+            # nothing else holds the gradient terms: patch them in place
             full = old[key] if key == "corner_gradients" else old[key].copy()
             if key == "edge_lengths":
                 full[:, dirty] = new

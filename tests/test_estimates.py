@@ -118,11 +118,11 @@ class TestExpandingHolesRun:
         assert rep.mass_ratio_start == pytest.approx(
             2.0 * slab_weighted_mass(stack, window_cfg, 0.0) / 2.0, rel=1e-12)
 
-    def test_snapshots_keep_no_corner_gradients(self, window_cfg, t_plane):
-        # the per-corner area-gradient terms live only on the flow's step
-        # chain: neither a recorded snapshot nor a rescaled copy that the
-        # window measures may keep them (they would add (nf, 3, 3) floats
-        # to every snapshot of a trajectory)
+    def test_snapshots_keep_no_step_only_geometry(self, window_cfg, t_plane):
+        # the per-corner area-gradient terms and the altitudes live only
+        # on the flow's step chain: neither a recorded snapshot nor a
+        # rescaled copy that the window measures may keep them (they would
+        # add (nf, 3, 3) and (nf,) floats to every snapshot)
         v0 = make_fixture("flat_stack", 2, 3, radius=4 * EPS)
         tgrid = np.linspace(0.0, 1.0, 6) * EPS**2
         traj = evolve(nucleate(v0, t_plane, EPS), EPS**2,
@@ -135,6 +135,7 @@ class TestExpandingHolesRun:
         expanding_holes_run(rtraj, window_cfg)
         for v in traj.snapshots + rtraj.snapshots:
             assert "corner_gradients" not in v._cache
+            assert "altitudes" not in v._cache
 
     def test_missing_endpoints_rejected(self, window_cfg):
         stack = make_fixture("flat_stack", 2, 4, radius=6.0, spacing=0.0)

@@ -357,6 +357,7 @@ def test_incremental_geometry_equals_fresh_build(kind, seed, frac, mask, warm,
     parent = _step_parent(v, warm)
     child = parent.with_vertices(new, changed)
     assert "corner_gradients" not in parent._cache
+    assert "altitudes" not in parent._cache
     dirty = np.mean(np.any(changed[v.faces], axis=1))
     # only a copied cache holds edge lengths before they are asked for
     assert ("edge_lengths" in child._cache) == (
