@@ -182,28 +182,25 @@ class DiscreteVarifold:
 
         ``changed`` is a boolean mask over the vertices that must include
         every vertex whose coordinates differ, bit for bit, from this
-        mesh's; a flow step passes it.  The copy is then a step of a flow
-        (see ``area_gradient``): it takes over what only the steps use,
-        this mesh's altitudes and per-corner area-gradient terms, which
-        this mesh gives up.  Its faces with no changed corner copy their
-        rows of every per-face array this mesh has cached (corners,
-        measures, normals, edge lengths, altitudes and the gradient terms);
-        the other faces are recomputed by the same row-wise helpers a fresh
-        mesh uses, and every per-vertex sum is still formed over all faces
-        in face order.  So the copy's geometry is bitwise equal to a fresh
-        mesh's.  When more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces
-        have a changed corner the copy is built fresh instead, as without
-        ``changed``.
+        mesh's; a flow step passes it.  This mesh then gives up what only
+        the steps use, its altitudes and per-corner area-gradient terms.
+        When more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces have a
+        changed corner the copy is built as without ``changed``.
+        Otherwise it is a step of a flow (see ``area_gradient``): its faces
+        with no changed corner take their rows of every per-face array
+        this mesh has cached or gave up (corners, measures, normals, edge
+        lengths, altitudes and the gradient terms), the other faces are
+        recomputed by the same row-wise helpers a fresh mesh uses, and
+        every per-vertex sum is still formed over all faces in face order.
+        So its geometry is bitwise equal to a fresh mesh's.
         """
-        if changed is None:
-            return DiscreteVarifold(new_vertices, self.faces,
-                                    self.multiplicity, self.boundary)
-        new_vertices = _owned_read_only(new_vertices, float)
-        given = self._leave_step_chain()
-        dirty = np.flatnonzero(_row_max(changed[self.faces]))
-        cache = {"corner_gradients": None}  # a step: keep them once formed
-        if len(dirty) <= FRESH_BUILD_DIRTY_FRACTION * self.num_faces:
-            cache.update(self._patched_rows(new_vertices, dirty, given))
+        cache = {}
+        if changed is not None:
+            new_vertices = _owned_read_only(new_vertices, float)
+            given = self._leave_step_chain()
+            dirty = np.flatnonzero(_row_max(changed[self.faces]))
+            if len(dirty) <= FRESH_BUILD_DIRTY_FRACTION * self.num_faces:
+                cache = self._patched_rows(new_vertices, dirty, given)
         return DiscreteVarifold(new_vertices, self.faces, self.multiplicity,
                                 self.boundary, cache)
 
@@ -216,9 +213,9 @@ class DiscreteVarifold:
 
     def _patched_rows(self, new_vertices: np.ndarray, dirty: np.ndarray,
                       given: dict) -> dict:
-        """Every per-face array this mesh has cached or ``given`` up, with
-        the rows of the faces ``dirty`` (indices) recomputed at
-        ``new_vertices``."""
+        """The cache of a flow step: every per-face array this mesh has
+        cached or ``given`` up, with the rows of the faces ``dirty``
+        (indices) recomputed at ``new_vertices``."""
         c = new_vertices[self.faces[dirty]]
         rows = {"corners": c}
         rows["measures"], rows["normals"] = _face_measures_normals(c)
@@ -229,7 +226,7 @@ class DiscreteVarifold:
         if old["corner_gradients"] is not None:
             rows["corner_gradients"] = _corner_gradients(
                 c, rows["normals"], self.multiplicity[dirty])
-        out = {}
+        out = {"corner_gradients": None}  # a step: keep them once formed
         for key, new in rows.items():
             if old.get(key) is None:
                 continue
