@@ -18,7 +18,7 @@ import numpy as np
 
 from .geom import UNIT_BALL_VOLUME, Plane
 from .kernels import CutoffProfile, cylindrical_cutoff
-from .varifold import (DiscreteVarifold, _face_sum, _normal_part,
+from .varifold import (DiscreteVarifold, _face_sum, _normal_part, _row_max,
                        interpolate_vertex_field, mean_curvature,
                        weight_measure, MEASUREMENT_SUBDIV)
 from .flow import FlowTrajectory
@@ -126,7 +126,7 @@ def _faces_reaching(v: DiscreteVarifold, vertex_dist: np.ndarray,
     contributes exactly zero to an integrand supported in {dist < radius}.
     The slack keeps roundoff in the quadrature points from breaking that.
     """
-    longest = np.max(v._edge_lengths(), axis=0)
+    longest = _row_max(v._edge_lengths())
     lower = np.min(vertex_dist[v.faces], axis=1) - longest
     return lower < radius * (1.0 + CULL_SLACK)
 

@@ -16,9 +16,9 @@ corners has nonzero h; the step-size caps read the altitudes and the
 largest corner |h| of active faces only.  The next mesh is told which
 vertices changed, bit for bit, and recomputes the geometry of the faces
 touching them only, unless most faces did (``with_vertices``); its
-geometry is bitwise that of a full rebuild.  A recorded snapshot keeps its
-geometry but not what only the steps use: the altitudes and the per-corner
-area-gradient terms that each step hands to the next.
+geometry is bitwise that of a full rebuild.  A recorded snapshot, and a
+mesh about to be remeshed, keep their geometry but drop the per-corner
+area-gradient terms that only the next step reads.
 """
 
 from __future__ import annotations
@@ -48,17 +48,19 @@ from .remesh import remesh
 # instead of crawling there at the stability cap.
 REST_FLOOR = 1e-10
 
+DISP_CAP = 0.05             # max vertex move per step, in altitude units
+REMESH_EVERY = 25           # steps between periodic remeshes
+REMESH_MIN_RATIO = 0.35     # remesh now if min/median edge drops below
+REMESH_BACKOFF = 5          # min steps between adaptive remeshes
+TOL_LEDGER = 0.05           # relative slack of the dissipation ledger
+MIN_EDGE_FLOOR_REL = 1e-4   # vs initial median: resolution exhausted
+MAX_STEPS = 2_000_000       # step budget of one run
+
 
 @dataclass
 class DtPolicy:
-    c_stab: float = 0.1
-    disp_cap: float = 0.05           # max vertex move per step, in min-edge units
-    remesh_every: int = 25
-    remesh_min_ratio: float = 0.35   # remesh now if min/median drops below
-    remesh_backoff: int = 5          # min steps between adaptive remeshes
-    tol_ledger: float = 0.05
-    min_edge_floor_rel: float = 1e-4  # vs initial median: resolution exhausted
-    max_steps: int = 2_000_000
+    """The step policy's one setting; the rest are the constants above."""
+    c_stab: float = 0.1  # dt <= c_stab * (smallest active altitude)^2
 
 
 class ResolutionExhausted(RuntimeError):
@@ -101,7 +103,7 @@ def evolve(v0: DiscreteVarifold, t_end: float,
         raise ValueError("snapshot times outside [0, t_end]")
 
     initial_median = v0.median_edge_length()
-    floor = policy.min_edge_floor_rel * initial_median
+    floor = MIN_EDGE_FLOOR_REL * initial_median
     mass0 = v0.total_mass()
 
     traj = FlowTrajectory(times=[], snapshots=[], cumulative_dissipation=[],
@@ -121,15 +123,15 @@ def evolve(v0: DiscreteVarifold, t_end: float,
     steps_since_remesh = 0
     for t_next in req[1:]:
         while t_next - t > 1e-14 * max(1.0, t_next):
-            if steps >= policy.max_steps:
+            if steps >= MAX_STEPS:
                 raise ResolutionExhausted("step budget exhausted", traj)
             delta = 0.0
-            need_remesh = (steps_since_remesh >= policy.remesh_every)
-            if not need_remesh and steps_since_remesh >= policy.remesh_backoff:
+            need_remesh = (steps_since_remesh >= REMESH_EVERY)
+            if not need_remesh and steps_since_remesh >= REMESH_BACKOFF:
                 need_remesh = (v.min_edge_length()
-                               < policy.remesh_min_ratio * v.median_edge_length())
+                               < REMESH_MIN_RATIO * v.median_edge_length())
             if need_remesh:
-                v._leave_step_chain()  # the new topology starts a new chain
+                v._leave_step_chain()  # free its gradient terms before remesh
                 v, delta = remesh(v)
                 steps_since_remesh = 0
             if v.num_faces == 0 or v.median_edge_length() < floor:
@@ -146,7 +148,7 @@ def evolve(v0: DiscreteVarifold, t_end: float,
             if np.any(active):
                 # stability and displacement caps from faces with moving
                 # corners only; static slivers must not throttle the step
-                scales = v.face_altitudes()[active]
+                scales = v.face_altitudes(active)
                 if np.min(scales) < floor:
                     raise ResolutionExhausted(
                         f"resolution exhausted at t={t:.6g} "
@@ -154,7 +156,7 @@ def evolve(v0: DiscreteVarifold, t_end: float,
                         f"< {floor:.3e})", traj)
                 dt = float(np.min(np.minimum(
                     policy.c_stab * scales**2,
-                    policy.disp_cap * scales / face_h[active])))
+                    DISP_CAP * scales / face_h[active])))
                 dt = min(dt, t_next - t)
             else:
                 dt = t_next - t
@@ -179,7 +181,7 @@ def evolve(v0: DiscreteVarifold, t_end: float,
 
     for tt, vv, cd in zip(traj.times, traj.snapshots,
                           traj.cumulative_dissipation):
-        if vv.total_mass() + cd > mass0 * (1.0 + policy.tol_ledger):
+        if vv.total_mass() + cd > mass0 * (1.0 + TOL_LEDGER):
             traj.valid = False
             traj.invalid_reason = (
                 f"dissipation ledger violated at t={tt:.6g}: "

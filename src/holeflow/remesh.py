@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .varifold import (DiscreteVarifold, _face_edge_lengths,
-                       _face_measures_normals)
+from .varifold import (DiscreteVarifold, _face_altitudes,
+                       _face_edge_lengths, _face_measures_normals)
 
 SPLIT_FACTOR = 2.0
 COLLAPSE_FACTOR = 0.5
@@ -84,12 +84,12 @@ def _thin_face_edges(verts, faces, median):
         return np.zeros((0, 2), dtype=np.int64)
     c = verts[faces]
     e = _face_edge_lengths(c)
-    alt = 2.0 * _face_measures_normals(c)[0] / np.max(e, axis=0)
+    alt = _face_altitudes(_face_measures_normals(c)[0], e)
     thin = alt < COLLAPSE_FACTOR * median
     if not np.any(thin):
         return np.zeros((0, 2), dtype=np.int64)
     corner_pairs = np.array([[0, 1], [1, 2], [2, 0]])
-    shortest = np.argmin(e[:, thin], axis=0)
+    shortest = np.argmin(e[thin], axis=1)
     sel = faces[thin]
     out = np.stack([sel[np.arange(len(sel)), corner_pairs[shortest, 0]],
                     sel[np.arange(len(sel)), corner_pairs[shortest, 1]]], axis=1)

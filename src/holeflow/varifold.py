@@ -47,19 +47,17 @@ class DiscreteVarifold:
     - face corners, ``(nf, d, d)``;
     - face measures and, for n = 2, unit normals, both from one cross
       product per face (the degenerate-face check reads the measures);
-    - edge lengths, ``(edges per face, nf)``, and their minimum and median;
-    - smallest face altitudes;
+    - edge lengths, ``(nf, edges per face)``, and their minimum and median;
     - face projectors, when asked for;
     - lumped vertex masses (``vertex_masses``).
 
-    A copy that ``with_vertices`` is told which vertices moved starts from
-    its parent's per-face rows and recomputes only the faces with a moved
-    corner (see there); its geometry is still bitwise that of a fresh mesh.
-    Edge vectors and raw cross products are not kept: trajectories hold
-    many snapshots, and those arrays would add to every one of them.  For
-    the same reason the per-corner area-gradient terms are kept only on
-    the meshes of a flow's step chain (``area_gradient``), and a recorded
-    snapshot drops them and its altitudes.
+    Every per-face array has one row per face.  Face altitudes are not
+    kept: a flow step asks for those of its moving faces only.  Edge
+    vectors and raw cross products are not kept either: trajectories hold
+    many snapshots, and those arrays would add to every one of them.  A
+    copy that ``with_vertices`` patched from its parent also holds the
+    per-corner area-gradient terms (see there) until its own step, or a
+    recorded snapshot, drops them; no other mesh holds them.
     """
 
     vertices: np.ndarray
@@ -77,7 +75,7 @@ class DiscreteVarifold:
             raise ValueError("faces must be (nf, ambient_dim) simplices")
         if np.any(self.multiplicity < 1):
             raise ValueError("multiplicities must be >= 1")
-        if self.num_faces and np.any(self.face_measures() <= 0.0):
+        if np.any(self.face_measures() <= 0.0):
             raise ValueError("degenerate face")
 
     @property
@@ -135,7 +133,7 @@ class DiscreteVarifold:
         return float(np.sum(self.multiplicity * self.face_measures()))
 
     def _edge_lengths(self) -> np.ndarray:
-        """(edges per face, nf) edge lengths (see ``_face_edge_lengths``)."""
+        """(nf, edges per face) edge lengths (see ``_face_edge_lengths``)."""
         if "edge_lengths" not in self._cache:
             self._cache["edge_lengths"] = _face_edge_lengths(self.face_corners())
         return self._cache["edge_lengths"]
@@ -145,16 +143,18 @@ class DiscreteVarifold:
             self._cache["min_edge"] = float(np.min(self._edge_lengths()))
         return self._cache["min_edge"]
 
-    def face_altitudes(self) -> np.ndarray:
-        """Smallest altitude per face: 2 area / longest edge (length for n=1).
+    def face_altitudes(self, keep=None) -> np.ndarray:
+        """Smallest altitude per face: 2 area / longest edge (length for n=1),
+        on all faces or on the faces of the boolean mask ``keep``.
 
         The honest stiffness scale: a sliver with moderate edges but tiny
-        height is as stiff as a uniformly tiny triangle.
+        height is as stiff as a uniformly tiny triangle.  Not cached: it
+        reads the cached measures and edge lengths.
         """
-        if "altitudes" not in self._cache:
-            self._cache["altitudes"] = _face_altitudes(self.face_measures(),
-                                                       self._edge_lengths())
-        return self._cache["altitudes"]
+        m, e = self.face_measures(), self._edge_lengths()
+        if keep is not None:
+            m, e = m[keep], e[keep]
+        return _face_altitudes(m, e)
 
     def median_edge_length(self) -> float:
         if "median_edge" not in self._cache:
@@ -182,61 +182,55 @@ class DiscreteVarifold:
 
         ``changed`` is a boolean mask over the vertices that must include
         every vertex whose coordinates differ, bit for bit, from this
-        mesh's; a flow step passes it.  This mesh then gives up what only
-        the steps use, its altitudes and per-corner area-gradient terms.
-        When more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces have a
-        changed corner the copy is built as without ``changed``.
-        Otherwise it is a step of a flow (see ``area_gradient``): its faces
-        with no changed corner take their rows of every per-face array
-        this mesh has cached or gave up (corners, measures, normals, edge
-        lengths, altitudes and the gradient terms), the other faces are
-        recomputed by the same row-wise helpers a fresh mesh uses, and
-        every per-vertex sum is still formed over all faces in face order.
-        So its geometry is bitwise equal to a fresh mesh's.
+        mesh's; a flow step passes it.  This mesh then gives up its
+        per-corner area-gradient terms.  When more than
+        ``FRESH_BUILD_DIRTY_FRACTION`` of the faces have a changed corner
+        the copy is built as without ``changed``.  Otherwise its faces with
+        no changed corner take their rows of every per-face array this mesh
+        has cached, the other faces are recomputed by the same row-wise
+        helpers a fresh mesh uses, and every per-vertex sum is still formed
+        over all faces in face order.  This patched copy holds the gradient
+        terms too: this mesh's, patched in place, or formed in full when it
+        had none.  So its geometry is bitwise equal to a fresh mesh's.
         """
         cache = {}
         if changed is not None:
             new_vertices = _owned_read_only(new_vertices, float)
-            given = self._leave_step_chain()
+            terms = self._leave_step_chain()
             dirty = np.flatnonzero(_row_max(changed[self.faces]))
             if len(dirty) <= FRESH_BUILD_DIRTY_FRACTION * self.num_faces:
-                cache = self._patched_rows(new_vertices, dirty, given)
+                cache = self._patched_rows(new_vertices, dirty, terms)
         return DiscreteVarifold(new_vertices, self.faces, self.multiplicity,
                                 self.boundary, cache)
 
-    def _leave_step_chain(self) -> dict:
-        """Stop being a flow step: give up what only the steps use, the
-        altitudes and the per-corner gradient terms (None where absent),
-        so that a recorded snapshot does not hold them."""
-        return {key: self._cache.pop(key, None)
-                for key in ("altitudes", "corner_gradients")}
+    def _leave_step_chain(self):
+        """Give up the per-corner gradient terms (None when absent): the
+        next flow step patches them, and a recorded snapshot or a mesh
+        about to be remeshed must not hold them."""
+        return self._cache.pop("corner_gradients", None)
 
     def _patched_rows(self, new_vertices: np.ndarray, dirty: np.ndarray,
-                      given: dict) -> dict:
+                      terms) -> dict:
         """The cache of a flow step: every per-face array this mesh has
-        cached or ``given`` up, with the rows of the faces ``dirty``
-        (indices) recomputed at ``new_vertices``."""
+        cached, with the rows of the faces ``dirty`` (indices) recomputed
+        at ``new_vertices``, and the gradient terms ``terms`` patched in
+        place (formed in full when None)."""
         c = new_vertices[self.faces[dirty]]
         rows = {"corners": c}
         rows["measures"], rows["normals"] = _face_measures_normals(c)
         rows["edge_lengths"] = _face_edge_lengths(c)
-        rows["altitudes"] = _face_altitudes(rows["measures"],
-                                            rows["edge_lengths"])
-        old = dict(self._cache, **given)
-        if old["corner_gradients"] is not None:
-            rows["corner_gradients"] = _corner_gradients(
-                c, rows["normals"], self.multiplicity[dirty])
-        out = {"corner_gradients": None}  # a step: keep them once formed
+        out = {}
         for key, new in rows.items():
-            if old.get(key) is None:
-                continue
-            # nothing else holds the gradient terms: patch them in place
-            full = old[key] if key == "corner_gradients" else old[key].copy()
-            if key == "edge_lengths":
-                full[:, dirty] = new
-            else:
-                full[dirty] = new
-            out[key] = full
+            if self._cache.get(key) is not None:
+                out[key] = self._cache[key].copy()
+                out[key][dirty] = new
+        if terms is None:
+            terms = _corner_gradients(out["corners"], out.get("normals"),
+                                      self.multiplicity)
+        else:
+            terms[dirty] = _corner_gradients(c, rows["normals"],
+                                             self.multiplicity[dirty])
+        out["corner_gradients"] = terms
         return out
 
 
@@ -355,13 +349,13 @@ def _face_measures_normals(c: np.ndarray):
 
 
 def _face_edge_lengths(c: np.ndarray) -> np.ndarray:
-    """(edges per face, nf) edge lengths of faces with corners c: rows
-    0-1, 1-2 and 2-0 for triangles, one row for segments."""
+    """(nf, edges per face) edge lengths of faces with corners c: columns
+    0-1, 1-2 and 2-0 for triangles, one column for segments."""
     if c.shape[1] == 2:
-        return np.linalg.norm(c[:, 1] - c[:, 0], axis=1)[None, :]
+        return np.linalg.norm(c[:, 1] - c[:, 0], axis=1)[:, None]
     return np.stack([np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
                      np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
-                     np.linalg.norm(c[:, 0] - c[:, 2], axis=1)])
+                     np.linalg.norm(c[:, 0] - c[:, 2], axis=1)], axis=1)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -376,11 +370,11 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _face_altitudes(measures: np.ndarray, edge_lengths: np.ndarray):
-    """Smallest altitude of each face from its measure and (edges per
-    face, nf) edge lengths: the measure itself for segments."""
-    if edge_lengths.shape[0] == 1:
+    """Smallest altitude of each face from its measure and (nf, edges per
+    face) edge lengths: the measure itself for segments."""
+    if edge_lengths.shape[1] == 1:
         return measures
-    return 2.0 * measures / np.max(edge_lengths, axis=0)
+    return 2.0 * measures / _row_max(edge_lengths)
 
 
 def _corner_gradients(c: np.ndarray, normals, mult: np.ndarray):
@@ -414,18 +408,15 @@ def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
 def area_gradient(v: DiscreteVarifold) -> np.ndarray:
     """Gradient of total (multiplicity-weighted) mass wrt vertex positions.
 
-    The per-corner terms are kept on ``v`` only when ``v`` is a step of a
-    flow (made by ``with_vertices`` with a mask), which hands them on to
-    the next step; on any other mesh, such as a snapshot being measured,
-    they are formed and dropped.
+    Reads the per-corner terms a flow step patched into ``v``
+    (``with_vertices``); on any other mesh, such as a snapshot being
+    measured, they are formed and not kept.
     """
     per_corner = v._cache.get("corner_gradients")
     if per_corner is None:
         per_corner = _corner_gradients(
             v.face_corners(),
             v.face_normals() if v.surface_dim == 2 else None, v.multiplicity)
-        if "corner_gradients" in v._cache:
-            v._cache["corner_gradients"] = per_corner
     idx = v.faces.ravel()
     return np.column_stack([
         _scatter_add(idx, per_corner[:, :, k].ravel(), v.num_vertices)
@@ -441,12 +432,12 @@ def mean_curvature(v: DiscreteVarifold) -> np.ndarray:
     if v.ambient_dim not in (2, 3):
         raise ValueError("mean curvature implemented for ambient dim 2 and 3")
     masses = vertex_masses(v)
-    isolated = (masses == 0.0) & ~v.boundary
-    if np.any(isolated):
+    if np.any((masses == 0.0) & ~v.boundary):
         raise ValueError("isolated vertex")
-    h = np.zeros_like(v.vertices)
-    interior = ~v.boundary & (masses > 0.0)
-    h[interior] = -area_gradient(v)[interior] / masses[interior, None]
+    # a boundary vertex with no face divides 0 by 0; its row is reset below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -area_gradient(v) / masses[:, None]
+    h[v.boundary] = 0.0
     return h
 
 

@@ -120,12 +120,12 @@ class TestEvolve:
         with pytest.raises(ValueError):
             traj.snapshot_at(0.123)
 
-    def test_ledger_violation_flags_invalid(self):
+    def test_ledger_violation_flags_invalid(self, monkeypatch):
         # an impossible tolerance turns any dissipating run invalid
-        from holeflow.flow import DtPolicy
+        from holeflow import flow
+        monkeypatch.setattr(flow, "TOL_LEDGER", -0.5)
         s = icosphere(2)
-        traj = evolve(s, 0.01, DtPolicy(tol_ledger=-0.5),
-                      snapshot_times=[0.0, 0.01])
+        traj = evolve(s, 0.01, snapshot_times=[0.0, 0.01])
         assert not traj.valid
         assert "ledger" in traj.invalid_reason
 

@@ -135,23 +135,35 @@ class TestTailSum:
         assert incs[0] < incs[1] < incs[2]
 
 
-def test_series_certified_numbers_match_baseline(monkeypatch):
-    # the float64 tail reproduces the benchmark's recorded series numbers
+def _assert_certified_match_baseline(monkeypatch, name):
+    """A benchmark workload's certified numbers on seeds 0 and 1 equal
+    those recorded in perfbench/baseline.json to 1e-12 relative."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     baseline = json.loads((ROOT / "perfbench" / "baseline.json").read_text())
-    wl = workloads.WORKLOADS["series"]
+    wl = workloads.WORKLOADS[name]
     for seed in (0, 1):
         res = wl.call(wl.setup(seed))
         assert wl.failures(res) == []
         got = wl.certified(res)
-        want = baseline["certified"]["series"][str(seed)]
+        want = baseline["certified"][name][str(seed)]
         assert got.keys() == want.keys()
         for key, value in want.items():
-            if key.endswith("k_unit"):
+            if value is None or key.endswith("k_unit"):
                 assert got[key] == value, key
             else:
                 assert got[key] == pytest.approx(value, rel=1e-12), key
+
+
+def test_series_certified_numbers_match_baseline(monkeypatch):
+    # the float64 tail reproduces the benchmark's recorded series numbers
+    _assert_certified_match_baseline(monkeypatch, "series")
+
+
+def test_reference_certified_numbers_match_baseline(monkeypatch):
+    # the reference experiment (flow, window and density sweep at mesh
+    # level 4) reproduces the benchmark's recorded numbers
+    _assert_certified_match_baseline(monkeypatch, "reference_l4")
 
 
 def test_series_runtime_does_not_import_mpmath():
