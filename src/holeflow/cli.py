@@ -138,7 +138,8 @@ def write_plot(path, header: str, pairs) -> None:
 # ---------------------------------------------------------------- commands
 
 def cmd_gen_fixture(cfg: Config, args) -> int:
-    radius = args.radius if args.radius else FIXTURE_RADIUS_FACTOR * cfg.eps
+    radius = (FIXTURE_RADIUS_FACTOR * cfg.eps if args.radius is None
+              else args.radius)
     v = make_fixture(args.kind, cfg.Q, cfg.mesh_level, radius=radius,
                      spacing=args.spacing)
     write_dvar(v, args.out)
@@ -340,8 +341,9 @@ def cmd_report(cfg: Config, args) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, "
+                                         f"got {text}")
     return value
 
 
@@ -349,6 +351,13 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
@@ -374,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = add("gen-fixture", help="write a fixture mesh (DVAR)")
     g.add_argument("--kind", choices=FIXTURE_KINDS, default="flat_stack")
-    g.add_argument("--radius", type=float, default=None)
+    g.add_argument("--radius", type=_positive_float, default=None)
     g.add_argument("--spacing", type=float, default=0.0)
     g.add_argument("--out", required=True)
 
@@ -404,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out-dir", default="series_out")
 
     r = add("experiment", help="reference hole-expansion run")
-    r.add_argument("--j", type=int, default=2)
+    r.add_argument("--j", type=_positive_int, default=2)
     r.add_argument("--kind", choices=FIXTURE_KINDS, default="flat_stack")
     r.add_argument("--spacing", type=float, default=0.0)
     r.add_argument("--out-dir", default="experiment_out")

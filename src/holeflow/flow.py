@@ -266,9 +266,14 @@ def barrier_monitor(traj: FlowTrajectory, b: SphereBarrier):
     return None
 
 
+def _empty_spot_d1(n: int) -> float:
+    """The paper's empty-spot constant d1 = (8n + 2)/(sqrt(2) - 1)."""
+    return (8.0 * n + 2.0) / (math.sqrt(2.0) - 1.0)
+
+
 def barrier_offset_factor(n: int) -> float:
     """Height of the barrier center above the plane, in units of its scale."""
-    d1 = (8.0 * n + 2.0) / (math.sqrt(2.0) - 1.0)
+    d1 = _empty_spot_d1(n)
     return math.sqrt(2.0) + math.sqrt(d1**2 - 8.0 * n - 2.0)
 
 
@@ -284,7 +289,7 @@ def sphere_barrier_from_scale(r_scale: float, n: int, t_plane: Plane,
     """
     if r_scale <= 0:
         raise ValueError("scale must be positive")
-    d1 = (8.0 * n + 2.0) / (math.sqrt(2.0) - 1.0)
+    d1 = _empty_spot_d1(n)
     nu = t_plane.unit_normal()
     offset = r_scale * barrier_offset_factor(n)
     center = offset * nu

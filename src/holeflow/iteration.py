@@ -37,8 +37,8 @@ from .varifold import DiscreteVarifold, weight_measure, parabolic_rescale
 from .fixtures import make_fixture
 from .nucleation import (GrowthEnvelope, SquashMap, envelope_check, nucleate,
                          nucleation_passes, verify_nucleation)
-from .flow import (DtPolicy, FlowTrajectory, barrier_monitor, evolve,
-                   sphere_barrier_from_scale)
+from .flow import (DtPolicy, FlowTrajectory, _empty_spot_d1, barrier_monitor,
+                   evolve, sphere_barrier_from_scale)
 from .estimates import (ExpandingHolesConfig, expanding_holes_run,
                         gaussian_density_sup)
 
@@ -205,7 +205,7 @@ def empty_spot_scale_log(n: int, r0: float, alpha: float,
     alpha near 1/2 the scale is far below the double-precision floor, which
     is why the log is the carried quantity.
     """
-    d1 = (8.0 * n + 2.0) / (math.sqrt(2.0) - 1.0)
+    d1 = _empty_spot_d1(n)
 
     def admissible(y: float) -> bool:
         # y = -log r1

@@ -1,8 +1,12 @@
-"""Built-in verification suites behind the `verify` CLI command.
+"""Spot checks of the paper's exact facts, one body each.
 
-Each suite is a fast, deterministic (seeded) spot check of one part of the
-machinery; the exhaustive versions live in the test suite.  A suite returns
-(ok, detail) and the command exits nonzero when any selected suite fails.
+Each check is a deterministic (seeded) measurement of one fact the paper
+rests on.  It takes its sample count or mesh level, its seed and the
+configuration values it reads, and returns (ok, measured): its verdict and
+a dict of the values it measured.  The acceptance criteria 01-05 and the
+unit tests of these facts run these same bodies, with larger samples or
+other seeds; the `verify` CLI command runs them at the smaller sizes in
+SUITES and exits nonzero when any selected suite fails.
 """
 
 from __future__ import annotations
@@ -16,135 +20,183 @@ from .flow import DtPolicy, barrier_monitor, evolve, sphere_barrier_from_scale
 from .geom import coordinate_plane, grassmann_gap, random_plane
 from .iteration import FIXTURE_RADIUS_FACTOR
 from .kernels import HeatKernel, heat_identity_residual, make_profile
-from .nucleation import (GrowthEnvelope, SquashMap, nucleate,
-                         nucleation_passes, squash_points, verify_nucleation)
+from .nucleation import (GrowthEnvelope, SquashMap, nucleate, squash_points,
+                         verify_nucleation)
 
 
-def suite_grassmann(cfg) -> tuple:
-    rng = np.random.default_rng(cfg.seed)
+def grassmann(samples: int, seed: int) -> tuple:
+    """The Grassmann inequalities on random pairs of lines or planes in R^3;
+    `worst` is the largest slack, which must stay <= 1e-10."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(500):
+    for _ in range(samples):
         k = int(rng.integers(1, 3))
         s = random_plane(k, 3, rng)
         t = random_plane(k, 3, rng)
         g = grassmann_gap(s, t)
-        vvec = rng.standard_normal(3)
-        slack = [
+        v = rng.standard_normal(3)
+        nv = np.linalg.norm(v)
+        worst = max(
+            worst,
             -g["perp_dot"],
             g["perp_dot"] - k * g["op_norm"] ** 2,
             g["op_norm"] ** 2 - g["hs_norm_sq"],
             abs(g["hs_norm_sq"] - 2.0 * float(np.sum(t.perp * s.proj))),
-            np.linalg.norm(t.apply(s.apply_perp(vvec)))
-            - g["op_norm"] * np.linalg.norm(vvec),
-            np.linalg.norm(t.apply(s.apply_perp(t.apply(vvec))))
-            - g["op_norm"] ** 2 * np.linalg.norm(vvec),
-        ]
-        worst = max(worst, max(slack))
-    return worst <= 1e-10, f"worst inequality slack {worst:.2e}"
+            np.linalg.norm(t.apply(s.apply_perp(v))) - g["op_norm"] * nv,
+            np.linalg.norm(t.apply(s.apply_perp(t.apply(v))))
+            - g["op_norm"] ** 2 * nv,
+        )
+    return worst <= 1e-10, {"worst": worst}
 
 
-def suite_profile(cfg) -> tuple:
-    prof = make_profile(cfg.zeta)
-    r = np.linspace(0.0, 1.5, 10_001)
+def profile(samples: int, zeta: float) -> tuple:
+    """The cutoff profile's shape at `samples` radii in [0, 1.2]: values in
+    [0, 1], 1 on the plateau r <= 1 - zeta, 0 for r >= 1, nonincreasing,
+    and chi'^2 / chi <= rho where chi > 0."""
+    prof = make_profile(zeta)
+    r = np.linspace(0.0, 1.2, samples)
     vals = prof.value(r)
-    ok = bool(np.all(vals >= 0) and np.all(vals <= 1))
-    ok &= bool(np.all(vals[r <= 1 - cfg.zeta] == 1.0))
-    ok &= bool(np.all(vals[r >= 1.0] == 0.0))
-    ok &= bool(np.all(np.diff(vals) <= 1e-12))
     band = (r > 0) & (vals > 1e-9)
-    ratio = prof.d1(r[band]) ** 2 / vals[band]
-    ok &= bool(np.all(ratio <= prof.rho * (1 + 1e-9)))
-    return ok, f"rho={prof.rho:.4g}"
+    ok = bool(np.all((0.0 <= vals) & (vals <= 1.0))
+              and np.all(vals[r <= 1.0 - zeta] == 1.0)
+              and np.all(vals[r >= 1.0] == 0.0)
+              and np.all(np.diff(vals) <= 1e-12)
+              and np.all(prof.d1(r[band]) ** 2 / vals[band]
+                         <= prof.rho * (1 + 1e-9)))
+    return ok, {"rho": prof.rho}
 
 
-def suite_heat(cfg) -> tuple:
-    rng = np.random.default_rng(cfg.seed + 1)
+def heat(samples: int, seed: int) -> tuple:
+    """The heat-kernel identity at `samples` accepted (x, t, plane) tuples
+    for each of k = 1, 2; `worst` is the largest residual relative to the
+    kernel's scale, which must stay <= 1e-8."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for k in (1, 2):
         kern = HeatKernel(k=k, center=np.zeros(3), final_time=2.0)
-        for _ in range(200):
-            x = rng.standard_normal(3)
-            t = rng.uniform(0.0, 1.9)
+        done = 0
+        while done < samples:
+            x = rng.standard_normal(3) * rng.uniform(0.2, 2.0)
+            t = rng.uniform(0.0, 1.95)
             s = random_plane(k, 3, rng)
             res = heat_identity_residual(kern, x, t, s)
             if res is None:
                 continue
             scale = (4.0 * math.pi * (2.0 - t)) ** (-k / 2.0)
             worst = max(worst, abs(float(res)) / scale)
-    return worst <= 1e-8, f"worst relative residual {worst:.2e}"
+            done += 1
+    return worst <= 1e-8, {"worst": worst}
 
 
-def suite_squash(cfg) -> tuple:
-    rng = np.random.default_rng(cfg.seed + 2)
+def squash(samples: int, seed: int, delta: float) -> tuple:
+    """The squash map: a sampled Lipschitz constant <= 2 over `samples`
+    pairs, normal heights that never grow, and idempotence on samples / 2
+    points of the surgery's working domain, where it is exact: the
+    height-bound slab |z| <= delta/2 together with the untouched zone
+    |z| >= delta, in the ratio 7 : 3."""
+    rng = np.random.default_rng(seed)
     t_plane = coordinate_plane([0, 1], 3)
-    m = SquashMap(delta=cfg.delta)
-    xy = rng.uniform(-2, 2, size=(20_000, 2))
-    z = rng.uniform(-1, 1, size=20_000) * cfg.delta / 2.0
-    pts = np.column_stack([xy, z])
-    out = squash_points(m, t_plane, pts)
-    idem = squash_points(m, t_plane, out)
-    ok = bool(np.all(idem == out))
-    ok &= bool(np.all(np.abs(out[:, 2]) <= np.abs(pts[:, 2]) + 1e-15))
-    a = rng.uniform(-2, 2, size=(20_000, 3))
-    b = a + rng.standard_normal((20_000, 3)) * 0.3
-    num = np.linalg.norm(squash_points(m, t_plane, a)
-                         - squash_points(m, t_plane, b), axis=1)
+    m = SquashMap(delta=delta)
+
+    a = rng.uniform(-2.0, 2.0, size=(samples, 3))
+    b = a + rng.standard_normal((samples, 3)) * 0.5
+    ga = squash_points(m, t_plane, a)
+    gb = squash_points(m, t_plane, b)
     den = np.linalg.norm(a - b, axis=1)
     keep = den > 1e-9
-    lip = float(np.max(num[keep] / den[keep]))
-    ok &= lip <= 2.0 + 1e-9
-    return ok, f"sampled Lipschitz {lip:.6f}"
+    lip = float(np.max(np.linalg.norm(ga - gb, axis=1)[keep] / den[keep]))
+    shrinks = bool(np.all(np.abs(ga[:, 2]) <= np.abs(a[:, 2]) + 1e-15))
+
+    n_slab, n_far = 7 * samples // 20, 3 * samples // 20
+    xy = rng.uniform(-2.0, 2.0, size=(n_slab + n_far, 2))
+    z = np.concatenate([rng.uniform(-delta / 2.0, delta / 2.0, n_slab),
+                        rng.uniform(delta, 1.0, n_far)
+                        * rng.choice([-1.0, 1.0], n_far)])
+    once = squash_points(m, t_plane, np.column_stack([xy, z]))
+    idempotent = bool(np.all(once == squash_points(m, t_plane, once)))
+    return (lip <= 2.0 + 1e-9 and idempotent and shrinks,
+            {"lipschitz": lip, "idempotent": idempotent, "shrinks": shrinks})
 
 
-def suite_nucleation(cfg) -> tuple:
-    v0 = make_fixture("flat_stack", cfg.Q, min(cfg.mesh_level, 4),
-                      radius=FIXTURE_RADIUS_FACTOR * cfg.eps, spacing=0.0)
+def nucleation(level: int, eps: float, delta: float, q: int, alpha: float,
+               r0: float, quad_order: int) -> tuple:
+    """Nucleation properties (1), (3), (4) and (5) on a flat stack of q
+    sheets: the outside is bitwise unchanged, the envelope excess is exactly
+    0, the coarse mass is at most 0.7 of its bound (`coarse_slack`), the
+    hole mass is at most 1.02 pi eps^2 (`hole_bound`), and the hole mass
+    before surgery is within 2 % of q pi eps^2.  The measured dict also
+    holds the whole `verify_nucleation` report."""
     t_plane = coordinate_plane([0, 1], 3)
-    va = nucleate(v0, t_plane, cfg.eps, SquashMap(delta=cfg.delta))
-    env = GrowthEnvelope(alpha=max(cfg.alpha, 0.51), r0=cfg.r0)
-    rep = verify_nucleation(v0, va, t_plane, cfg.eps, env, cfg.Q, cfg.quad_order)
-    return nucleation_passes(rep), (f"hole mass {rep['prop5_mass']:.4g} "
-                                    f"within 1.02x of {rep['prop5_bound']:.4g}")
+    v0 = make_fixture("flat_stack", q, level,
+                      radius=FIXTURE_RADIUS_FACTOR * eps, spacing=0.0)
+    va = nucleate(v0, t_plane, eps, SquashMap(delta=delta))
+    rep = verify_nucleation(v0, va, t_plane, eps,
+                            GrowthEnvelope(alpha=alpha, r0=r0), q, quad_order)
+    coarse_slack = rep["prop4_mass"] / rep["prop4_bound"]
+    hole_bound = rep["prop5_bound"] * 1.02
+    sheets_mass = q * rep["prop5_bound"]
+    ok = (rep["prop1_local"] and rep["prop3_excess"] == 0.0
+          and coarse_slack <= 0.7 and rep["prop5_mass"] <= hole_bound
+          and abs(rep["hole_mass_before"] - sheets_mass) <= 0.02 * sheets_mass)
+    return ok, {**rep, "coarse_slack": coarse_slack, "hole_bound": hole_bound}
 
 
-def suite_sphere(cfg) -> tuple:
-    s = icosphere(3)
-    t_end = 0.09
-    traj = evolve(s, t_end, DtPolicy(c_stab=cfg.dt_factor),
-                  snapshot_times=[0.0, t_end / 2, t_end])
-    worst = 0.0
+def sphere(level: int, c_stab: float) -> tuple:
+    """The shrinking-sphere oracle: the unit icosphere flown to r = 1/2
+    follows r^2 = 1 - 4t to a relative `r2_error` <= 0.02 at 16 snapshots,
+    its ledger is valid, and mass plus dissipation stays within a relative
+    `ledger_gap` <= 0.05 of the initial mass."""
+    s = icosphere(level)
+    t_end = 0.1875  # r = 0.5
+    traj = evolve(s, t_end, DtPolicy(c_stab=c_stab),
+                  snapshot_times=np.linspace(0.0, t_end, 16))
+    r2_error = 0.0
     for t, v in zip(traj.times, traj.snapshots):
-        r_mean = float(np.mean(np.linalg.norm(v.vertices, axis=1)))
-        worst = max(worst, abs(r_mean - math.sqrt(1 - 4 * t))
-                    / math.sqrt(1 - 4 * t))
-    return (worst <= 0.02 and traj.valid,
-            f"worst radius error {worst:.2e}, ledger valid {traj.valid}")
+        r_sq = float(np.mean(np.linalg.norm(v.vertices, axis=1))) ** 2
+        r2_error = max(r2_error, abs(r_sq - (1 - 4 * t)) / (1 - 4 * t))
+    m0 = s.total_mass()
+    ledger_gap = abs(traj.snapshots[-1].total_mass()
+                     + traj.cumulative_dissipation[-1] - m0) / m0
+    return (r2_error <= 0.02 and ledger_gap <= 0.05 and traj.valid,
+            {"r2_error": r2_error, "ledger_gap": ledger_gap,
+             "valid": traj.valid})
 
 
-def suite_barrier(cfg) -> tuple:
+def barrier(level: int) -> tuple:
+    """A flat sheet of radius 2 flown to t = 0.05 never touches the barrier
+    ball of scale 1 above it (`contact` is None)."""
     t_plane = coordinate_plane([0, 1], 3)
-    b = sphere_barrier_from_scale(1.0, 2, t_plane)
-    v = make_fixture("flat_stack", 1, 3, radius=3.0)
-    traj = evolve(v, 0.05, DtPolicy(), snapshot_times=[0.0, 0.05])
-    contact = barrier_monitor(traj, b)
-    return contact is None, f"contact={contact}"
+    v = make_fixture("flat_stack", 1, level, radius=2.0)
+    traj = evolve(v, 0.05, snapshot_times=[0.0, 0.05])
+    contact = barrier_monitor(traj, sphere_barrier_from_scale(1.0, 2, t_plane))
+    return contact is None, {"contact": contact}
 
 
+# name: (the check at `holeflow verify`'s sizes, its detail line)
 SUITES = {
-    "grassmann": suite_grassmann,
-    "profile": suite_profile,
-    "heat": suite_heat,
-    "squash": suite_squash,
-    "nucleation": suite_nucleation,
-    "sphere": suite_sphere,
-    "barrier": suite_barrier,
+    "grassmann": (lambda c: grassmann(500, c.seed),
+                  "worst inequality slack {worst:.2e}"),
+    "profile": (lambda c: profile(10_001, c.zeta), "rho={rho:.4g}"),
+    "heat": (lambda c: heat(200, c.seed + 1),
+             "worst relative residual {worst:.2e}"),
+    "squash": (lambda c: squash(20_000, c.seed + 2, c.delta),
+               "sampled Lipschitz {lipschitz:.6f}"),
+    "nucleation": (lambda c: nucleation(min(c.mesh_level, 4), c.eps, c.delta,
+                                        c.Q, max(c.alpha, 0.51), c.r0,
+                                        c.quad_order),
+                   "hole mass {prop5_mass:.4g} within 1.02x of "
+                   "{prop5_bound:.4g}"),
+    "sphere": (lambda c: sphere(3, c.dt_factor),
+               "worst r^2 error {r2_error:.2e}, ledger gap {ledger_gap:.2e}, "
+               "ledger valid {valid}"),
+    "barrier": (lambda c: barrier(3), "contact={contact}"),
 }
 
 
 def run_suites(cfg, suite: str | None = None) -> list:
-    names = [suite] if suite else list(SUITES)
     out = []
-    for name in names:
-        ok, detail = SUITES[name](cfg)
-        out.append((name, bool(ok), detail))
+    for name in [suite] if suite else SUITES:
+        check, detail = SUITES[name]
+        ok, measured = check(cfg)
+        out.append((name, bool(ok), detail.format(**measured)))
     return out

@@ -9,18 +9,17 @@ import math
 import time
 
 import numpy as np
-import pytest
 
+from holeflow import verify
 from holeflow.estimates import ExpandingHolesConfig, expanding_holes_run
 from holeflow.fixtures import icosphere, make_fixture, square_sheet
 from holeflow.flow import DtPolicy, brakke_inequality_test, evolve
-from holeflow.geom import coordinate_plane, grassmann_gap, random_plane
+from holeflow.geom import coordinate_plane
 from holeflow.iteration import (ExperimentConfig, orchestrate, partial_sum,
                                 rescaled_window, series_term, tail_sum,
                                 window_end, window_times)
-from holeflow.kernels import HeatKernel, heat_identity_residual, make_profile
-from holeflow.nucleation import (GrowthEnvelope, SquashMap, nucleate,
-                                 squash_points, verify_nucleation)
+from holeflow.kernels import make_profile
+from holeflow.nucleation import nucleate
 from holeflow.testfunctions import random_scalar_test
 from holeflow.varifold import density_ratio, parabolic_rescale, weight_measure
 from holeflow.estimates import height_excess_sq
@@ -39,138 +38,58 @@ def report(criterion, ok, detail, elapsed, budget):
 
 def test_criterion_01_grassmann_inequalities():
     t0 = time.time()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(10_000):
-        k = int(rng.integers(1, 3))
-        s = random_plane(k, 3, rng)
-        t = random_plane(k, 3, rng)
-        g = grassmann_gap(s, t)
-        v = rng.standard_normal(3)
-        nv = np.linalg.norm(v)
-        slack = max(
-            -g["perp_dot"],
-            g["perp_dot"] - k * g["op_norm"] ** 2,
-            g["op_norm"] ** 2 - g["hs_norm_sq"],
-            abs(g["hs_norm_sq"] - 2.0 * float(np.sum(t.perp * s.proj))),
-            np.linalg.norm(t.apply(s.apply_perp(v))) - g["op_norm"] * nv,
-            np.linalg.norm(t.apply(s.apply_perp(t.apply(v))))
-            - g["op_norm"] ** 2 * nv,
-        )
-        worst = max(worst, slack)
+    ok, m = verify.grassmann(10_000, seed=101)
     elapsed = time.time() - t0
-    report(1, worst <= 1e-10 and elapsed < 5,
-           f"worst slack {worst:.2e} over 10^4 pairs", elapsed, 5)
-    assert worst <= 1e-10
+    report(1, ok and elapsed < 5,
+           f"worst slack {m['worst']:.2e} over 10^4 pairs", elapsed, 5)
+    assert ok, m
     assert elapsed < 5.0
 
 
 def test_criterion_02_heat_kernel_identity():
     t0 = time.time()
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for k in (1, 2):
-        kern = HeatKernel(k=k, center=np.zeros(3), final_time=2.0)
-        done = 0
-        while done < 500:
-            x = rng.standard_normal(3) * rng.uniform(0.2, 2.0)
-            t = rng.uniform(0.0, 1.95)
-            s = random_plane(k, 3, rng)
-            res = heat_identity_residual(kern, x, t, s)
-            if res is None:
-                continue
-            scale = (4.0 * math.pi * (2.0 - t)) ** (-k / 2.0)
-            worst = max(worst, abs(float(res)) / scale)
-            done += 1
+    ok, m = verify.heat(500, seed=202)
     elapsed = time.time() - t0
-    report(2, worst <= 1e-8 and elapsed < 5,
-           f"worst relative residual {worst:.2e} over 10^3 tuples",
+    report(2, ok and elapsed < 5,
+           f"worst relative residual {m['worst']:.2e} over 10^3 tuples",
            elapsed, 5)
-    assert worst <= 1e-8
+    assert ok, m
     assert elapsed < 5.0
 
 
 def test_criterion_03_squash_map():
     t0 = time.time()
-    rng = np.random.default_rng(303)
-    m = SquashMap(delta=0.2)
-
-    a = rng.uniform(-2.0, 2.0, size=(100_000, 3))
-    b = a + rng.standard_normal((100_000, 3)) * 0.5
-    ga = squash_points(m, T_PLANE, a)
-    gb = squash_points(m, T_PLANE, b)
-    den = np.linalg.norm(a - b, axis=1)
-    keep = den > 1e-9
-    lip = float(np.max(np.linalg.norm(ga - gb, axis=1)[keep] / den[keep]))
-
-    # idempotence is exact on the surgery's working domain: the height-bound
-    # slab |z| <= delta/2 together with the untouched zone |z| >= delta
-    xy = rng.uniform(-2.0, 2.0, size=(50_000, 2))
-    z = np.concatenate([rng.uniform(-0.1, 0.1, 35_000),
-                        rng.uniform(0.2, 1.0, 15_000)
-                        * rng.choice([-1.0, 1.0], 15_000)])
-    pts = np.column_stack([xy, z])
-    once = squash_points(m, T_PLANE, pts)
-    twice = squash_points(m, T_PLANE, once)
-    idempotent = bool(np.all(once == twice))
-
-    shrinks = bool(np.all(np.abs(ga[:, 2]) <= np.abs(a[:, 2]) + 1e-15))
+    ok, m = verify.squash(100_000, seed=303, delta=0.2)
     elapsed = time.time() - t0
-    ok = lip <= 2.0 + 1e-9 and idempotent and shrinks and elapsed < 10
-    report(3, ok, f"Lipschitz {lip:.9f}, idempotent {idempotent}, "
-                  f"normal shrinks {shrinks}", elapsed, 10)
-    assert lip <= 2.0 + 1e-9
-    assert idempotent
-    assert shrinks
+    report(3, ok and elapsed < 10,
+           f"Lipschitz {m['lipschitz']:.9f}, idempotent {m['idempotent']}, "
+           f"normal shrinks {m['shrinks']}", elapsed, 10)
+    assert ok, m
     assert elapsed < 10.0
 
 
 def test_criterion_04_nucleation_properties():
     t0 = time.time()
-    v0 = make_fixture("flat_stack", 2, 5, radius=4 * EPS, spacing=0.0)
-    va = nucleate(v0, T_PLANE, EPS)
-    env = GrowthEnvelope(alpha=0.51, r0=0.1)
-    rep = verify_nucleation(v0, va, T_PLANE, EPS, env, 2)
-    slack4 = rep["prop4_mass"] / rep["prop4_bound"]
+    ok, m = verify.nucleation(5, EPS, delta=0.2, q=2, alpha=0.51, r0=0.1,
+                              quad_order=3)
     elapsed = time.time() - t0
-    ok = (rep["prop1_local"] and rep["prop3_excess"] == 0.0
-          and slack4 <= 0.7
-          and rep["prop5_mass"] <= math.pi * EPS**2 * 1.02
-          and elapsed < 30)
-    report(4, ok, f"local bitwise {rep['prop1_local']}, envelope excess "
-                  f"{rep['prop3_excess']:.1e}, coarse mass at "
-                  f"{slack4:.2f} of bound, hole mass "
-                  f"{rep['prop5_mass']:.6f} <= {math.pi * EPS**2 * 1.02:.6f}",
-           elapsed, 30)
-    assert rep["prop1_local"]
-    assert rep["prop3_excess"] == 0.0
-    assert slack4 <= 0.7  # >= 30% slack
-    assert rep["prop5_mass"] <= math.pi * EPS**2 * 1.02
-    assert rep["hole_mass_before"] == pytest.approx(2 * math.pi * EPS**2,
-                                                    rel=0.02)
+    report(4, ok and elapsed < 30,
+           f"local bitwise {m['prop1_local']}, envelope excess "
+           f"{m['prop3_excess']:.1e}, coarse mass at {m['coarse_slack']:.2f} "
+           f"of bound, hole mass {m['prop5_mass']:.6f} <= "
+           f"{m['hole_bound']:.6f}", elapsed, 30)
+    assert ok, m
     assert elapsed < 30.0
 
 
 def test_criterion_05_shrinking_sphere_oracle():
     t0 = time.time()
-    s = icosphere(4)
-    t_end = 0.1875  # r = 0.5
-    traj = evolve(s, t_end, DtPolicy(),
-                  snapshot_times=np.linspace(0.0, t_end, 16))
-    worst = 0.0
-    for t, v in zip(traj.times, traj.snapshots):
-        r_sq = float(np.mean(np.linalg.norm(v.vertices, axis=1))) ** 2
-        worst = max(worst, abs(r_sq - (1 - 4 * t)) / (1 - 4 * t))
-    m0 = s.total_mass()
-    ledger_gap = abs(traj.snapshots[-1].total_mass()
-                     + traj.cumulative_dissipation[-1] - m0) / m0
+    ok, m = verify.sphere(4, c_stab=DtPolicy().c_stab)
     elapsed = time.time() - t0
-    ok = worst <= 0.02 and ledger_gap <= 0.05 and traj.valid and elapsed < 120
-    report(5, ok, f"worst r^2 error {worst:.2e}, ledger gap {ledger_gap:.2e}",
+    report(5, ok and elapsed < 120, f"worst r^2 error {m['r2_error']:.2e}, "
+                                    f"ledger gap {m['ledger_gap']:.2e}",
            elapsed, 120)
-    assert worst <= 0.02
-    assert ledger_gap <= 0.05
-    assert traj.valid
+    assert ok, m
     assert elapsed < 120.0
 
 

@@ -62,6 +62,16 @@ class TestGenFixture:
                     str(tmp_path / "x.dvar"))
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("radius", ["-1", "0", "inf"])
+    def test_non_positive_radius_is_usage_error(self, tmp_path, capsys,
+                                                radius):
+        out = tmp_path / "x.dvar"
+        with pytest.raises(SystemExit) as err:
+            run_cli("gen-fixture", "--radius", radius, "--out", str(out))
+        assert err.value.code == 2
+        assert "--radius: must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNucleateCommand:
     def test_roundtrip_and_checks(self, tmp_path, capsys):
@@ -105,6 +115,14 @@ class TestVerifyCommand:
         rc = run_cli("verify", "--suite", "grassmann", "--mesh", str(bad))
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_all_suites(self, capsys):
+        rc = run_cli("verify")
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7
+        assert all(line.startswith("suite ") and ": PASS (" in line
+                   for line in lines)
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -193,6 +211,15 @@ class TestExperimentCommand:
                      "plot/mass.dat", "plot/ratio.dat", "plot/series.dat"):
             assert (out_dir / name).exists()
         assert run_cli("report", "--dir", str(out_dir)) == 0
+
+    @pytest.mark.parametrize("j", ["0", "-1"])
+    def test_j_below_one_is_usage_error(self, tmp_path, capsys, j):
+        out_dir = tmp_path / "exp"
+        with pytest.raises(SystemExit) as err:
+            run_cli("experiment", "--j", j, "--out-dir", str(out_dir))
+        assert err.value.code == 2
+        assert "--j: must be positive" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestEvolveCommand:

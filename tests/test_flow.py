@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from holeflow import verify
 from holeflow.fixtures import (circle_mesh, cylinder_tube, icosphere,
                                make_fixture, square_sheet)
-from holeflow.flow import (REST_FLOOR, ResolutionExhausted, barrier_monitor,
-                           barrier_offset_factor, brakke_inequality_test,
-                           evolve, sphere_barrier_from_scale,
-                           SphereBarrier)
+from holeflow.flow import (REST_FLOOR, DtPolicy, ResolutionExhausted,
+                           barrier_monitor, barrier_offset_factor,
+                           brakke_inequality_test, evolve,
+                           sphere_barrier_from_scale, SphereBarrier)
 from holeflow.remesh import DEGENERATE_REL, _edges_of, _unique_pairs, remesh
 from holeflow.testfunctions import bump_scalar_test, random_scalar_test
 from holeflow.varifold import mean_curvature, weight_measure
@@ -44,13 +45,8 @@ class TestStep:
 
 class TestEvolve:
     def test_sphere_oracle_quick(self):
-        s = icosphere(3)
-        t_end = 0.12
-        traj = evolve(s, t_end, snapshot_times=np.linspace(0, t_end, 7))
-        for t, v in zip(traj.times, traj.snapshots):
-            r = np.linalg.norm(v.vertices, axis=1).mean()
-            assert r**2 == pytest.approx(1 - 4 * t, rel=0.02)
-        assert traj.valid
+        ok, m = verify.sphere(3, DtPolicy().c_stab)
+        assert ok, m
 
     def test_circle_oracle(self):
         c = circle_mesh(5)
@@ -198,11 +194,9 @@ class TestBarrier:
         assert np.linalg.norm(corner - b.center) == pytest.approx(
             b.radius(4.0), rel=1e-12)
 
-    def test_plane_never_touches(self, t_plane):
-        v = make_fixture("flat_stack", 1, 3, radius=2.0)
-        traj = evolve(v, 0.05, snapshot_times=[0.0, 0.05])
-        b = sphere_barrier_from_scale(1.0, 2, t_plane)
-        assert barrier_monitor(traj, b) is None
+    def test_plane_never_touches(self):
+        ok, m = verify.barrier(3)
+        assert ok, m
 
     def test_initial_intersection_rejected(self, t_plane):
         v = make_fixture("flat_stack", 1, 3, radius=2.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holeflow import verify
 from holeflow.geom import (Plane, coordinate_plane, grassmann_gap, make_plane,
                            operator_norm, random_plane, tangential_divergence)
 
@@ -112,17 +113,7 @@ def test_tangential_divergence_rank_one(rng):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(0, 2**31 - 1), st.integers(1, 2))
-def test_projection_inequalities_random(seed, k):
-    rng = np.random.default_rng(seed)
-    s = random_plane(k, 3, rng)
-    t = random_plane(k, 3, rng)
-    g = grassmann_gap(s, t)
-    v = rng.standard_normal(3)
-    assert -1e-10 <= g["perp_dot"] <= k * g["op_norm"] ** 2 + 1e-10
-    assert g["op_norm"] ** 2 <= g["hs_norm_sq"] + 1e-10
-    assert abs(g["hs_norm_sq"] - 2.0 * float(np.sum(t.perp * s.proj))) <= 1e-10
-    assert (np.linalg.norm(t.apply(s.apply_perp(v)))
-            <= g["op_norm"] * np.linalg.norm(v) + 1e-10)
-    assert (np.linalg.norm(t.apply(s.apply_perp(t.apply(v))))
-            <= g["op_norm"] ** 2 * np.linalg.norm(v) + 1e-10)
+@given(st.integers(0, 2**31 - 1))
+def test_projection_inequalities_random(seed):
+    ok, m = verify.grassmann(1, seed)
+    assert ok, m

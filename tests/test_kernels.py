@@ -1,10 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holeflow.geom import coordinate_plane, random_plane
+from holeflow import verify
+from holeflow.geom import coordinate_plane
 from holeflow.kernels import (HeatKernel, cylindrical_cutoff,
                               cylindrical_cutoff_gradient,
                               heat_identity_residual, make_profile)
@@ -40,13 +39,8 @@ class TestProfile:
         assert est <= prof.rho <= est * 1.03
 
     def test_shape_invariants_sampled(self):
-        prof = make_profile(0.1)
-        r = np.linspace(0.0, 1.2, 10_000)
-        vals = prof.value(r)
-        assert np.all((0.0 <= vals) & (vals <= 1.0))
-        assert np.all(np.diff(vals) <= 1e-12)          # radially decreasing
-        assert np.all(vals[r >= 1.0] == 0.0)           # vanishes outside
-        assert np.all(vals[r <= 1.0 - prof.zeta] == 1.0)
+        ok, m = verify.profile(10_000, zeta=0.1)
+        assert ok, m
 
     def test_c2_by_finite_differences(self):
         prof = make_profile(0.15)
@@ -138,18 +132,10 @@ class TestHeatKernel:
             assert abs(fd - kern.time_derivative(x, t)) <= 1e-5
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 2))
-    def test_identity_residual_vanishes(self, seed, k):
-        rng = np.random.default_rng(seed)
-        kern = HeatKernel(k=k, center=np.zeros(3), final_time=2.0)
-        x = rng.standard_normal(3)
-        t = rng.uniform(0.0, 1.9)
-        s = random_plane(k, 3, rng)
-        res = heat_identity_residual(kern, x, t, s)
-        if res is None:
-            return
-        scale = (4 * math.pi * (2.0 - t)) ** (-k / 2)
-        assert abs(float(res)) <= 1e-8 * scale
+    @given(st.integers(0, 2**31 - 1))
+    def test_identity_residual_vanishes(self, seed):
+        ok, m = verify.heat(1, seed)
+        assert ok, m
 
     def test_identity_residual_at_center(self):
         kern = HeatKernel(k=2, center=np.zeros(3), final_time=2.0)

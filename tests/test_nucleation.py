@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holeflow import verify
 from holeflow.fixtures import disk_triangulation, make_fixture
 from holeflow.nucleation import (GrowthEnvelope, SquashMap, envelope_check,
                                  envelope_value, nucleate, squash_point,
@@ -106,26 +107,15 @@ class TestSquashMap:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31 - 1))
-    def test_idempotent_on_working_slab(self, squash, t_plane, seed):
+    def test_idempotent_on_working_slab(self, seed):
         # the surgery operates under the height bound |z| <= delta/2; there
         # and on the untouched zone |z| >= delta the map is a projection
-        rng = np.random.default_rng(seed)
-        xy = rng.uniform(-2, 2, size=(60, 2))
-        z = np.concatenate([rng.uniform(-DELTA / 2, DELTA / 2, 30),
-                            rng.uniform(DELTA, 1.0, 15) * rng.choice([-1, 1], 15)])
-        x = np.column_stack([xy[:45], z])
-        once = squash_points(squash, t_plane, x)
-        twice = squash_points(squash, t_plane, once)
-        assert np.array_equal(once, twice)
+        ok, m = verify.squash(100, seed, DELTA)
+        assert ok, m
 
-    def test_sampled_lipschitz_bound(self, squash, t_plane, rng):
-        a = rng.uniform(-2, 2, size=(50_000, 3))
-        b = a + rng.standard_normal((50_000, 3)) * 0.5
-        num = np.linalg.norm(squash_points(squash, t_plane, a)
-                             - squash_points(squash, t_plane, b), axis=1)
-        den = np.linalg.norm(a - b, axis=1)
-        keep = den > 1e-9
-        assert np.max(num[keep] / den[keep]) <= 2.0 + 1e-9
+    def test_sampled_lipschitz_bound(self):
+        ok, m = verify.squash(50_000, 12345, DELTA)
+        assert ok, m
 
     def test_lipschitz_constant_attained(self, squash, t_plane):
         # the doubling band realizes the constant
