@@ -67,6 +67,8 @@ class Config:
                 raise ValueError(f"{name} must be positive")
         if self.Q < 1 or self.mesh_level < 1 or self.quad_order not in (1, 2, 3):
             raise ValueError("invalid Q, mesh_level, or quad_order")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.log_base not in ("natural", "two"):
             raise ValueError("log_base must be 'natural' or 'two'")
 
@@ -347,6 +349,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -384,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = add("gen-fixture", help="write a fixture mesh (DVAR)")
     g.add_argument("--kind", choices=FIXTURE_KINDS, default="flat_stack")
     g.add_argument("--radius", type=_positive_float, default=None)
-    g.add_argument("--spacing", type=float, default=0.0)
+    g.add_argument("--spacing", type=_finite_float, default=0.0)
     g.add_argument("--out", required=True)
 
     n = add("nucleate", help="open a hole at the origin")
@@ -404,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     x = add("expanding-holes", help="one expansion window")
     x.add_argument("--mesh", default=None)
     x.add_argument("--kind", choices=FIXTURE_KINDS, default="flat_stack")
-    x.add_argument("--spacing", type=float, default=0.0)
+    x.add_argument("--spacing", type=_finite_float, default=0.0)
     x.add_argument("--out", default="excess_report.json")
 
     s = add("series", help="schedule and error-series data")
@@ -415,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = add("experiment", help="reference hole-expansion run")
     r.add_argument("--j", type=_positive_int, default=2)
     r.add_argument("--kind", choices=FIXTURE_KINDS, default="flat_stack")
-    r.add_argument("--spacing", type=float, default=0.0)
+    r.add_argument("--spacing", type=_finite_float, default=0.0)
     r.add_argument("--out-dir", default="experiment_out")
 
     t = add("report", help="summarize an experiment directory")

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .varifold import DiscreteVarifold, _face_measures_normals
+from .varifold import DiscreteVarifold, _face_pass
 
 
 class DvarParseError(ValueError):
@@ -99,7 +99,7 @@ def read_dvar(path) -> DiscreteVarifold:
             raise DvarParseError(no, "face index out of range")
     verts = np.asarray(vertices, dtype=float).reshape(nv, dim)
     face_arr = np.asarray(faces, dtype=np.int64).reshape(len(faces), dim)
-    measures, _ = _face_measures_normals(verts[face_arr])
+    measures = _face_pass(verts[face_arr])["measures"]
     degenerate = np.flatnonzero(~(measures > 0.0))
     if len(degenerate):
         raise DvarParseError(face_lines[degenerate[0]], "degenerate face")

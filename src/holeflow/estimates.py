@@ -19,7 +19,7 @@ import numpy as np
 from .geom import UNIT_BALL_VOLUME, Plane
 from .kernels import CutoffProfile, cylindrical_cutoff
 from .varifold import (DiscreteVarifold, _face_sum, _normal_part, _row_max,
-                       interpolate_vertex_field, mean_curvature,
+                       ball_mass, interpolate_vertex_field, mean_curvature,
                        weight_measure, MEASUREMENT_SUBDIV)
 from .flow import FlowTrajectory
 
@@ -29,6 +29,7 @@ TOL_DISC_ABS = 1e-8
 HEIGHT_BOUND_CONST = 50.0         # calibrated c(n,k) for the L^2 height bound
 MU_FLOOR = 1e-30
 CULL_SLACK = 1e-9                 # relative margin on culling radii
+DENSITY_RADII = 12                # radii of the gaussian_density_sup sweep
 
 
 def height_excess_sq(v: DiscreteVarifold, t_plane: Plane, big_r: float,
@@ -297,15 +298,11 @@ def l2_height_bound_check(traj: FlowTrajectory, t_plane: Plane, r: float,
     lhs = max(ball_height_excess_sq(traj.snapshot_at(t), t_plane, r, quad_order)
               for t in times) / r ** (k + 2)
 
-    def big_ball_mass(t):
-        vv = traj.snapshot_at(t)
-        return weight_measure(
-            vv, lambda p: (np.linalg.norm(p, axis=1) < big_l * r).astype(float),
-            quad_order, MEASUREMENT_SUBDIV)
-
     first = math.exp(0.25) * ball_height_excess_sq(
         traj.snapshots[0], t_plane, big_l * r, quad_order) / r ** (k + 2)
-    sup_mass_ratio = max(big_ball_mass(t) for t in times) / (big_l * r) ** k
+    sup_mass_ratio = max(
+        ball_mass(traj.snapshot_at(t), 0.0, big_l * r, quad_order,
+                  MEASUREMENT_SUBDIV) for t in times) / (big_l * r) ** k
     decay = big_l ** (k + 2) * math.exp(-(big_l - 1.0) ** 2 / 8.0)
     rhs = first + c_const * decay * sup_mass_ratio
     min_c = ((lhs - first) / (decay * sup_mass_ratio)
@@ -316,7 +313,7 @@ def l2_height_bound_check(traj: FlowTrajectory, t_plane: Plane, r: float,
 
 
 def gaussian_density_sup(traj: FlowTrajectory, r0: float, eps: float,
-                         radii_grid: int = 12, quad_order: int = 3) -> float:
+                         quad_order: int = 3) -> float:
     """sup over times in [0, r0^2] and radii in [eps, r0] of the density ratio.
 
     Empirical stand-in for the heat-kernel-weighted density bound; the value
@@ -326,7 +323,7 @@ def gaussian_density_sup(traj: FlowTrajectory, r0: float, eps: float,
     """
     if not 0 < eps <= r0:
         raise ValueError("need 0 < eps <= r0")
-    radii = np.geomspace(eps, r0, radii_grid)
+    radii = np.geomspace(eps, r0, DENSITY_RADII)
     out = 0.0
     for t, v in zip(traj.times, traj.snapshots):
         if t > r0 * r0 * (1 + 1e-12):

@@ -14,6 +14,8 @@ import numpy as np
 from .varifold import DiscreteVarifold
 
 FIXTURE_KINDS = ("flat_stack", "branched_disk", "perturbed_stack")
+BRANCH_COEF = 0.5         # branched_disk: outermost sheet height coefficient
+BRANCH_BETA = 1.0 / 3.0   # branched_disk: heights grow as r^(1 + beta)
 
 
 def disk_triangulation(radius: float, level: int):
@@ -67,8 +69,7 @@ def _stack_sheets(points2d, faces2d, rim, heights_per_sheet):
 
 
 def make_fixture(kind: str, q: int, mesh_level: int, radius: float = 1.0,
-                 spacing: float = 0.0, branch_coef: float = 0.5,
-                 branch_beta: float = 1.0 / 3.0) -> DiscreteVarifold:
+                 spacing: float = 0.0) -> DiscreteVarifold:
     """Build a Q-sheet fixture over a disk of the given radius.
 
     flat_stack      : parallel sheets at constant heights spacing*(i-(Q-1)/2)
@@ -90,8 +91,8 @@ def make_fixture(kind: str, q: int, mesh_level: int, radius: float = 1.0,
         if kind == "flat_stack":
             heights.append(np.full(len(pts), c * spacing))
         elif kind == "branched_disk":
-            scale = branch_coef * (c / max((q - 1) / 2.0, 0.5) if q > 1 else 1.0)
-            heights.append(scale * r ** (1.0 + branch_beta))
+            scale = BRANCH_COEF * (c / max((q - 1) / 2.0, 0.5) if q > 1 else 1.0)
+            heights.append(scale * r ** (1.0 + BRANCH_BETA))
         else:
             amp = c * spacing * 0.5
             heights.append(amp * r * (1.0 + 0.5 * np.sin(3.0 * np.pi * r / radius)))

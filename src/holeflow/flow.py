@@ -55,6 +55,7 @@ REMESH_BACKOFF = 5          # min steps between adaptive remeshes
 TOL_LEDGER = 0.05           # relative slack of the dissipation ledger
 MIN_EDGE_FLOOR_REL = 1e-4   # vs initial median: resolution exhausted
 MAX_STEPS = 2_000_000       # step budget of one run
+BARRIER_CHECK_SAMPLES = 9   # radii and heights of the barrier coverage check
 
 
 @dataclass
@@ -277,8 +278,8 @@ def barrier_offset_factor(n: int) -> float:
     return math.sqrt(2.0) + math.sqrt(d1**2 - 8.0 * n - 2.0)
 
 
-def sphere_barrier_from_scale(r_scale: float, n: int, t_plane: Plane,
-                              check_samples: int = 9) -> SphereBarrier:
+def sphere_barrier_from_scale(r_scale: float, n: int,
+                              t_plane: Plane) -> SphereBarrier:
     """Barrier ball certifying the empty spot above a flat reference plane.
 
     The ball sits at height R * (sqrt(2) + sqrt(d1^2 - 8n - 2)) with radius
@@ -308,8 +309,9 @@ def sphere_barrier_from_scale(r_scale: float, n: int, t_plane: Plane,
     tang_dirs = [t_plane.apply(basis[:, i]) for i in range(d)]
     tang_dirs = [u / np.linalg.norm(u) for u in tang_dirs
                  if np.linalg.norm(u) > 1e-8][: d - 1]
-    rr = np.linspace(0.0, math.sqrt(2.0) * r_scale, check_samples)
-    hh = np.linspace(math.sqrt(2.0) * r_scale, 2.0 * r_scale, check_samples)
+    rr = np.linspace(0.0, math.sqrt(2.0) * r_scale, BARRIER_CHECK_SAMPLES)
+    hh = np.linspace(math.sqrt(2.0) * r_scale, 2.0 * r_scale,
+                     BARRIER_CHECK_SAMPLES)
     for u in tang_dirs:
         for rv in rr:
             for hv in hh:

@@ -46,6 +46,8 @@ LN2 = math.log(2.0)
 MAX_TAIL_START = 10 ** 9
 FIXTURE_RADIUS_FACTOR = 4.0   # fixture radius in units of eps
 WINDOW_CADENCE = 20           # snapshots per unit of rescaled window time
+PARTIAL_SUM_CHUNK = 1_000_000  # terms per vectorized block of partial_sum
+EMPTY_SPOT_BISECT_ITERS = 200  # bisection steps of empty_spot_scale_log
 
 
 def _check_q(q) -> None:
@@ -68,13 +70,13 @@ def series_term(q, alpha: float, n: int, log_base: float = math.e):
 
 
 def partial_sum(k_start: int, q_max: int, alpha: float, n: int,
-                log_base: float = math.e, chunk: int = 1_000_000) -> float:
+                log_base: float = math.e) -> float:
     """Direct sum of a_q^2 for q in [k_start, q_max]; no convergence claim."""
     _check_q(k_start)
     total = 0.0
     q = k_start
     while q <= q_max:
-        hi = min(q + chunk, q_max + 1)
+        hi = min(q + PARTIAL_SUM_CHUNK, q_max + 1)
         total += float(np.sum(series_term(np.arange(q, hi), alpha, n, log_base)))
         q = hi
     return total
@@ -195,8 +197,7 @@ def am2_holds(q: int, log_r1: float) -> bool:
     return (-q - 1) * 0.5 * LN2 < log_r1
 
 
-def empty_spot_scale_log(n: int, r0: float, alpha: float,
-                         bisect_iters: int = 200) -> float:
+def empty_spot_scale_log(n: int, r0: float, alpha: float) -> float:
     """log of the largest admissible empty-spot scale r1(n, r0, alpha).
 
     Defining conditions: d1 / log^alpha(1/(r1 d1)) < 1 and
@@ -219,7 +220,7 @@ def empty_spot_scale_log(n: int, r0: float, alpha: float,
         hi *= 2.0
         if hi > 1e9:
             raise RuntimeError("empty-spot bisection failed to bracket")
-    for _ in range(bisect_iters):
+    for _ in range(EMPTY_SPOT_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if admissible(mid):
             hi = mid

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import UNIT_BALL_VOLUME, Plane
-from .varifold import DiscreteVarifold, weight_measure
+from .varifold import DiscreteVarifold, ball_mass, compact, weight_measure
 
 HEIGHT_BOUND_FRACTION = 1.0 / 20.0  # admissible height inside U_2 at unit scale
 MERGE_TOL = 1e-9  # coincidence tolerance, relative to eps
@@ -172,15 +172,7 @@ def nucleate(v: DiscreteVarifold, t_plane: Plane, eps: float,
             seen[key] = fi
             mult[fi] = 1  # the hole sheet carries multiplicity one
 
-    faces = v.faces[keep]
-    mult = mult[keep]
-    used = np.zeros(v.num_vertices, dtype=bool)
-    used[faces.ravel()] = True
-    used |= v.boundary
-    remap = -np.ones(v.num_vertices, dtype=np.int64)
-    remap[used] = np.arange(int(np.sum(used)))
-    return DiscreteVarifold(new_verts[used], remap[faces], mult,
-                            v.boundary[used])
+    return compact(new_verts, v.faces[keep], mult[keep], v.boundary)
 
 
 def _outside_signature(v: DiscreteVarifold, radius: float):
@@ -225,10 +217,7 @@ def verify_nucleation(v_before: DiscreteVarifold, v_after: DiscreteVarifold,
         excess3 = 0.0
     prop3 = excess3 <= 1e-12 * eps
 
-    def ball_ind(p):
-        return (np.linalg.norm(p, axis=1) < 2.0 * eps).astype(float)
-
-    mass4 = weight_measure(v_after, ball_ind, quad_order, subdiv)
+    mass4 = ball_mass(v_after, 0.0, 2.0 * eps, quad_order, subdiv)
     bound4 = (4.0 * eps) ** n * omega * (q + 1)
 
     def hole_ind(p):

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .varifold import (DiscreteVarifold, _face_altitudes,
-                       _face_edge_lengths, _face_measures_normals)
+from .varifold import DiscreteVarifold, _face_altitudes, _face_pass, compact
 
 SPLIT_FACTOR = 2.0
 COLLAPSE_FACTOR = 0.5
@@ -20,7 +19,8 @@ DEGENERATE_REL = 1e-12
 
 
 def _edges_of(faces: np.ndarray):
-    """Sorted vertex-pair edges with owning face ids (duplicates kept)."""
+    """Sorted vertex-pair edges with owning face ids (duplicates kept), in
+    the order of a mesh's ``_edge_lengths().ravel(order="F")``."""
     if faces.shape[1] == 2:
         pairs = faces
         owners = np.arange(len(faces))
@@ -31,9 +31,8 @@ def _edges_of(faces: np.ndarray):
     return np.sort(pairs, axis=1), owners
 
 
-def _split_pass(verts, faces, mult, boundary, median):
+def _split_pass(verts, faces, mult, boundary, median, lengths):
     pairs, owners = _edges_of(faces)
-    lengths = np.linalg.norm(verts[pairs[:, 0]] - verts[pairs[:, 1]], axis=1)
     long_mask = lengths > SPLIT_FACTOR * median
     if not np.any(long_mask):
         return verts, faces, mult, boundary, False
@@ -82,14 +81,13 @@ def _thin_face_edges(verts, faces, median):
     """
     if faces.shape[1] == 2 or len(faces) == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    c = verts[faces]
-    e = _face_edge_lengths(c)
-    alt = _face_altitudes(_face_measures_normals(c)[0], e)
+    rows = _face_pass(verts[faces])
+    alt = _face_altitudes(rows["measures"], rows["edge_lengths"])
     thin = alt < COLLAPSE_FACTOR * median
     if not np.any(thin):
         return np.zeros((0, 2), dtype=np.int64)
     corner_pairs = np.array([[0, 1], [1, 2], [2, 0]])
-    shortest = np.argmin(e[thin], axis=1)
+    shortest = np.argmin(rows["edge_lengths"][thin], axis=1)
     sel = faces[thin]
     out = np.stack([sel[np.arange(len(sel)), corner_pairs[shortest, 0]],
                     sel[np.arange(len(sel)), corner_pairs[shortest, 1]]], axis=1)
@@ -147,9 +145,7 @@ def _collapse_pass(verts, faces, mult, boundary, median):
 
 
 def _drop_degenerate(verts, faces, mult, median):
-    if len(faces) == 0:
-        return faces, mult
-    area = _face_measures_normals(verts[faces])[0]
+    area = _face_pass(verts[faces])["measures"]
     ok = area > DEGENERATE_REL * median ** (faces.shape[1] - 1)
     return faces[ok], mult[ok]
 
@@ -161,16 +157,11 @@ def remesh(v: DiscreteVarifold):
     faces = v.faces.copy()
     mult = v.multiplicity.copy()
     bnd = v.boundary.copy()
-    verts, faces, mult, bnd, did_split = _split_pass(verts, faces, mult, bnd, median)
+    verts, faces, mult, bnd, did_split = _split_pass(
+        verts, faces, mult, bnd, median, v._edge_lengths().ravel(order="F"))
     verts, faces, mult, bnd, did_collapse = _collapse_pass(verts, faces, mult, bnd, median)
     if not (did_split or did_collapse):
         return v, 0.0
     faces, mult = _drop_degenerate(verts, faces, mult, median)
-    used = np.zeros(len(verts), dtype=bool)
-    if len(faces):
-        used[faces.ravel()] = True
-    used |= bnd
-    remap = -np.ones(len(verts), dtype=np.int64)
-    remap[used] = np.arange(int(np.sum(used)))
-    out = DiscreteVarifold(verts[used], remap[faces], mult, bnd[used])
+    out = compact(verts, faces, mult, bnd)
     return out, out.total_mass() - v.total_mass()

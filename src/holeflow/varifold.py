@@ -41,15 +41,15 @@ class DiscreteVarifold:
     Instances are treated as immutable; flow steps and surgeries return new
     objects.  All four arrays are read-only; a writeable input is copied,
     never frozen in place.  A copy made by ``with_vertices`` shares
-    ``faces``, ``multiplicity`` and ``boundary`` with its parent.  Derived
-    geometry is computed once, on first use, and kept in ``_cache``:
+    ``faces``, ``multiplicity`` and ``boundary`` with its parent.
 
-    - face corners, ``(nf, d, d)``;
-    - face measures and, for n = 2, unit normals, both from one cross
-      product per face (the degenerate-face check reads the measures);
-    - edge lengths, ``(nf, edges per face)``, and their minimum and median;
-    - face projectors, when asked for;
-    - lumped vertex masses (``vertex_masses``).
+    Construction keeps in ``_cache`` the face corners ``(nf, d, d)`` and,
+    from one face pass (``_face_pass``), the face measures, unit normals
+    (n = 2 only) and edge lengths ``(nf, edges per face)``; a copy that
+    ``with_vertices`` patched is handed these rows instead.  The
+    degenerate-face check reads the measures.  The minimum and median edge
+    length, the face projectors and the lumped vertex masses
+    (``vertex_masses``) are computed on first use and kept there too.
 
     Every per-face array has one row per face.  Face altitudes are not
     kept: a flow step asks for those of its moving faces only.  Edge
@@ -75,6 +75,9 @@ class DiscreteVarifold:
             raise ValueError("faces must be (nf, ambient_dim) simplices")
         if np.any(self.multiplicity < 1):
             raise ValueError("multiplicities must be >= 1")
+        if not self._cache:  # not patched by ``with_vertices``: build fresh
+            c = self.vertices[self.faces]
+            self._cache.update(corners=c, **_face_pass(c))
         if np.any(self.face_measures() <= 0.0):
             raise ValueError("degenerate face")
 
@@ -96,22 +99,16 @@ class DiscreteVarifold:
 
     def face_corners(self) -> np.ndarray:
         """(nf, d, d) array: corner coordinates of each face."""
-        if "corners" not in self._cache:
-            self._cache["corners"] = self.vertices[self.faces]
         return self._cache["corners"]
 
     def face_measures(self) -> np.ndarray:
         """Area (n=2) or length (n=1) of each face."""
-        if "measures" not in self._cache:
-            m, nu = _face_measures_normals(self.face_corners())
-            self._cache["measures"], self._cache["normals"] = m, nu
         return self._cache["measures"]
 
     def face_normals(self) -> np.ndarray:
         """Unit normals (n=2 only), orientation per stored vertex order."""
         if self.surface_dim != 2:
             raise ValueError("face normals need surface dimension 2")
-        self.face_measures()
         return self._cache["normals"]
 
     def face_projectors(self) -> np.ndarray:
@@ -120,8 +117,7 @@ class DiscreteVarifold:
             return self._cache["projectors"]
         if self.surface_dim == 1:
             c = self.face_corners()
-            t = c[:, 1] - c[:, 0]
-            t /= np.linalg.norm(t, axis=1, keepdims=True)
+            t = (c[:, 1] - c[:, 0]) / self._edge_lengths()
             p = t[:, :, None] * t[:, None, :]
         else:
             nu = self.face_normals()
@@ -133,9 +129,7 @@ class DiscreteVarifold:
         return float(np.sum(self.multiplicity * self.face_measures()))
 
     def _edge_lengths(self) -> np.ndarray:
-        """(nf, edges per face) edge lengths (see ``_face_edge_lengths``)."""
-        if "edge_lengths" not in self._cache:
-            self._cache["edge_lengths"] = _face_edge_lengths(self.face_corners())
+        """(nf, edges per face) edge lengths (see ``_face_pass``)."""
         return self._cache["edge_lengths"]
 
     def min_edge_length(self) -> float:
@@ -186,9 +180,9 @@ class DiscreteVarifold:
         per-corner area-gradient terms.  When more than
         ``FRESH_BUILD_DIRTY_FRACTION`` of the faces have a changed corner
         the copy is built as without ``changed``.  Otherwise its faces with
-        no changed corner take their rows of every per-face array this mesh
-        has cached, the other faces are recomputed by the same row-wise
-        helpers a fresh mesh uses, and every per-vertex sum is still formed
+        no changed corner take this mesh's rows of corners, measures,
+        normals and edge lengths, the other faces are recomputed by the face
+        pass a fresh mesh uses, and every per-vertex sum is still formed
         over all faces in face order.  This patched copy holds the gradient
         terms too: this mesh's, patched in place, or formed in full when it
         had none.  So its geometry is bitwise equal to a fresh mesh's.
@@ -211,25 +205,21 @@ class DiscreteVarifold:
 
     def _patched_rows(self, new_vertices: np.ndarray, dirty: np.ndarray,
                       terms) -> dict:
-        """The cache of a flow step: every per-face array this mesh has
-        cached, with the rows of the faces ``dirty`` (indices) recomputed
-        at ``new_vertices``, and the gradient terms ``terms`` patched in
-        place (formed in full when None)."""
+        """The cache of a flow step: this mesh's face corners and face-pass
+        rows, with the rows of the faces ``dirty`` (indices) recomputed at
+        ``new_vertices``, and the gradient terms ``terms`` patched in place
+        (formed in full when None)."""
         c = new_vertices[self.faces[dirty]]
-        rows = {"corners": c}
-        rows["measures"], rows["normals"] = _face_measures_normals(c)
-        rows["edge_lengths"] = _face_edge_lengths(c)
-        out = {}
+        rows = {"corners": c, **_face_pass(c)}
+        out = {"normals": None}
         for key, new in rows.items():
-            if self._cache.get(key) is not None:
+            if new is not None:  # segments have no normals
                 out[key] = self._cache[key].copy()
                 out[key][dirty] = new
         if terms is None:
-            terms = _corner_gradients(out["corners"], out.get("normals"),
-                                      self.multiplicity)
+            terms = _corner_gradients(out, self.multiplicity)
         else:
-            terms[dirty] = _corner_gradients(c, rows["normals"],
-                                             self.multiplicity[dirty])
+            terms[dirty] = _corner_gradients(rows, self.multiplicity[dirty])
         out["corner_gradients"] = terms
         return out
 
@@ -276,18 +266,24 @@ def weight_measure(v: DiscreteVarifold, phi, quad_order: int = 3,
     return _face_sum(v, vals, w)
 
 
-def density_ratio(v: DiscreteVarifold, center, r: float,
-                  quad_order: int = 3, subdiv: int = MEASUREMENT_SUBDIV) -> float:
-    """||V||(U_r(center)) / (omega_n r^n), clipped at quadrature points."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+def ball_mass(v: DiscreteVarifold, center, r: float, quad_order: int,
+              subdiv: int) -> float:
+    """||V||(U_r(center)), clipped at quadrature points; 0.0: the origin."""
     center = np.asarray(center, dtype=float)
 
     def indicator(p):
         return (np.linalg.norm(p - center, axis=1) < r).astype(float)
 
-    mass = weight_measure(v, indicator, quad_order, subdiv)
-    return mass / (UNIT_BALL_VOLUME[v.surface_dim] * r ** v.surface_dim)
+    return weight_measure(v, indicator, quad_order, subdiv)
+
+
+def density_ratio(v: DiscreteVarifold, center, r: float,
+                  quad_order: int = 3, subdiv: int = MEASUREMENT_SUBDIV) -> float:
+    """||V||(U_r(center)) / (omega_n r^n), clipped at quadrature points."""
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    return (ball_mass(v, center, r, quad_order, subdiv)
+            / (UNIT_BALL_VOLUME[v.surface_dim] * r ** v.surface_dim))
 
 
 def first_variation(v: DiscreteVarifold, g: TestField, quad_order: int = 3) -> float:
@@ -307,6 +303,17 @@ def _face_sum(v: DiscreteVarifold, vals: np.ndarray, w: np.ndarray,
     the faces of the boolean mask keep (all faces when None)."""
     fw = v.multiplicity * v.face_measures()
     return float(np.sum((fw if keep is None else fw[keep]) * (vals @ w)))
+
+
+def compact(vertices: np.ndarray, faces: np.ndarray, multiplicity: np.ndarray,
+            boundary: np.ndarray) -> DiscreteVarifold:
+    """The mesh on the vertices that some face uses or that are flagged
+    boundary, renumbered in their order; the others are dropped."""
+    used = boundary.copy()
+    used[faces.ravel()] = True
+    remap = np.cumsum(used) - 1  # new index of each used vertex
+    return DiscreteVarifold(vertices[used], remap[faces], multiplicity,
+                            boundary[used])
 
 
 def _scatter_add(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -336,26 +343,30 @@ def _owned_read_only(a, dtype) -> np.ndarray:
     return out
 
 
-def _face_measures_normals(c: np.ndarray):
-    """Measures and unit normals (None for n = 1) of faces with corners c
-    (nf, d, d), from one cross product per triangle.  A degenerate
-    triangle gets a nan normal and a measure that is not positive."""
+def _face_pass(c: np.ndarray) -> dict:
+    """Measures, unit normals (None for segments) and (nf, edges per face)
+    edge lengths of faces with corners c (nf, d, d), keyed as ``_cache``.
+
+    Each edge difference is formed once: c1 - c0 per segment (its length
+    is the measure); c1 - c0, c2 - c0 and c1 - c2 per triangle, with one
+    cross product.  Edge columns are 0-1, 1-2 and 2-0: a difference and
+    its negative have the same norm, bit for bit.  A degenerate triangle
+    gets a nan normal and a measure that is not positive.
+    """
+    e01 = c[:, 1] - c[:, 0]
     if c.shape[1] == 2:
-        return np.linalg.norm(c[:, 1] - c[:, 0], axis=1), None
-    n = _cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+        length = np.linalg.norm(e01, axis=1)
+        return {"measures": length, "normals": None,
+                "edge_lengths": length[:, None]}
+    e02 = c[:, 2] - c[:, 0]
+    n = _cross(e01, e02)
     norm = np.linalg.norm(n, axis=1)
+    lengths = np.stack([np.linalg.norm(e01, axis=1),
+                        np.linalg.norm(c[:, 1] - c[:, 2], axis=1),
+                        np.linalg.norm(e02, axis=1)], axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return 0.5 * norm, n / norm[:, None]
-
-
-def _face_edge_lengths(c: np.ndarray) -> np.ndarray:
-    """(nf, edges per face) edge lengths of faces with corners c: columns
-    0-1, 1-2 and 2-0 for triangles, one column for segments."""
-    if c.shape[1] == 2:
-        return np.linalg.norm(c[:, 1] - c[:, 0], axis=1)[:, None]
-    return np.stack([np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
-                     np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
-                     np.linalg.norm(c[:, 0] - c[:, 2], axis=1)], axis=1)
+        return {"measures": 0.5 * norm, "normals": n / norm[:, None],
+                "edge_lengths": lengths}
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -377,17 +388,17 @@ def _face_altitudes(measures: np.ndarray, edge_lengths: np.ndarray):
     return 2.0 * measures / _row_max(edge_lengths)
 
 
-def _corner_gradients(c: np.ndarray, normals, mult: np.ndarray):
+def _corner_gradients(rows: dict, mult: np.ndarray):
     """(nf, d, d) gradient of each face's weighted measure with respect to
-    each of its corners c (nf, d, d); normals as ``_face_measures_normals``
-    returns them, mult the faces' multiplicities."""
+    each of its corners, from face rows keyed as ``_cache`` (corners and
+    the ``_face_pass`` rows); mult the faces' multiplicities."""
+    c = rows["corners"]
     mult = mult.astype(float)[:, None]
     if c.shape[1] == 2:
-        t = c[:, 1] - c[:, 0]
-        t /= np.linalg.norm(t, axis=1, keepdims=True)
+        t = (c[:, 1] - c[:, 0]) / rows["edge_lengths"]
         return np.stack([-mult * t, mult * t], axis=1)
     # d(area)/d(corner j) = 0.5 * (opposite edge as seen from j) x normal
-    return np.stack([0.5 * mult * _cross(c[:, a] - c[:, b], normals)
+    return np.stack([0.5 * mult * _cross(c[:, a] - c[:, b], rows["normals"])
                      for a, b in [(1, 2), (2, 0), (0, 1)]], axis=1)
 
 
@@ -414,9 +425,7 @@ def area_gradient(v: DiscreteVarifold) -> np.ndarray:
     """
     per_corner = v._cache.get("corner_gradients")
     if per_corner is None:
-        per_corner = _corner_gradients(
-            v.face_corners(),
-            v.face_normals() if v.surface_dim == 2 else None, v.multiplicity)
+        per_corner = _corner_gradients(v._cache, v.multiplicity)
     idx = v.faces.ravel()
     return np.column_stack([
         _scatter_add(idx, per_corner[:, :, k].ravel(), v.num_vertices)

@@ -25,6 +25,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             load_config(p)
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, where):
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = -1\n")
+        argv = (["--seed=-1"] if where == "flag" else ["--config", str(p)])
+        with pytest.raises(SystemExit) as err:
+            run_cli("verify", "--suite", "grassmann", *argv)
+        assert err.value.code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_critical_alpha_guard(self):
         cfg = Config(alpha=0.5)
         with pytest.raises(ValueError):
@@ -71,6 +81,20 @@ class TestGenFixture:
         assert err.value.code == 2
         assert "--radius: must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command,out_flag", [("gen-fixture", "--out"),
+                                              ("expanding-holes", "--out"),
+                                              ("experiment", "--out-dir")])
+@pytest.mark.parametrize("spacing", ["nan", "inf", "-inf"])
+def test_non_finite_spacing_is_usage_error(tmp_path, capsys, command,
+                                           out_flag, spacing):
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, f"--spacing={spacing}", out_flag,
+                str(tmp_path / "out"))
+    assert err.value.code == 2
+    assert "--spacing: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestNucleateCommand:

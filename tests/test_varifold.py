@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from holeflow.fixtures import (circle_mesh, cylinder_tube, disk_triangulation,
                                icosphere, make_fixture, square_sheet)
 from holeflow.varifold import (FRESH_BUILD_DIRTY_FRACTION, DiscreteVarifold,
-                               area_gradient, density_ratio, first_variation,
-                               interpolate_vertex_field, mean_curvature,
+                               _face_pass, area_gradient, density_ratio,
+                               first_variation, interpolate_vertex_field,
+                               mean_curvature,
                                parabolic_rescale, perpendicularity_defect,
                                vertex_masses, weight_measure,
                                weighted_first_variation,
@@ -263,6 +264,7 @@ def _direct_geometry(v):
     if v.surface_dim == 1:
         measures = np.linalg.norm(c[:, 1] - c[:, 0], axis=1)
         edges, altitudes, normals = measures, measures, None
+        edge_lengths = measures[:, None]
     else:
         n = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
         measures = 0.5 * np.linalg.norm(n, axis=1)
@@ -271,13 +273,14 @@ def _direct_geometry(v):
                     np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
                     np.linalg.norm(c[:, 0] - c[:, 2], axis=1)]
         edges = np.concatenate(per_edge)
+        edge_lengths = np.stack(per_edge, axis=1)
         altitudes = 2.0 * measures / np.max(np.stack(per_edge), axis=0)
     contrib = v.multiplicity * measures / v.ambient_dim
     masses = np.bincount(v.faces.ravel(),
                          weights=np.repeat(contrib, v.ambient_dim),
                          minlength=v.num_vertices)
     return {"measures": measures, "normals": normals,
-            "min_edge": float(np.min(edges)),
+            "edge_lengths": edge_lengths, "min_edge": float(np.min(edges)),
             "median_edge": float(np.median(edges)),
             "altitudes": altitudes, "masses": masses}
 
@@ -319,6 +322,23 @@ def test_cached_geometry_equals_direct_formulas(kind, nucleated_stack):
     _assert_cached_geometry_matches(v)
 
 
+@pytest.mark.parametrize("kind", ["circle", "sphere", "nucleated"])
+def test_face_pass_equals_independent_formulas(kind, nucleated_stack):
+    # np.cross and the norm of each edge in column order 0-1, 1-2, 2-0, bit
+    # for bit, from the helper and from the arrays a mesh builds with it
+    v = {"circle": lambda: circle_mesh(4),
+         "sphere": lambda: icosphere(2),
+         "nucleated": lambda: nucleated_stack}[kind]()
+    ref = _direct_geometry(v)
+    for rows in (_face_pass(v.vertices[v.faces]), v._cache):
+        _assert_same_bits(rows["measures"], ref["measures"])
+        _assert_same_bits(rows["edge_lengths"], ref["edge_lengths"])
+        if ref["normals"] is None:
+            assert rows["normals"] is None
+        else:
+            _assert_same_bits(rows["normals"], ref["normals"])
+
+
 def test_with_vertices_recomputes_geometry():
     v = icosphere(2)
     _assert_cached_geometry_matches(v)
@@ -343,10 +363,8 @@ def test_with_vertices_shares_read_only_topology():
 
 def _step_parent(v):
     """v as a flow step holds it: patched from a copy of itself, so with
-    its per-corner area-gradient terms, and with its edge lengths cached."""
-    p = v.with_vertices(v.vertices, np.zeros(v.num_vertices, dtype=bool))
-    p.median_edge_length()
-    return p
+    its per-corner area-gradient terms."""
+    return v.with_vertices(v.vertices, np.zeros(v.num_vertices, dtype=bool))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -384,10 +402,11 @@ def test_incremental_geometry_equals_fresh_build(kind, seed, frac, masks, drop,
         _assert_same_bits(area_gradient(parent), before)
         patched = (np.mean(np.any(changed[v.faces], axis=1))
                    <= FRESH_BUILD_DIRTY_FRACTION)
-        # only a copied cache holds edge lengths before they are asked for
-        assert ("edge_lengths" in child._cache) == patched
 
         fresh = DiscreteVarifold(new, v.faces, v.multiplicity, v.boundary)
+        # every mesh, patched or built fresh, holds its edge lengths
+        assert "edge_lengths" in child._cache
+        assert "edge_lengths" in fresh._cache
         _assert_same_bits(child.face_corners(), fresh.face_corners())
         _assert_same_bits(child.face_measures(), fresh.face_measures())
         if v.surface_dim == 2:
