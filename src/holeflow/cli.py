@@ -59,6 +59,9 @@ class Config:
         return 2.0 if self.log_base == "two" else math.e
 
     def validate(self, allow_critical: bool = False) -> None:
+        for name in ("alpha", "r0", "zeta", "delta", "eps", "dt_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha <= 0.5 and not allow_critical:
             raise ValueError("alpha must exceed 1/2 (pass --allow-critical "
                              "to explore the critical exponent)")

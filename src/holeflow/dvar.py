@@ -99,8 +99,8 @@ def read_dvar(path) -> DiscreteVarifold:
             raise DvarParseError(no, "face index out of range")
     verts = np.asarray(vertices, dtype=float).reshape(nv, dim)
     face_arr = np.asarray(faces, dtype=np.int64).reshape(len(faces), dim)
-    measures = _face_pass(verts[face_arr])["measures"]
-    degenerate = np.flatnonzero(~(measures > 0.0))
+    rows = _face_pass(verts, face_arr)  # handed to the mesh, not redone
+    degenerate = np.flatnonzero(~(rows["measures"] > 0.0))
     if len(degenerate):
         raise DvarParseError(face_lines[degenerate[0]], "degenerate face")
     boundary = np.zeros(nv, dtype=bool)
@@ -109,4 +109,4 @@ def read_dvar(path) -> DiscreteVarifold:
             raise DvarParseError(no, f"boundary index {i} out of range")
         boundary[i] = True
     return DiscreteVarifold(verts, face_arr, np.asarray(mults, dtype=np.int64),
-                            boundary)
+                            boundary, rows)

@@ -14,11 +14,11 @@ roundoff (``REST_FLOOR``) is at rest and gets h = 0, so a mesh at rest
 reaches its next snapshot in one step.  A face is active when one of its
 corners has nonzero h; the step-size caps read the altitudes and the
 largest corner |h| of active faces only.  The next mesh is told which
-vertices changed, bit for bit, and recomputes the geometry of the faces
-touching them only, unless most faces did (``with_vertices``); its
-geometry is bitwise that of a full rebuild.  A recorded snapshot, and a
-mesh about to be remeshed, keep their geometry but drop the per-corner
-area-gradient terms that only the next step reads.
+vertices changed, bit for bit.  One face pass forms its face geometry and
+per-corner area-gradient terms on the faces touching them only, or on all
+faces when most did (``with_vertices``), bitwise a full rebuild; its mean
+curvature then only scatters the terms.  A recorded snapshot, and a mesh
+about to be remeshed, keep their geometry but drop the terms.
 """
 
 from __future__ import annotations

@@ -182,7 +182,7 @@ def _outside_signature(v: DiscreteVarifold, radius: float):
     vert_sig = sorted(map(tuple, v.vertices[outside_v]))
     face_sig = []
     for fi in range(v.num_faces):
-        corners = v.vertices[v.faces[fi]]
+        corners = np.take(v.vertices, v.faces[fi], axis=0)
         if np.any(np.linalg.norm(corners, axis=1) > radius):
             face_sig.append((tuple(sorted(map(tuple, corners))),
                              int(v.multiplicity[fi])))

@@ -72,8 +72,9 @@ def _split_pass(verts, faces, mult, boundary, median, lengths):
     return verts, faces, mult, boundary, True
 
 
-def _thin_face_edges(verts, faces, median):
-    """Shortest edges of faces whose altitude is far below the median.
+def _thin_face_edges(faces, rows, median):
+    """Shortest edges of faces (``rows``: their ``_face_pass``) whose
+    altitude is far below the median.
 
     Caps (nearly collinear triangles with moderate edges) are invisible to
     pure edge-length criteria but make the stiffness scale collapse; their
@@ -81,7 +82,6 @@ def _thin_face_edges(verts, faces, median):
     """
     if faces.shape[1] == 2 or len(faces) == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    rows = _face_pass(verts[faces])
     alt = _face_altitudes(rows["measures"], rows["edge_lengths"])
     thin = alt < COLLAPSE_FACTOR * median
     if not np.any(thin):
@@ -94,23 +94,25 @@ def _thin_face_edges(verts, faces, median):
     return np.sort(out, axis=1)
 
 
-def _unique_pairs(pairs: np.ndarray, nv: int) -> np.ndarray:
-    """``np.unique(pairs, axis=0)`` for sorted pairs a < b < nv.
+def _unique_pairs(pairs: np.ndarray, nv: int):
+    """``np.unique(pairs, axis=0, return_index=True)``, pairs a < b < nv.
 
     Sorts the 1-D keys a * nv + b, which order the pairs lexicographically,
     instead of the rows themselves.
     """
-    key = np.unique(pairs[:, 0] * nv + pairs[:, 1])
-    return np.stack([key // nv, key % nv], axis=1)
+    key, first = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_index=True)
+    return np.stack([key // nv, key % nv], axis=1), first
 
 
 def _collapse_pass(verts, faces, mult, boundary, median):
+    rows = _face_pass(verts, faces)
     pairs, _ = _edges_of(faces)
-    pairs = _unique_pairs(pairs, len(verts))
-    lengths = np.linalg.norm(verts[pairs[:, 0]] - verts[pairs[:, 1]], axis=1)
+    pairs, first = _unique_pairs(pairs, len(verts))
+    # an edge's length is the same, bit for bit, in every face that has it
+    lengths = rows["edge_lengths"].ravel(order="F")[first]
     short_mask = lengths < COLLAPSE_FACTOR * median
     cand = pairs[short_mask][np.argsort(lengths[short_mask], kind="stable")]
-    thin = _thin_face_edges(verts, faces, median)
+    thin = _thin_face_edges(faces, rows, median)
     if len(thin):
         cand = np.vstack([cand, thin])
     if len(cand) == 0:
@@ -145,7 +147,7 @@ def _collapse_pass(verts, faces, mult, boundary, median):
 
 
 def _drop_degenerate(verts, faces, mult, median):
-    area = _face_pass(verts[faces])["measures"]
+    area = _face_pass(verts, faces)["measures"]
     ok = area > DEGENERATE_REL * median ** (faces.shape[1] - 1)
     return faces[ok], mult[ok]
 

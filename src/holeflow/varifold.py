@@ -43,21 +43,19 @@ class DiscreteVarifold:
     never frozen in place.  A copy made by ``with_vertices`` shares
     ``faces``, ``multiplicity`` and ``boundary`` with its parent.
 
-    Construction keeps in ``_cache`` the face corners ``(nf, d, d)`` and,
-    from one face pass (``_face_pass``), the face measures, unit normals
-    (n = 2 only) and edge lengths ``(nf, edges per face)``; a copy that
-    ``with_vertices`` patched is handed these rows instead.  The
-    degenerate-face check reads the measures.  The minimum and median edge
-    length, the face projectors and the lumped vertex masses
+    Construction keeps in ``_cache`` the rows of one face pass
+    (``_face_pass``): face corners, measures, unit normals (n = 2) or
+    tangents (n = 1) and edge lengths, one row per face; ``with_vertices``
+    and ``read_dvar`` hand a mesh these rows instead.  The minimum and
+    median edge length, the face projectors and the lumped vertex masses
     (``vertex_masses``) are computed on first use and kept there too.
+    Altitudes, edge vectors and raw cross products are not kept:
+    trajectories hold many snapshots, and those would add to each.
 
-    Every per-face array has one row per face.  Face altitudes are not
-    kept: a flow step asks for those of its moving faces only.  Edge
-    vectors and raw cross products are not kept either: trajectories hold
-    many snapshots, and those arrays would add to every one of them.  A
-    copy that ``with_vertices`` patched from its parent also holds the
-    per-corner area-gradient terms (see there) until its own step, or a
-    recorded snapshot, drops them; no other mesh holds them.
+    Every mesh that ``with_vertices(new, changed)`` makes, a flow step,
+    also holds the per-corner area-gradient terms until its own step, or a
+    recorded snapshot, drops them.  A mesh built without ``changed`` (a
+    fixture, a remeshed or rescaled mesh) holds none.
     """
 
     vertices: np.ndarray
@@ -75,9 +73,8 @@ class DiscreteVarifold:
             raise ValueError("faces must be (nf, ambient_dim) simplices")
         if np.any(self.multiplicity < 1):
             raise ValueError("multiplicities must be >= 1")
-        if not self._cache:  # not patched by ``with_vertices``: build fresh
-            c = self.vertices[self.faces]
-            self._cache.update(corners=c, **_face_pass(c))
+        if not self._cache:  # not handed its face rows: build them
+            self._cache.update(_face_pass(self.vertices, self.faces))
         if np.any(self.face_measures() <= 0.0):
             raise ValueError("degenerate face")
 
@@ -116,8 +113,7 @@ class DiscreteVarifold:
         if "projectors" in self._cache:
             return self._cache["projectors"]
         if self.surface_dim == 1:
-            c = self.face_corners()
-            t = (c[:, 1] - c[:, 0]) / self._edge_lengths()
+            t = self._cache["tangents"]
             p = t[:, :, None] * t[:, None, :]
         else:
             nu = self.face_normals()
@@ -177,23 +173,29 @@ class DiscreteVarifold:
         ``changed`` is a boolean mask over the vertices that must include
         every vertex whose coordinates differ, bit for bit, from this
         mesh's; a flow step passes it.  This mesh then gives up its
-        per-corner area-gradient terms.  When more than
-        ``FRESH_BUILD_DIRTY_FRACTION`` of the faces have a changed corner
-        the copy is built as without ``changed``.  Otherwise its faces with
-        no changed corner take this mesh's rows of corners, measures,
-        normals and edge lengths, the other faces are recomputed by the face
-        pass a fresh mesh uses, and every per-vertex sum is still formed
-        over all faces in face order.  This patched copy holds the gradient
-        terms too: this mesh's, patched in place, or formed in full when it
-        had none.  So its geometry is bitwise equal to a fresh mesh's.
+        per-corner area-gradient terms to the copy.  If it had them and at
+        most ``FRESH_BUILD_DIRTY_FRACTION`` of the faces have a changed
+        corner, the face pass recomputes those faces' rows and terms only,
+        patched into copies of this mesh's rows and into the terms in
+        place.  Otherwise it builds every row and term.  Either way the
+        copy's geometry is bitwise a fresh mesh's.
         """
         cache = {}
         if changed is not None:
             new_vertices = _owned_read_only(new_vertices, float)
             terms = self._leave_step_chain()
             dirty = np.flatnonzero(_row_max(changed[self.faces]))
-            if len(dirty) <= FRESH_BUILD_DIRTY_FRACTION * self.num_faces:
-                cache = self._patched_rows(new_vertices, dirty, terms)
+            if (terms is None or len(dirty)
+                    > FRESH_BUILD_DIRTY_FRACTION * self.num_faces):
+                cache = _face_pass(new_vertices, self.faces, self.multiplicity)
+            else:
+                rows = _face_pass(new_vertices, self.faces[dirty],
+                                  self.multiplicity[dirty])
+                terms[:, dirty] = rows.pop("corner_gradients")
+                cache = {"corner_gradients": terms}
+                for key, new in rows.items():
+                    cache[key] = self._cache[key].copy()
+                    cache[key][dirty] = new
         return DiscreteVarifold(new_vertices, self.faces, self.multiplicity,
                                 self.boundary, cache)
 
@@ -202,26 +204,6 @@ class DiscreteVarifold:
         next flow step patches them, and a recorded snapshot or a mesh
         about to be remeshed must not hold them."""
         return self._cache.pop("corner_gradients", None)
-
-    def _patched_rows(self, new_vertices: np.ndarray, dirty: np.ndarray,
-                      terms) -> dict:
-        """The cache of a flow step: this mesh's face corners and face-pass
-        rows, with the rows of the faces ``dirty`` (indices) recomputed at
-        ``new_vertices``, and the gradient terms ``terms`` patched in place
-        (formed in full when None)."""
-        c = new_vertices[self.faces[dirty]]
-        rows = {"corners": c, **_face_pass(c)}
-        out = {"normals": None}
-        for key, new in rows.items():
-            if new is not None:  # segments have no normals
-                out[key] = self._cache[key].copy()
-                out[key][dirty] = new
-        if terms is None:
-            terms = _corner_gradients(out, self.multiplicity)
-        else:
-            terms[dirty] = _corner_gradients(rows, self.multiplicity[dirty])
-        out["corner_gradients"] = terms
-        return out
 
 
 @dataclass(frozen=True)
@@ -343,41 +325,63 @@ def _owned_read_only(a, dtype) -> np.ndarray:
     return out
 
 
-def _face_pass(c: np.ndarray) -> dict:
-    """Measures, unit normals (None for segments) and (nf, edges per face)
-    edge lengths of faces with corners c (nf, d, d), keyed as ``_cache``.
+def _face_pass(vertices: np.ndarray, faces: np.ndarray, mult=None) -> dict:
+    """Face rows keyed as ``_cache``: corners (nf, d, d), measures, unit
+    normals (n = 2) or tangents (n = 1), edge lengths (nf, edges per face)
+    in columns 0-1, 1-2, 2-0 and, given the multiplicities ``mult``, the
+    per-corner area-gradient terms (d, nf, corners), coordinate-major:
+    0.5 m (c_a - c_b) x normal at the corner opposite edge a-b, -m t and
+    m t on a segment.  A degenerate face's measure is not positive.
 
-    Each edge difference is formed once: c1 - c0 per segment (its length
-    is the measure); c1 - c0, c2 - c0 and c1 - c2 per triangle, with one
-    cross product.  Edge columns are 0-1, 1-2 and 2-0: a difference and
-    its negative have the same norm, bit for bit.  A degenerate triangle
-    gets a nan normal and a measure that is not positive.
+    Works on coordinate columns (strided views of the corners).  Forms
+    c1 - c0, c2 - c0, c1 - c2 and, for the terms, c0 - c1 once each, never
+    a negation, so signed zeros match; norms add the squares in
+    ``np.linalg.norm``'s order and cross products take ``np.cross``'s
+    products, so every row is bitwise the direct formula's.
     """
-    e01 = c[:, 1] - c[:, 0]
-    if c.shape[1] == 2:
-        length = np.linalg.norm(e01, axis=1)
-        return {"measures": length, "normals": None,
-                "edge_lengths": length[:, None]}
-    e02 = c[:, 2] - c[:, 0]
-    n = _cross(e01, e02)
-    norm = np.linalg.norm(n, axis=1)
-    lengths = np.stack([np.linalg.norm(e01, axis=1),
-                        np.linalg.norm(c[:, 1] - c[:, 2], axis=1),
-                        np.linalg.norm(e02, axis=1)], axis=1)
+    c = np.take(vertices, faces, axis=0)
+    nf, d = c.shape[0], c.shape[2]
+    x = [[c[:, k, a] for a in range(d)] for k in range(d)]
+
+    def edge(i, j):
+        return [x[i][a] - x[j][a] for a in range(d)]
+
+    def norm(e):
+        s = e[0] * e[0] + e[1] * e[1]
+        return np.sqrt(s if d == 2 else s + e[2] * e[2])
+
+    def cross(a, b):
+        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0]]
+
+    rows = {"corners": c}
+    if mult is not None:
+        m = mult.astype(float)
+        g = rows["corner_gradients"] = np.empty((d, nf, d))
+    e01 = edge(1, 0)
+    if d == 2:
+        length = norm(e01)
+        with np.errstate(invalid="ignore"):
+            t = [e / length for e in e01]
+        rows.update(measures=length, tangents=np.stack(t, axis=1),
+                    edge_lengths=length[:, None])
+        if mult is not None:
+            for a in range(d):
+                g[a, :, 0], g[a, :, 1] = -m * t[a], m * t[a]
+        return rows
+    e02, e12 = edge(2, 0), edge(1, 2)
+    n = cross(e01, e02)
+    area2 = norm(n)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return {"measures": 0.5 * norm, "normals": n / norm[:, None],
-                "edge_lengths": lengths}
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of two (m, 3) arrays.
-
-    The same products and differences as ``np.cross``, so the results are
-    bitwise equal, without its per-call shape handling.
-    """
-    return np.column_stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-                            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-                            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]])
+        nu = [na / area2 for na in n]
+    rows.update(measures=0.5 * area2, normals=np.stack(nu, axis=1),
+                edge_lengths=np.stack([norm(e01), norm(e12), norm(e02)], 1))
+    if mult is not None:
+        half_m = 0.5 * m
+        for k, e in enumerate((e12, e02, edge(0, 1))):
+            for a, ga in enumerate(cross(e, nu)):
+                np.multiply(half_m, ga, out=g[a, :, k])
+    return rows
 
 
 def _face_altitudes(measures: np.ndarray, edge_lengths: np.ndarray):
@@ -386,20 +390,6 @@ def _face_altitudes(measures: np.ndarray, edge_lengths: np.ndarray):
     if edge_lengths.shape[1] == 1:
         return measures
     return 2.0 * measures / _row_max(edge_lengths)
-
-
-def _corner_gradients(rows: dict, mult: np.ndarray):
-    """(nf, d, d) gradient of each face's weighted measure with respect to
-    each of its corners, from face rows keyed as ``_cache`` (corners and
-    the ``_face_pass`` rows); mult the faces' multiplicities."""
-    c = rows["corners"]
-    mult = mult.astype(float)[:, None]
-    if c.shape[1] == 2:
-        t = (c[:, 1] - c[:, 0]) / rows["edge_lengths"]
-        return np.stack([-mult * t, mult * t], axis=1)
-    # d(area)/d(corner j) = 0.5 * (opposite edge as seen from j) x normal
-    return np.stack([0.5 * mult * _cross(c[:, a] - c[:, b], rows["normals"])
-                     for a, b in [(1, 2), (2, 0), (0, 1)]], axis=1)
 
 
 def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
@@ -419,17 +409,17 @@ def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
 def area_gradient(v: DiscreteVarifold) -> np.ndarray:
     """Gradient of total (multiplicity-weighted) mass wrt vertex positions.
 
-    Reads the per-corner terms a flow step patched into ``v``
-    (``with_vertices``); on any other mesh, such as a snapshot being
-    measured, they are formed and not kept.
+    Scatters the per-corner terms a flow step holds (``with_vertices``),
+    one coordinate row at a time in face order; on any other mesh, such as
+    a snapshot being measured, a face pass forms them and they are not kept.
     """
-    per_corner = v._cache.get("corner_gradients")
-    if per_corner is None:
-        per_corner = _corner_gradients(v._cache, v.multiplicity)
+    terms = v._cache.get("corner_gradients")
+    if terms is None:
+        terms = _face_pass(v.vertices, v.faces,
+                           v.multiplicity)["corner_gradients"]
     idx = v.faces.ravel()
-    return np.column_stack([
-        _scatter_add(idx, per_corner[:, :, k].ravel(), v.num_vertices)
-        for k in range(v.ambient_dim)])
+    return np.column_stack([_scatter_add(idx, row.ravel(), v.num_vertices)
+                            for row in terms])
 
 
 def mean_curvature(v: DiscreteVarifold) -> np.ndarray:
@@ -495,7 +485,8 @@ def interpolate_vertex_field(v: DiscreteVarifold, field: np.ndarray,
     """Barycentric interpolation of a per-vertex vector field (nv, k) to
     quadrature points: (nk, m, k) on the faces of the boolean mask keep
     (all faces when None)."""
-    return bary @ field[v.faces if keep is None else v.faces[keep]]
+    return bary @ np.take(field, v.faces if keep is None else v.faces[keep],
+                          axis=0)
 
 
 def _normal_part(v: DiscreteVarifold, vecs: np.ndarray, keep=None):

@@ -35,6 +35,24 @@ class TestConfig:
         assert err.value.code == 2
         assert "seed must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["alpha", "r0", "zeta", "delta", "eps",
+                                     "dt_factor"])
+    def test_non_finite_float_is_usage_error(self, tmp_path, capsys, key,
+                                             value, where):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{key} = {value}\n")
+        flag = "--" + key.replace("_", "-")
+        argv = ([f"{flag}={value}"] if where == "flag"
+                else ["--config", str(p)])
+        out = tmp_path / "out.dvar"
+        with pytest.raises(SystemExit) as err:
+            run_cli("gen-fixture", "--out", str(out), *argv)
+        assert err.value.code == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_critical_alpha_guard(self):
         cfg = Config(alpha=0.5)
         with pytest.raises(ValueError):

@@ -270,10 +270,11 @@ class TestRemesh:
         faces = np.array([rng.choice(nv, d, replace=False)
                           for _ in range(nf)], dtype=np.int64)
         pairs, _ = _edges_of(faces)
-        got = _unique_pairs(pairs, nv)
-        want = np.unique(pairs, axis=0)
+        got, first = _unique_pairs(pairs, nv)
+        want, want_first = np.unique(pairs, axis=0, return_index=True)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+        assert np.array_equal(first, want_first)
 
 
 def _jittered_sheet(seed, level, amp):

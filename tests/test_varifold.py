@@ -261,10 +261,12 @@ def test_interpolate_vertex_field(sphere4):
 def _direct_geometry(v):
     """The cached geometry recomputed with the direct formulas it replaced."""
     c = v.vertices[v.faces]
+    tangents = None
     if v.surface_dim == 1:
         measures = np.linalg.norm(c[:, 1] - c[:, 0], axis=1)
         edges, altitudes, normals = measures, measures, None
         edge_lengths = measures[:, None]
+        tangents = (c[:, 1] - c[:, 0]) / edge_lengths
     else:
         n = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
         measures = 0.5 * np.linalg.norm(n, axis=1)
@@ -279,7 +281,7 @@ def _direct_geometry(v):
     masses = np.bincount(v.faces.ravel(),
                          weights=np.repeat(contrib, v.ambient_dim),
                          minlength=v.num_vertices)
-    return {"measures": measures, "normals": normals,
+    return {"measures": measures, "normals": normals, "tangents": tangents,
             "edge_lengths": edge_lengths, "min_edge": float(np.min(edges)),
             "median_edge": float(np.median(edges)),
             "altitudes": altitudes, "masses": masses}
@@ -330,13 +332,62 @@ def test_face_pass_equals_independent_formulas(kind, nucleated_stack):
          "sphere": lambda: icosphere(2),
          "nucleated": lambda: nucleated_stack}[kind]()
     ref = _direct_geometry(v)
-    for rows in (_face_pass(v.vertices[v.faces]), v._cache):
+    for rows in (_face_pass(v.vertices, v.faces), v._cache):
+        _assert_same_bits(rows["corners"], v.vertices[v.faces])
         _assert_same_bits(rows["measures"], ref["measures"])
         _assert_same_bits(rows["edge_lengths"], ref["edge_lengths"])
         if ref["normals"] is None:
-            assert rows["normals"] is None
+            assert "normals" not in rows
+            _assert_same_bits(rows["tangents"], ref["tangents"])
         else:
+            assert "tangents" not in rows
             _assert_same_bits(rows["normals"], ref["normals"])
+
+
+def _direct_gradient_terms(v):
+    """(d, nf, corners) per-corner area-gradient terms from the direct
+    formulas: 0.5 m (c_a - c_b) x normal for (a, b) in (1, 2), (2, 0),
+    (0, 1) on triangles, -m t and m t on segments."""
+    c = v.vertices[v.faces]
+    m = v.multiplicity.astype(float)[:, None]
+    if v.surface_dim == 1:
+        e = c[:, 1] - c[:, 0]
+        t = e / np.linalg.norm(e, axis=1, keepdims=True)
+        per_corner = np.stack([-m * t, m * t], axis=1)
+    else:
+        n = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+        nu = n / np.linalg.norm(n, axis=1, keepdims=True)
+        per_corner = np.stack([0.5 * m * np.cross(c[:, a] - c[:, b], nu)
+                               for a, b in [(1, 2), (2, 0), (0, 1)]], axis=1)
+    return np.ascontiguousarray(per_corner.transpose(2, 0, 1))
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "nucleated"])
+@pytest.mark.parametrize("patched", [True, False])
+def test_gradient_terms_equal_direct_formula(kind, patched, nucleated_stack):
+    # the terms a step mesh holds, patched from its parent's or formed in
+    # full, and those the helper forms, are the direct formula's bit for
+    # bit, signed zeros included: the moves keep z, so the flat sheets of
+    # the nucleated stack keep their zero z differences
+    v = {"circle": lambda: circle_mesh(4),
+         "sphere": lambda: icosphere(2),
+         "nucleated": lambda: nucleated_stack}[kind]()
+    rng = np.random.default_rng(7)
+    parent = _step_parent(v)
+    terms = parent._cache["corner_gradients"]
+    moved = rng.random(v.num_vertices) < (0.05 if patched else 1.0)
+    jitter = 1e-3 * v.median_edge_length() * rng.uniform(-1.0, 1.0,
+                                                         v.vertices.shape)
+    jitter[:, 2:] = 0.0
+    new = np.where(moved[:, None], v.vertices + jitter, v.vertices)
+    child = parent.with_vertices(new, moved)
+    assert (child._cache["corner_gradients"] is terms) == patched
+    ref = _direct_gradient_terms(child)
+    if kind == "nucleated":
+        assert np.any((ref == 0.0) & np.signbit(ref))
+    _assert_same_bits(child._cache["corner_gradients"], ref)
+    _assert_same_bits(_face_pass(child.vertices, child.faces,
+                                 child.multiplicity)["corner_gradients"], ref)
 
 
 def test_with_vertices_recomputes_geometry():
@@ -362,8 +413,8 @@ def test_with_vertices_shares_read_only_topology():
 
 
 def _step_parent(v):
-    """v as a flow step holds it: patched from a copy of itself, so with
-    its per-corner area-gradient terms."""
+    """v as a flow step holds it: made by ``with_vertices`` with a mask of
+    changed vertices, so with its per-corner area-gradient terms."""
     return v.with_vertices(v.vertices, np.zeros(v.num_vertices, dtype=bool))
 
 
@@ -396,12 +447,13 @@ def test_incremental_geometry_equals_fresh_build(kind, seed, frac, masks, drop,
                    "superset": moved | (rng.random(v.num_vertices) < 0.05),
                    "all": np.ones(v.num_vertices, dtype=bool)}[mask]
         before = area_gradient(parent)
+        terms = parent._cache.get("corner_gradients")
         child = parent.with_vertices(new, changed)
         assert "corner_gradients" not in parent._cache
         assert "altitudes" not in parent._cache
         _assert_same_bits(area_gradient(parent), before)
-        patched = (np.mean(np.any(changed[v.faces], axis=1))
-                   <= FRESH_BUILD_DIRTY_FRACTION)
+        dirty = np.mean(np.any(changed[v.faces], axis=1))
+        patched = terms is not None and dirty <= FRESH_BUILD_DIRTY_FRACTION
 
         fresh = DiscreteVarifold(new, v.faces, v.multiplicity, v.boundary)
         # every mesh, patched or built fresh, holds its edge lengths
@@ -419,9 +471,12 @@ def test_incremental_geometry_equals_fresh_build(kind, seed, frac, masks, drop,
         _assert_same_bits(vertex_masses(child), vertex_masses(fresh))
         _assert_same_bits(area_gradient(child), area_gradient(fresh))
         _assert_same_bits(mean_curvature(child), mean_curvature(fresh))
-        # a patched step holds the gradient terms for the next; a mesh
-        # built fresh does not, and area_gradient stores none
-        assert ("corner_gradients" in child._cache) == patched
+        # every step mesh holds the gradient terms for the next, its
+        # parent's patched in place or formed in full; a mesh built fresh
+        # holds none, and area_gradient stores none
+        assert (child._cache["corner_gradients"] is terms) == patched
+        _assert_same_bits(child._cache["corner_gradients"],
+                          _direct_gradient_terms(fresh))
         assert "corner_gradients" not in fresh._cache
         parent = child
 
