@@ -18,7 +18,7 @@ import numpy as np
 
 from .geom import UNIT_BALL_VOLUME, Plane
 from .kernels import CutoffProfile, cylindrical_cutoff
-from .varifold import (DiscreteVarifold, _face_sum, _normal_part, _row_max,
+from .varifold import (DiscreteVarifold, _normal_part, _quad_sums, _row_max,
                        ball_mass, interpolate_vertex_field, mean_curvature,
                        weight_measure, MEASUREMENT_SUBDIV)
 from .flow import FlowTrajectory
@@ -50,12 +50,12 @@ def curvature_l2_sq(v: DiscreteVarifold, h_field: np.ndarray, weight_fn,
                     quad_order: int = 3,
                     subdiv: int = MEASUREMENT_SUBDIV) -> float:
     """Integral of |h|^2 * w(x) with vertex-interpolated h."""
-    if v.num_faces == 0:
-        return 0.0
-    pts, bary, w = v.quad_points(quad_order, subdiv)
-    wt = weight_fn(pts.reshape(-1, v.ambient_dim)).reshape(v.num_faces, -1)
-    hq = interpolate_vertex_field(v, h_field, bary)
-    return _face_sum(v, wt * np.sum(hq * hq, axis=2), w)
+    def integrand(pts, bary, sel):
+        wt = weight_fn(pts.reshape(-1, v.ambient_dim)).reshape(pts.shape[:2])
+        hq = interpolate_vertex_field(v, h_field, bary, sel)
+        return [wt * np.sum(hq * hq, axis=2)]
+
+    return _quad_sums(v, quad_order, subdiv, integrand)[0]
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,6 @@ class ExpandingHolesConfig:
 
 def support_annulus_violation(v: DiscreteVarifold, cfg: ExpandingHolesConfig) -> bool:
     """True when some face vertex falls in the forbidden normal annulus."""
-    if v.num_faces == 0:
-        return False
     used = np.unique(v.faces.ravel())
     heights = cfg.t_plane.normal_norm(v.vertices[used])
     return bool(np.any((heights > cfg.rhat1) & (heights < cfg.rhat2)))
@@ -143,28 +141,26 @@ def _window_pass(v: DiscreteVarifold, cfg: ExpandingHolesConfig, t: float,
     big_r = cfg.radius_at(t)
     plane = cfg.t_plane
     keep = _faces_reaching(v, plane.tangential_norm(v.vertices), big_r)
-    pts, bary, w = v.quad_points(cfg.quad_order, cfg.subdiv, keep)
-    tx = plane.apply(pts)
-    s = np.linalg.norm(tx, axis=-1)
-    height = plane.normal_norm(pts)
-    chi = cfg.profile.value(s / big_r)
-    # grad chi = chi'(|Tx|/R) Tx / (R |Tx|), zero on the axis
-    coef = np.zeros_like(s)
-    nz = s > 0
-    coef[nz] = cfg.profile.d1(s[nz] / big_r) / (big_r * s[nz])
-    grad = 2.0 * chi[..., None] * (coef[..., None] * tx)
-    grad_perp = _normal_part(v, grad, keep)
-    hq = interpolate_vertex_field(v, h_field, bary, keep)
-    h_sq = np.sum(hq * hq, axis=-1)
-    chi_sq = chi ** 2
 
-    def integral(f):
-        return _face_sum(v, f, w, keep)
+    def integrand(pts, bary, sel):
+        tx = plane.apply(pts)
+        s = np.linalg.norm(tx, axis=-1)
+        height = plane.normal_norm(pts)
+        chi = cfg.profile.value(s / big_r)
+        # grad chi = chi'(|Tx|/R) Tx / (R |Tx|), zero on the axis
+        coef = np.zeros_like(s)
+        nz = s > 0
+        coef[nz] = cfg.profile.d1(s[nz] / big_r) / (big_r * s[nz])
+        grad = 2.0 * chi[..., None] * (coef[..., None] * tx)
+        grad_perp = _normal_part(v, grad, sel)
+        hq = interpolate_vertex_field(v, h_field, bary, sel)
+        h_sq = np.sum(hq * hq, axis=-1)
+        chi_sq = chi ** 2
+        return (-chi_sq * h_sq + np.sum(hq * grad_perp, axis=-1),
+                height ** 2 * (s < big_r), chi_sq * h_sq,
+                chi_sq * (height <= cfg.rhat1 * (1.0 + 1e-12)))
 
-    return (integral(-chi_sq * h_sq + np.sum(hq * grad_perp, axis=-1)),
-            integral(height ** 2 * (s < big_r)),
-            integral(chi_sq * h_sq),
-            integral(chi_sq * (height <= cfg.rhat1 * (1.0 + 1e-12))))
+    return _quad_sums(v, cfg.quad_order, cfg.subdiv, integrand, keep)
 
 
 def dissipation_check(v: DiscreteVarifold, cfg: ExpandingHolesConfig,
@@ -318,22 +314,26 @@ def gaussian_density_sup(traj: FlowTrajectory, r0: float, eps: float,
 
     Empirical stand-in for the heat-kernel-weighted density bound; the value
     is the experiment's operative density constant E0.  Per snapshot the
-    quadrature points of the faces reaching the ball U_r0 are placed once
-    and every radius is read from their distances.
+    quadrature points of the faces reaching the ball U_r0 are placed once,
+    one block at a time, and every radius is read from their distances.
     """
     if not 0 < eps <= r0:
         raise ValueError("need 0 < eps <= r0")
     radii = np.geomspace(eps, r0, DENSITY_RADII)
+
+    def integrand(pts, bary, sel):
+        dist = np.linalg.norm(pts, axis=-1)
+        return [(dist < r).astype(float) for r in radii]
+
     out = 0.0
     for t, v in zip(traj.times, traj.snapshots):
         if t > r0 * r0 * (1 + 1e-12):
             continue
         keep = _faces_reaching(v, np.linalg.norm(v.vertices, axis=1),
                                np.max(radii))
-        pts, _, w = v.quad_points(quad_order, MEASUREMENT_SUBDIV, keep)
-        dist = np.linalg.norm(pts, axis=-1)
+        masses = _quad_sums(v, quad_order, MEASUREMENT_SUBDIV, integrand,
+                            keep)
         n = v.surface_dim
-        for r in radii:
-            mass = _face_sum(v, (dist < r).astype(float), w, keep)
+        for r, mass in zip(radii, masses):
             out = max(out, mass / (UNIT_BALL_VOLUME[n] * r ** n))
     return out

@@ -17,8 +17,8 @@ largest corner |h| of active faces only.  The next mesh is told which
 vertices changed, bit for bit.  One face pass forms its face geometry and
 per-corner area-gradient terms on the faces touching them only, or on all
 faces when most did (``with_vertices``), bitwise a full rebuild; its mean
-curvature then only scatters the terms.  A recorded snapshot, and a mesh
-about to be remeshed, keep their geometry but drop the terms.
+curvature, like a remeshed mesh's, only scatters the terms.  A recorded
+snapshot and a mesh about to be remeshed drop the terms.
 """
 
 from __future__ import annotations

@@ -177,15 +177,12 @@ def nucleate(v: DiscreteVarifold, t_plane: Plane, eps: float,
 
 def _outside_signature(v: DiscreteVarifold, radius: float):
     """Multisets describing the mesh outside the closed ball of given radius."""
-    dist = np.linalg.norm(v.vertices, axis=1)
-    outside_v = dist > radius
-    vert_sig = sorted(map(tuple, v.vertices[outside_v]))
-    face_sig = []
-    for fi in range(v.num_faces):
-        corners = np.take(v.vertices, v.faces[fi], axis=0)
-        if np.any(np.linalg.norm(corners, axis=1) > radius):
-            face_sig.append((tuple(sorted(map(tuple, corners))),
-                             int(v.multiplicity[fi])))
+    outside_v = np.linalg.norm(v.vertices, axis=1) > radius
+    vert_sig = sorted(map(tuple, v.vertices[outside_v].tolist()))
+    corners = v.face_corners()
+    far = np.any(np.linalg.norm(corners, axis=2) > radius, axis=1)
+    face_sig = [(tuple(sorted(map(tuple, c))), m) for c, m in
+                zip(corners[far].tolist(), v.multiplicity[far].tolist())]
     return vert_sig, sorted(face_sig)
 
 

@@ -13,6 +13,8 @@ cylinder indicators) without touching the mesh.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # degree-4 six-point triangle rule (two symmetric orbits)
@@ -70,8 +72,9 @@ def _subdivide_triangle(bary: np.ndarray, weights: np.ndarray, levels: int):
     return bary, weights
 
 
+@functools.lru_cache(maxsize=None)
 def simplex_rule(n: int, order: int, subdiv: int = 0):
-    """Barycentric points and weights for an n-simplex rule.
+    """Cached, read-only barycentric points and weights for an n-simplex rule.
 
     order in {1, 2, 3}; subdiv >= 0 uniform refinement levels for quadrature.
     """
@@ -83,4 +86,6 @@ def simplex_rule(n: int, order: int, subdiv: int = 0):
             bary, weights = _subdivide_segment(bary, weights, subdiv)
         else:
             bary, weights = _subdivide_triangle(bary, weights, subdiv)
-    return bary.copy(), weights.copy()
+    bary.setflags(write=False)
+    weights.setflags(write=False)
+    return bary, weights

@@ -147,9 +147,12 @@ def _collapse_pass(verts, faces, mult, boundary, median):
 
 
 def _drop_degenerate(verts, faces, mult, median):
-    area = _face_pass(verts, faces)["measures"]
-    ok = area > DEGENERATE_REL * median ** (faces.shape[1] - 1)
-    return faces[ok], mult[ok]
+    """Non-degenerate faces, their multiplicities and ``_face_pass`` rows."""
+    rows = _face_pass(verts, faces, mult)
+    ok = rows["measures"] > DEGENERATE_REL * median ** (faces.shape[1] - 1)
+    rows = {key: row.compress(ok, axis=1 if key == "corner_gradients" else 0)
+            for key, row in rows.items()}
+    return faces[ok], mult[ok], rows
 
 
 def remesh(v: DiscreteVarifold):
@@ -164,6 +167,6 @@ def remesh(v: DiscreteVarifold):
     verts, faces, mult, bnd, did_collapse = _collapse_pass(verts, faces, mult, bnd, median)
     if not (did_split or did_collapse):
         return v, 0.0
-    faces, mult = _drop_degenerate(verts, faces, mult, median)
-    out = compact(verts, faces, mult, bnd)
+    faces, mult, rows = _drop_degenerate(verts, faces, mult, median)
+    out = compact(verts, faces, mult, bnd, rows)
     return out, out.total_mass() - v.total_mass()

@@ -28,6 +28,12 @@ MEASUREMENT_SUBDIV = 2  # default virtual refinement for clipped/cutoff integral
 # fresh build.
 FRESH_BUILD_DIRTY_FRACTION = 0.5
 
+# Most quadrature points ``_quad_sums`` places at a time.  A window_l4 call
+# (2-core x86-64, median of 8) took 0.757 / 0.746 / 0.820 / 0.816 s at 2^12
+# / 2^13 / 2^14 / 2^15 points per block and 0.819 s in one block, with 9k /
+# 17k / 97k / 103k / 105k page faults: past 2^13 each block refaults pages.
+QUAD_BLOCK_POINTS = 2 ** 13
+
 
 @dataclass
 class DiscreteVarifold:
@@ -44,18 +50,17 @@ class DiscreteVarifold:
     ``faces``, ``multiplicity`` and ``boundary`` with its parent.
 
     Construction keeps in ``_cache`` the rows of one face pass
-    (``_face_pass``): face corners, measures, unit normals (n = 2) or
-    tangents (n = 1) and edge lengths, one row per face; ``with_vertices``
-    and ``read_dvar`` hand a mesh these rows instead.  The minimum and
-    median edge length, the face projectors and the lumped vertex masses
-    (``vertex_masses``) are computed on first use and kept there too.
-    Altitudes, edge vectors and raw cross products are not kept:
-    trajectories hold many snapshots, and those would add to each.
+    (``_face_pass``): face measures, unit normals (n = 2) or tangents
+    (n = 1) and edge lengths; ``with_vertices``, ``compact`` and
+    ``read_dvar`` hand a mesh these rows instead.  The minimum and median
+    edge length and the lumped vertex masses (``vertex_masses``) are kept
+    there on first use.  Face corners, projectors, altitudes and quadrature
+    points are formed on demand: trajectories hold many snapshots.
 
-    Every mesh that ``with_vertices(new, changed)`` makes, a flow step,
-    also holds the per-corner area-gradient terms until its own step, or a
-    recorded snapshot, drops them.  A mesh built without ``changed`` (a
-    fixture, a remeshed or rescaled mesh) holds none.
+    Every mesh that ``with_vertices(new, changed)`` (a flow step) or
+    ``remesh`` rebuilds holds the per-corner area-gradient terms until
+    its own step, or a recorded snapshot, drops them.  A mesh built
+    otherwise (a fixture, a rescaled mesh) holds none.
     """
 
     vertices: np.ndarray
@@ -94,9 +99,11 @@ class DiscreteVarifold:
     def num_faces(self) -> int:
         return self.faces.shape[0]
 
-    def face_corners(self) -> np.ndarray:
-        """(nf, d, d) array: corner coordinates of each face."""
-        return self._cache["corners"]
+    def face_corners(self, keep=None) -> np.ndarray:
+        """(nk, d, d) corner coordinates of all faces or of the faces that
+        ``keep`` (a boolean mask or an index) selects.  Not cached."""
+        return np.take(self.vertices,
+                       self.faces if keep is None else self.faces[keep], axis=0)
 
     def face_measures(self) -> np.ndarray:
         """Area (n=2) or length (n=1) of each face."""
@@ -108,18 +115,14 @@ class DiscreteVarifold:
             raise ValueError("face normals need surface dimension 2")
         return self._cache["normals"]
 
-    def face_projectors(self) -> np.ndarray:
-        """(nf, d, d) orthogonal projectors onto face tangent planes."""
-        if "projectors" in self._cache:
-            return self._cache["projectors"]
-        if self.surface_dim == 1:
-            t = self._cache["tangents"]
-            p = t[:, :, None] * t[:, None, :]
-        else:
-            nu = self.face_normals()
-            p = np.eye(3)[None, :, :] - nu[:, :, None] * nu[:, None, :]
-        self._cache["projectors"] = p
-        return p
+    def face_projectors(self, keep=None) -> np.ndarray:
+        """(nk, d, d) orthogonal projectors onto the tangent planes of all
+        faces or of the faces ``keep`` selects: t t (n = 1) or I - nu nu
+        (n = 2) from the cached rows.  Not cached."""
+        key = "tangents" if self.surface_dim == 1 else "normals"
+        u = self._cache[key] if keep is None else self._cache[key][keep]
+        uu = u[:, :, None] * u[:, None, :]
+        return uu if self.surface_dim == 1 else np.eye(3)[None, :, :] - uu
 
     def total_mass(self) -> float:
         return float(np.sum(self.multiplicity * self.face_measures()))
@@ -152,16 +155,11 @@ class DiscreteVarifold:
         return self._cache["median_edge"]
 
     def quad_points(self, quad_order: int, subdiv: int = 0, keep=None):
-        """Quadrature points and rule weights on all faces or a face mask.
-
-        Returns (points (nk, m, d), bary (m, d), weights (m,)) for the nk
-        faces selected by the boolean mask ``keep`` (all faces when None);
-        the integral of f is ``_face_sum(v, f(points), weights, keep)``.
-        Not cached: placing the points is one matmul.
-        """
+        """(points (nk, m, d), bary (m, d), weights (m,)) of the rule on the
+        faces that ``keep`` (a boolean mask or an index) selects, all faces
+        when None.  Not cached: ``_quad_sums`` places one block at a time."""
         bary, w = simplex_rule(self.surface_dim, quad_order, subdiv)
-        c = self.face_corners()
-        return bary @ (c if keep is None else c[keep]), bary, w
+        return bary @ self.face_corners(keep), bary, w
 
     def with_vertices(self, new_vertices: np.ndarray,
                       changed=None) -> "DiscreteVarifold":
@@ -241,11 +239,10 @@ def weight_measure(v: DiscreteVarifold, phi, quad_order: int = 3,
     phi maps an (m, d) array of points to (m,) values; exact for face-wise
     polynomials of degree <= quad_order.
     """
-    if v.num_faces == 0:
-        return 0.0
-    pts, _, w = v.quad_points(quad_order, subdiv)
-    vals = phi(pts.reshape(-1, v.ambient_dim)).reshape(v.num_faces, -1)
-    return _face_sum(v, vals, w)
+    def integrand(pts, bary, sel):
+        return [phi(pts.reshape(-1, v.ambient_dim)).reshape(pts.shape[:2])]
+
+    return _quad_sums(v, quad_order, subdiv, integrand)[0]
 
 
 def ball_mass(v: DiscreteVarifold, center, r: float, quad_order: int,
@@ -270,32 +267,52 @@ def density_ratio(v: DiscreteVarifold, center, r: float,
 
 def first_variation(v: DiscreteVarifold, g: TestField, quad_order: int = 3) -> float:
     """delta V(g) = integral of div^S g over the varifold."""
-    if v.num_faces == 0:
-        return 0.0
-    pts, _, w = v.quad_points(quad_order)
-    jac = g.jacobian_fn(pts.reshape(-1, v.ambient_dim))
-    jac = jac.reshape(v.num_faces, -1, v.ambient_dim, v.ambient_dim)
-    div = np.einsum("fmab,fab->fm", jac, v.face_projectors())
-    return _face_sum(v, div, w)
+    def integrand(pts, bary, sel):
+        jac = g.jacobian_fn(pts.reshape(-1, v.ambient_dim))
+        jac = jac.reshape(pts.shape + (v.ambient_dim,))
+        return [np.einsum("fmab,fab->fm", jac, v.face_projectors(sel))]
+
+    return _quad_sums(v, quad_order, 0, integrand)[0]
 
 
-def _face_sum(v: DiscreteVarifold, vals: np.ndarray, w: np.ndarray,
-              keep=None) -> float:
-    """sum_f mult_f measure_f sum_i w_i vals[f, i], vals (nk, m) given on
-    the faces of the boolean mask keep (all faces when None)."""
-    fw = v.multiplicity * v.face_measures()
-    return float(np.sum((fw if keep is None else fw[keep]) * (vals @ w)))
+def _quad_sums(v: DiscreteVarifold, quad_order: int, subdiv: int, integrand,
+               keep=None) -> list:
+    """Face-weighted quadrature sums of k integrands on the faces of the
+    boolean mask ``keep`` (all faces when None), one block of faces at a
+    time: ``integrand(points (b, m, d), bary (m, d), sel)``, ``sel`` the
+    block's faces as an index, returns k (b, m) arrays of values at the
+    points ``v.quad_points(quad_order, subdiv, sel)`` placed.  Sum j is
+    sum_f mult_f measure_f sum_i w_i vals_j[f, i].
+
+    A block holds at most ``QUAD_BLOCK_POINTS`` points but a multiple of
+    four faces, and a lone last face joins the block before it: the BLAS
+    kernel of ``vals @ w`` sums rows in fours in another order than the
+    rows left over, and one row takes yet another path.  So each face gets
+    the bits of one product over all faces, whatever the block size.
+    """
+    idx = np.arange(v.num_faces) if keep is None else np.flatnonzero(keep)
+    m = len(simplex_rule(v.surface_dim, quad_order, subdiv)[1])
+    step = 4 * max(1, QUAD_BLOCK_POINTS // (4 * m))
+    cuts = [0, *range(step, len(idx) - 1, step), len(idx)]
+    sums = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        sel = slice(lo, hi) if keep is None else idx[lo:hi]
+        pts, bary, w = v.quad_points(quad_order, subdiv, sel)
+        sums.append([vals @ w for vals in integrand(pts, bary, sel)])
+    fw = (v.multiplicity * v.face_measures())[idx]
+    return [float(np.sum(fw * per)) for per in np.concatenate(sums, axis=1)]
 
 
 def compact(vertices: np.ndarray, faces: np.ndarray, multiplicity: np.ndarray,
-            boundary: np.ndarray) -> DiscreteVarifold:
+            boundary: np.ndarray, rows=None) -> DiscreteVarifold:
     """The mesh on the vertices that some face uses or that are flagged
-    boundary, renumbered in their order; the others are dropped."""
+    boundary, renumbered in their order (the others are dropped), holding
+    ``rows``, the faces' ``_face_pass``, which renumbering leaves as is."""
     used = boundary.copy()
     used[faces.ravel()] = True
     remap = np.cumsum(used) - 1  # new index of each used vertex
     return DiscreteVarifold(vertices[used], remap[faces], multiplicity,
-                            boundary[used])
+                            boundary[used], rows or {})
 
 
 def _scatter_add(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -326,9 +343,9 @@ def _owned_read_only(a, dtype) -> np.ndarray:
 
 
 def _face_pass(vertices: np.ndarray, faces: np.ndarray, mult=None) -> dict:
-    """Face rows keyed as ``_cache``: corners (nf, d, d), measures, unit
-    normals (n = 2) or tangents (n = 1), edge lengths (nf, edges per face)
-    in columns 0-1, 1-2, 2-0 and, given the multiplicities ``mult``, the
+    """Face rows keyed as ``_cache``: measures, unit normals (n = 2) or
+    tangents (n = 1), edge lengths (nf, edges per face) in columns 0-1,
+    1-2, 2-0 and, given the multiplicities ``mult``, the
     per-corner area-gradient terms (d, nf, corners), coordinate-major:
     0.5 m (c_a - c_b) x normal at the corner opposite edge a-b, -m t and
     m t on a segment.  A degenerate face's measure is not positive.
@@ -354,7 +371,7 @@ def _face_pass(vertices: np.ndarray, faces: np.ndarray, mult=None) -> dict:
         return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
                 a[0] * b[1] - a[1] * b[0]]
 
-    rows = {"corners": c}
+    rows = {}
     if mult is not None:
         m = mult.astype(float)
         g = rows["corner_gradients"] = np.empty((d, nf, d))
@@ -409,7 +426,7 @@ def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
 def area_gradient(v: DiscreteVarifold) -> np.ndarray:
     """Gradient of total (multiplicity-weighted) mass wrt vertex positions.
 
-    Scatters the per-corner terms a flow step holds (``with_vertices``),
+    Scatters the per-corner terms a flow step or a remeshed mesh holds,
     one coordinate row at a time in face order; on any other mesh, such as
     a snapshot being measured, a face pass forms them and they are not kept.
     """
@@ -448,9 +465,8 @@ def vertex_projectors(v: DiscreteVarifold) -> np.ndarray:
     """
     d = v.ambient_dim
     fw = v.multiplicity * v.face_measures()
-    fp = v.face_projectors()
     idx = v.faces.ravel()
-    wfp = np.repeat(fw[:, None, None] * fp, d, axis=0)
+    wfp = np.repeat(fw[:, None, None] * v.face_projectors(), d, axis=0)
     acc = np.zeros((v.num_vertices, d, d))
     for a in range(d):
         for b in range(d):
@@ -483,33 +499,31 @@ def perpendicularity_defect(v: DiscreteVarifold, h_field: np.ndarray,
 def interpolate_vertex_field(v: DiscreteVarifold, field: np.ndarray,
                              bary: np.ndarray, keep=None) -> np.ndarray:
     """Barycentric interpolation of a per-vertex vector field (nv, k) to
-    quadrature points: (nk, m, k) on the faces of the boolean mask keep
-    (all faces when None)."""
+    quadrature points: (nk, m, k) on the faces that keep (a boolean mask or
+    an index) selects, all faces when None."""
     return bary @ np.take(field, v.faces if keep is None else v.faces[keep],
                           axis=0)
 
 
 def _normal_part(v: DiscreteVarifold, vecs: np.ndarray, keep=None):
     """S_perp applied to per-point vectors (nk, m, d) on the faces of keep."""
-    p = v.face_projectors()
-    perp = np.eye(v.ambient_dim) - (p if keep is None else p[keep])
+    perp = np.eye(v.ambient_dim) - v.face_projectors(keep)
     return vecs @ perp.transpose(0, 2, 1)
 
 
 def _weighted_variation(v, phi_value, phi_gradient, h_field, quad_order,
                         subdiv, project) -> float:
     """integral of (-phi |h|^2 + h . G) d||V||, G = grad phi or S_perp of it."""
-    if v.num_faces == 0:
-        return 0.0
-    pts, bary, w = v.quad_points(quad_order, subdiv)
-    flat = pts.reshape(-1, v.ambient_dim)
-    phi = phi_value(flat).reshape(v.num_faces, -1)
-    grad = phi_gradient(flat).reshape(v.num_faces, -1, v.ambient_dim)
-    if project:
-        grad = _normal_part(v, grad)
-    hq = interpolate_vertex_field(v, h_field, bary)
-    return _face_sum(v, -phi * np.sum(hq * hq, axis=2)
-                     + np.sum(hq * grad, axis=2), w)
+    def integrand(pts, bary, sel):
+        flat = pts.reshape(-1, v.ambient_dim)
+        phi = phi_value(flat).reshape(pts.shape[:2])
+        grad = phi_gradient(flat).reshape(pts.shape)
+        if project:
+            grad = _normal_part(v, grad, sel)
+        hq = interpolate_vertex_field(v, h_field, bary, sel)
+        return [-phi * np.sum(hq * hq, axis=2) + np.sum(hq * grad, axis=2)]
+
+    return _quad_sums(v, quad_order, subdiv, integrand)[0]
 
 
 def weighted_first_variation(v: DiscreteVarifold, phi_value, phi_gradient,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,13 @@ from holeflow.kernels import (cylindrical_cutoff, cylindrical_cutoff_gradient,
                               make_profile)
 from holeflow.nucleation import nucleate
 from holeflow.quadrature import simplex_rule
-from holeflow.varifold import (DiscreteVarifold, _row_max, density_ratio,
-                               mean_curvature, parabolic_rescale,
-                               weight_measure, weighted_first_variation_perp)
+from holeflow import varifold
+from holeflow.testfunctions import bump_test_field
+from holeflow.varifold import (DiscreteVarifold, _quad_sums, _row_max, compact,
+                               density_ratio, first_variation, mean_curvature,
+                               parabolic_rescale, weight_measure,
+                               weighted_first_variation,
+                               weighted_first_variation_perp)
 
 EPS = 0.05
 
@@ -300,6 +305,99 @@ class TestCulledPasses:
                    for v in traj.snapshots
                    for r in np.geomspace(eps, r0, 12))
         assert _rel(got, want) <= 1e-12
+
+
+class TestBlockedQuadrature:
+    """Every quadrature integral is bitwise the same whatever the number of
+    points ``_quad_sums`` places at a time, and its memory stays bounded."""
+
+    @pytest.fixture(scope="class")
+    def window_mesh(self, t_plane):
+        # 741 = 4 * 185 + 1 faces: blocks of 4 and of 20 faces leave one
+        # face over, blocks of 28 leave 13
+        v0 = make_fixture("perturbed_stack", 2, 3, radius=4 * EPS,
+                          spacing=0.06)
+        v = parabolic_rescale(nucleate(v0, t_plane, EPS), EPS)
+        return compact(v.vertices, v.faces[:741], v.multiplicity[:741],
+                       v.boundary)
+
+    def _integrals(self, v, t_plane):
+        cfg = ExpandingHolesConfig(t_plane=t_plane, profile=make_profile(0.1),
+                                   subdiv=3)
+        h = mean_curvature(v)
+        field = bump_test_field(np.zeros(3), 2.0, np.diag([1.0, -0.5, 2.0]),
+                                np.array([0.1, 0.2, -0.3]))
+
+        def phi(p):
+            return np.exp(-np.sum(p * p, axis=1))
+
+        def grad(p):
+            return -2.0 * phi(p)[:, None] * p
+
+        traj = FlowTrajectory(times=[0.0, 0.5], snapshots=[
+            v, parabolic_rescale(v, 1.3)], cumulative_dissipation=[0.0, 0.0],
+            ledger=[], policy=DtPolicy())
+        out = {"weight_measure": weight_measure(v, phi, 3, 2),
+               "first_variation": first_variation(v, field),
+               "weighted": weighted_first_variation(v, phi, grad, h, 3, 1),
+               "weighted_perp": weighted_first_variation_perp(
+                   v, phi, grad, h, 3, 1),
+               "curvature_l2": curvature_l2_sq(v, h, phi),
+               "density_sup": gaussian_density_sup(traj, 1.0, 0.3)}
+        for t in (cfg.t1, cfg.t2):
+            out.update({f"{key}@{t}": x for key, x in dissipation_check(
+                v, cfg, t, h).items() if isinstance(x, float)})
+        return {key: x.hex() for key, x in out.items()}
+
+    def test_block_size_does_not_change_any_bit(self, window_mesh, t_plane,
+                                                monkeypatch):
+        monkeypatch.setattr(varifold, "QUAD_BLOCK_POINTS", 2**40)
+        one_block = self._integrals(window_mesh, t_plane)
+        # 1 point: one face, rounded up to four; then 20 and 28 faces at
+        # subdiv 3, 384 points per face
+        for points in (1, 20 * 384, 28 * 384):
+            monkeypatch.setattr(varifold, "QUAD_BLOCK_POINTS", points)
+            assert self._integrals(window_mesh, t_plane) == one_block, points
+
+    def test_every_face_sum_is_that_of_one_product(self, window_mesh,
+                                                   monkeypatch):
+        # one integrand per face, zero off it: a face whose rule sum moves
+        # by one bit with the blocks changes its integral.  The last face is
+        # the one that blocks leaving one face over would move, on about 70 %
+        # of random rows, so several draws are made.
+        v = window_mesh
+        m = len(simplex_rule(2, 3, 1)[1])
+        faces = [0, 1, 2, 3, 4, 370] + list(range(v.num_faces - 9,
+                                                  v.num_faces))
+        for seed in range(5):
+            vals = np.random.default_rng(seed).standard_normal(
+                (v.num_faces, m))
+
+            def integrand(pts, bary, sel):
+                ids = np.arange(v.num_faces)[sel]
+                return [vals[sel] * (ids == f)[:, None] for f in faces]
+
+            monkeypatch.setattr(varifold, "QUAD_BLOCK_POINTS", 2**40)
+            one_block = [x.hex() for x in _quad_sums(v, 3, 1, integrand)]
+            for points in (1, 20 * m, 28 * m):
+                monkeypatch.setattr(varifold, "QUAD_BLOCK_POINTS", points)
+                assert [x.hex() for x in _quad_sums(v, 3, 1, integrand)] \
+                    == one_block, (seed, points)
+
+    def test_subdiv5_window_pass_memory(self, t_plane):
+        v0 = make_fixture("perturbed_stack", 2, 4, radius=4 * EPS,
+                          spacing=0.06)
+        v = parabolic_rescale(nucleate(v0, t_plane, EPS), EPS)
+        cfg = ExpandingHolesConfig(t_plane=t_plane, profile=make_profile(0.1),
+                                   subdiv=5)
+        h = mean_curvature(v)
+        tracemalloc.start()
+        try:
+            assert dissipation_check(v, cfg, cfg.t2, h)["pass"]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -13,7 +13,7 @@ from holeflow.flow import (REST_FLOOR, DtPolicy, ResolutionExhausted,
                            sphere_barrier_from_scale, SphereBarrier)
 from holeflow.remesh import DEGENERATE_REL, _edges_of, _unique_pairs, remesh
 from holeflow.testfunctions import bump_scalar_test, random_scalar_test
-from holeflow.varifold import mean_curvature, weight_measure
+from holeflow.varifold import _face_pass, mean_curvature, weight_measure
 from holeflow.kernels import make_profile
 
 
@@ -326,6 +326,22 @@ class TestRemeshProperties:
         used = np.zeros(out.num_vertices, dtype=bool)
         used[out.faces.ravel()] = True
         assert np.all(used | out.boundary)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**REMESH_CASES)
+    def test_rebuilt_mesh_holds_its_face_pass(self, seed, level, amp):
+        # the rows the pass hands over, gradient terms included, are bitwise
+        # those of a face pass on the rebuilt mesh, and contiguous like them
+        # (each step scatters and patches the terms in place)
+        v = _jittered_sheet(seed, level, amp)
+        out, _ = remesh(v)
+        assume(out is not v)
+        fresh = _face_pass(out.vertices, out.faces, out.multiplicity)
+        assert sorted(out._cache) == sorted(fresh)
+        for key, row in fresh.items():
+            assert out._cache[key].shape == row.shape
+            assert out._cache[key].flags.c_contiguous
+            assert out._cache[key].tobytes() == row.tobytes(), key
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(**REMESH_CASES)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from holeflow import verify
 from holeflow.fixtures import disk_triangulation, make_fixture
-from holeflow.nucleation import (GrowthEnvelope, SquashMap, envelope_check,
+from holeflow.nucleation import (GrowthEnvelope, SquashMap,
+                                 _outside_signature, envelope_check,
                                  envelope_value, nucleate, squash_point,
                                  squash_points, verify_nucleation)
 from holeflow.varifold import DiscreteVarifold
@@ -148,6 +149,40 @@ class TestNucleate:
         far1 = {tuple(x) for x in va.vertices[
             np.linalg.norm(va.vertices, axis=1) > 2 * EPS]}
         assert far0 == far1
+
+    def test_outside_signature_equals_face_loop(self, t_plane):
+        # the signature from one gather against the per-face loop it
+        # replaced, on a nucleated stack and on a copy that differs from it
+        # in the multiplicity of one outside face
+        def loop_signature(v, radius):
+            dist = np.linalg.norm(v.vertices, axis=1)
+            vert_sig = sorted(map(tuple, v.vertices[dist > radius]))
+            face_sig = []
+            for fi in range(v.num_faces):
+                corners = np.take(v.vertices, v.faces[fi], axis=0)
+                if np.any(np.linalg.norm(corners, axis=1) > radius):
+                    face_sig.append((tuple(sorted(map(tuple, corners))),
+                                     int(v.multiplicity[fi])))
+            return vert_sig, sorted(face_sig)
+
+        v0 = make_fixture("perturbed_stack", 2, 3, radius=4 * EPS,
+                          spacing=0.06)
+        va = nucleate(v0, t_plane, EPS)
+        dist = np.linalg.norm(va.face_corners(), axis=2)
+        outside = np.flatnonzero(np.min(dist, axis=1) > 2 * EPS)
+        mult = va.multiplicity.copy()
+        mult[outside[len(outside) // 2]] += 1
+        vb = DiscreteVarifold(va.vertices, va.faces, mult, va.boundary)
+        for v in (v0, va, vb):
+            assert (_outside_signature(v, 2 * EPS)
+                    == loop_signature(v, 2 * EPS))
+        assert _outside_signature(va, 2 * EPS) != _outside_signature(
+            vb, 2 * EPS)
+        envelope = GrowthEnvelope(alpha=0.51, r0=0.1)
+        assert verify_nucleation(v0, va, t_plane, EPS, envelope,
+                                 2)["prop1_local"]
+        assert not verify_nucleation(v0, vb, t_plane, EPS, envelope,
+                                     2)["prop1_local"]
 
     def test_support_of_difference_is_local(self, t_plane):
         v0 = make_fixture("flat_stack", 2, 4, radius=4 * EPS,
