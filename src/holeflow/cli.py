@@ -38,6 +38,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOLUTION = 3
 
+LEDGER_COLUMNS = ["t", "mass", "dissipation", "min_edge", "remesh_delta"]
+
 
 @dataclass
 class Config:
@@ -51,7 +53,6 @@ class Config:
     eps: float = 0.05
     mesh_level: int = 5
     dt_factor: float = 0.1
-    quad_order: int = 3
     seed: int = 0
     log_base: str = "natural"
 
@@ -68,8 +69,8 @@ class Config:
         for name in ("r0", "zeta", "delta", "eps", "dt_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.Q < 1 or self.mesh_level < 1 or self.quad_order not in (1, 2, 3):
-            raise ValueError("invalid Q, mesh_level, or quad_order")
+        if self.Q < 1 or self.mesh_level < 1:
+            raise ValueError("invalid Q or mesh_level")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.log_base not in ("natural", "two"):
@@ -148,7 +149,7 @@ def cmd_gen_fixture(cfg: Config, args) -> int:
     v = make_fixture(args.kind, cfg.Q, cfg.mesh_level, radius=radius,
                      spacing=args.spacing)
     write_dvar(v, args.out)
-    ratio = density_ratio(v, np.zeros(3), radius / 2.0, cfg.quad_order)
+    ratio = density_ratio(v, np.zeros(3), radius / 2.0)
     print(f"wrote {args.out}: {v.num_vertices} vertices, {v.num_faces} faces, "
           f"mass {v.total_mass():.6g}, density ratio at origin {ratio:.4f}")
     return EXIT_OK
@@ -164,7 +165,7 @@ def cmd_nucleate(cfg: Config, args) -> int:
         return EXIT_CHECK_FAILED
     write_dvar(va, args.out)
     env = GrowthEnvelope(alpha=cfg.alpha, r0=cfg.r0)
-    rep = verify_nucleation(v0, va, t_plane, cfg.eps, env, cfg.Q, cfg.quad_order)
+    rep = verify_nucleation(v0, va, t_plane, cfg.eps, env, cfg.Q)
     ok = nucleation_passes(rep)
     for k, v in rep.items():
         print(f"  {k} = {v}")
@@ -179,16 +180,10 @@ def cmd_evolve(cfg: Config, args) -> int:
     header = output_header(cfg, [Path(args.mesh).read_bytes()])
     policy = DtPolicy(c_stab=cfg.dt_factor)
     times = np.linspace(0.0, args.t_end, args.snapshots)
-    try:
-        traj = evolve(v0, args.t_end, policy, snapshot_times=times)
-    except ResolutionExhausted as e:
-        print(f"aborted: {e}", file=sys.stderr)
-        return EXIT_RESOLUTION
+    traj = evolve(v0, args.t_end, policy, snapshot_times=times)
     for i, (t, v) in enumerate(zip(traj.times, traj.snapshots)):
         write_dvar(v, out_dir / f"snapshot_{i:04d}.dvar")
-    write_table(out_dir / "ledger.csv", header,
-                ["t", "mass", "dissipation", "min_edge", "remesh_delta"],
-                traj.ledger)
+    write_table(out_dir / "ledger.csv", header, LEDGER_COLUMNS, traj.ledger)
     print(f"evolved to t={args.t_end:g} in {len(traj.ledger)} steps; "
           f"ledger {'valid' if traj.valid else 'INVALID: ' + traj.invalid_reason}")
     return EXIT_OK if traj.valid else EXIT_CHECK_FAILED
@@ -220,16 +215,10 @@ def cmd_expanding_holes(cfg: Config, args) -> int:
     except ValueError as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    try:
-        traj = evolve(va, window_end(cfg.eps, 1),
-                      DtPolicy(c_stab=cfg.dt_factor),
-                      snapshot_times=window_times(cfg.eps, 1))
-    except ResolutionExhausted as e:
-        print(f"aborted: {e}", file=sys.stderr)
-        return EXIT_RESOLUTION
+    traj = evolve(va, window_end(cfg.eps, 1), DtPolicy(c_stab=cfg.dt_factor),
+                  snapshot_times=window_times(cfg.eps, 1))
     run_cfg = ExpandingHolesConfig(t_plane=t_plane,
-                                   profile=make_profile(cfg.zeta),
-                                   quad_order=cfg.quad_order)
+                                   profile=make_profile(cfg.zeta))
     rep = expanding_holes_run(rescaled_window(traj, cfg.eps, 1), run_cfg)
     meta = {"config": config_echo(cfg),
             "inputs_sha1": git_blob_sha1(config_echo(cfg).encode())}
@@ -272,12 +261,9 @@ def cmd_experiment(cfg: Config, args) -> int:
         eps=cfg.eps, j=args.j, q=cfg.Q, alpha=cfg.alpha, r0=cfg.r0,
         zeta=cfg.zeta, delta=cfg.delta, mesh_level=cfg.mesh_level,
         kind=args.kind, spacing=args.spacing, dt_factor=cfg.dt_factor,
-        quad_order=cfg.quad_order, log_base=cfg.log_base_value())
+        log_base=cfg.log_base_value())
     try:
         res = orchestrate(exp_cfg, keep_trajectory=True)
-    except ResolutionExhausted as e:
-        print(f"aborted: {e}", file=sys.stderr)
-        return EXIT_RESOLUTION
     except ValueError as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -289,8 +275,7 @@ def cmd_experiment(cfg: Config, args) -> int:
                                        if r["M_empirical"] is not None
                                        else float("nan"))}
                  for r in res.rows])
-    write_table(out_dir / "ledger.csv", header,
-                ["t", "mass", "dissipation", "min_edge", "remesh_delta"],
+    write_table(out_dir / "ledger.csv", header, LEDGER_COLUMNS,
                 res.trajectory.ledger)
     for h, rep in enumerate(res.reports, start=1):
         (out_dir / f"excess_report_h{h}.json").write_text(
@@ -461,6 +446,9 @@ def main(argv=None) -> int:
     except DvarParseError as e:
         print(f"mesh parse error: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except ResolutionExhausted as e:
+        print(f"aborted: {e}", file=sys.stderr)
+        return EXIT_RESOLUTION
 
 
 if __name__ == "__main__":

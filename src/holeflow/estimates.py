@@ -20,7 +20,7 @@ from .geom import UNIT_BALL_VOLUME, Plane
 from .kernels import CutoffProfile, cylindrical_cutoff
 from .varifold import (DiscreteVarifold, _normal_part, _quad_sums, _row_max,
                        ball_mass, interpolate_vertex_field, mean_curvature,
-                       weight_measure, MEASUREMENT_SUBDIV)
+                       weight_measure, MEASUREMENT_SUBDIV, QUAD_ORDER)
 from .flow import FlowTrajectory
 
 DISSIPATION_COEF = 320.0          # rho^2 R^-4 mu^2 coefficient in the bound
@@ -33,7 +33,6 @@ DENSITY_RADII = 12                # radii of the gaussian_density_sup sweep
 
 
 def height_excess_sq(v: DiscreteVarifold, t_plane: Plane, big_r: float,
-                     quad_order: int = 3,
                      subdiv: int = MEASUREMENT_SUBDIV) -> float:
     """Integral of |T_perp(x)|^2 over the cylinder C(T, 0, R)."""
     if big_r <= 0:
@@ -43,11 +42,11 @@ def height_excess_sq(v: DiscreteVarifold, t_plane: Plane, big_r: float,
         inside = t_plane.tangential_norm(p) < big_r
         return t_plane.normal_norm(p) ** 2 * inside
 
-    return weight_measure(v, integrand, quad_order, subdiv)
+    return weight_measure(v, integrand, subdiv=subdiv)
 
 
 def curvature_l2_sq(v: DiscreteVarifold, h_field: np.ndarray, weight_fn,
-                    quad_order: int = 3,
+                    quad_order: int = QUAD_ORDER,
                     subdiv: int = MEASUREMENT_SUBDIV) -> float:
     """Integral of |h|^2 * w(x) with vertex-interpolated h."""
     def integrand(pts, bary, sel):
@@ -78,7 +77,6 @@ class ExpandingHolesConfig:
     r2: float = math.sqrt(2.0)
     rhat1: float = math.sqrt(2.0)
     rhat2: float = 2.0
-    quad_order: int = 3
     subdiv: int = MEASUREMENT_SUBDIV
 
     def __post_init__(self):
@@ -112,7 +110,7 @@ def slab_weighted_mass(v: DiscreteVarifold, cfg: ExpandingHolesConfig,
         slab = cfg.t_plane.normal_norm(p) <= cfg.rhat1 * (1.0 + 1e-12)
         return chi ** 2 * slab
 
-    return weight_measure(v, integrand, cfg.quad_order, cfg.subdiv)
+    return weight_measure(v, integrand, subdiv=cfg.subdiv)
 
 
 def _faces_reaching(v: DiscreteVarifold, vertex_dist: np.ndarray,
@@ -160,7 +158,7 @@ def _window_pass(v: DiscreteVarifold, cfg: ExpandingHolesConfig, t: float,
                 height ** 2 * (s < big_r), chi_sq * h_sq,
                 chi_sq * (height <= cfg.rhat1 * (1.0 + 1e-12)))
 
-    return _quad_sums(v, cfg.quad_order, cfg.subdiv, integrand, keep)
+    return _quad_sums(v, QUAD_ORDER, cfg.subdiv, integrand, keep)
 
 
 def dissipation_check(v: DiscreteVarifold, cfg: ExpandingHolesConfig,
@@ -201,15 +199,10 @@ class ExcessReport:
     alpha_sq: list
     mass_ratio_start: float
     mass_ratio_end: float
-    bound_rhs: float
     empirical_M: Optional[float]
     mu_bar_sq: float = 0.0
     dissipation: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
-
-    @property
-    def ratio_gain(self) -> float:
-        return self.mass_ratio_end - self.mass_ratio_start
 
     @property
     def dissipation_ok(self) -> bool:
@@ -246,41 +239,37 @@ def expanding_holes_run(traj: FlowTrajectory,
     ratio_start = checks[0]["slab_mass"] / cfg.r1**k
     ratio_end = checks[-1]["slab_mass"] / cfg.r2**k
 
-    log_ratio = math.log(cfg.r2 / cfg.r1)
+    emp_m = None
     if mu_bar_sq > MU_FLOOR:
-        emp_m = (ratio_end - ratio_start) / (mu_bar_sq * log_ratio)
-    else:
-        emp_m = None
-    bound_rhs = ratio_start + (emp_m or 0.0) * mu_bar_sq * log_ratio
+        emp_m = ((ratio_end - ratio_start)
+                 / (mu_bar_sq * math.log(cfg.r2 / cfg.r1)))
     return ExcessReport(
         times=list(times), mu_sq=mu_sq, alpha_sq=alpha_sq,
         mass_ratio_start=ratio_start, mass_ratio_end=ratio_end,
-        bound_rhs=bound_rhs, empirical_M=emp_m, mu_bar_sq=mu_bar_sq,
-        dissipation=checks,
+        empirical_M=emp_m, mu_bar_sq=mu_bar_sq, dissipation=checks,
         config={"t1": cfg.t1, "t2": cfg.t2, "R1": cfg.r1, "R2": cfg.r2,
                 "Rhat1": cfg.rhat1, "Rhat2": cfg.rhat2, "sigma": cfg.sigma,
                 "zeta": cfg.profile.zeta, "rho": cfg.profile.rho},
     )
 
 
-def ball_height_excess_sq(v: DiscreteVarifold, t_plane: Plane, r: float,
-                          quad_order: int = 3,
-                          subdiv: int = MEASUREMENT_SUBDIV) -> float:
+def ball_height_excess_sq(v: DiscreteVarifold, t_plane: Plane,
+                          r: float) -> float:
     def integrand(p):
         inside = np.linalg.norm(p, axis=1) < r
         return t_plane.normal_norm(p) ** 2 * inside
 
-    return weight_measure(v, integrand, quad_order, subdiv)
+    return weight_measure(v, integrand, subdiv=MEASUREMENT_SUBDIV)
 
 
 def l2_height_bound_check(traj: FlowTrajectory, t_plane: Plane, r: float,
-                          big_l: float, c_const: float = HEIGHT_BOUND_CONST,
-                          quad_order: int = 3) -> dict:
+                          big_l: float) -> dict:
     """Uniform-in-time L^2 height bound over [0, r^2] in the ball U_r.
 
     lhs = sup_t r^-(k+2) integral_{U_r} |T_perp|^2 d||V_t||
     rhs = e^(1/4) r^-(k+2) integral_{U_Lr} |T_perp|^2 d||V_0||
-          + c L^(k+2) exp(-(L-1)^2/8) sup_t ||V_t||(U_Lr) / (Lr)^k.
+          + c L^(k+2) exp(-(L-1)^2/8) sup_t ||V_t||(U_Lr) / (Lr)^k,
+    c = HEIGHT_BOUND_CONST.
     Also reports the minimal constant in place of c closing the inequality.
     """
     if big_l < 2:
@@ -291,16 +280,15 @@ def l2_height_bound_check(traj: FlowTrajectory, t_plane: Plane, r: float,
     if not times or times[-1] < t_max * (1 - 1e-9):
         raise ValueError("trajectory too short for the height bound window")
 
-    lhs = max(ball_height_excess_sq(traj.snapshot_at(t), t_plane, r, quad_order)
+    lhs = max(ball_height_excess_sq(traj.snapshot_at(t), t_plane, r)
               for t in times) / r ** (k + 2)
 
     first = math.exp(0.25) * ball_height_excess_sq(
-        traj.snapshots[0], t_plane, big_l * r, quad_order) / r ** (k + 2)
-    sup_mass_ratio = max(
-        ball_mass(traj.snapshot_at(t), 0.0, big_l * r, quad_order,
-                  MEASUREMENT_SUBDIV) for t in times) / (big_l * r) ** k
+        traj.snapshots[0], t_plane, big_l * r) / r ** (k + 2)
+    sup_mass_ratio = max(ball_mass(traj.snapshot_at(t), 0.0, big_l * r)
+                         for t in times) / (big_l * r) ** k
     decay = big_l ** (k + 2) * math.exp(-(big_l - 1.0) ** 2 / 8.0)
-    rhs = first + c_const * decay * sup_mass_ratio
+    rhs = first + HEIGHT_BOUND_CONST * decay * sup_mass_ratio
     min_c = ((lhs - first) / (decay * sup_mass_ratio)
              if decay * sup_mass_ratio > 0 else 0.0)
     tol = 1e-9 + 0.01 * abs(rhs)
@@ -308,8 +296,8 @@ def l2_height_bound_check(traj: FlowTrajectory, t_plane: Plane, r: float,
             "min_c": min_c, "first_term": first, "L": big_l}
 
 
-def gaussian_density_sup(traj: FlowTrajectory, r0: float, eps: float,
-                         quad_order: int = 3) -> float:
+def gaussian_density_sup(traj: FlowTrajectory, r0: float,
+                         eps: float) -> float:
     """sup over times in [0, r0^2] and radii in [eps, r0] of the density ratio.
 
     Empirical stand-in for the heat-kernel-weighted density bound; the value
@@ -331,7 +319,7 @@ def gaussian_density_sup(traj: FlowTrajectory, r0: float, eps: float,
             continue
         keep = _faces_reaching(v, np.linalg.norm(v.vertices, axis=1),
                                np.max(radii))
-        masses = _quad_sums(v, quad_order, MEASUREMENT_SUBDIV, integrand,
+        masses = _quad_sums(v, QUAD_ORDER, MEASUREMENT_SUBDIV, integrand,
                             keep)
         n = v.surface_dim
         for r, mass in zip(radii, masses):

@@ -192,7 +192,7 @@ def evolve(v0: DiscreteVarifold, t_end: float,
 
 
 def brakke_inequality_test(traj: FlowTrajectory, phi: ScalarTest,
-                           t1: float, t2: float, quad_order: int = 3) -> float:
+                           t1: float, t2: float) -> float:
     """Slack of the integral flow inequality between two recorded times.
 
     slack = RHS - LHS with
@@ -211,7 +211,7 @@ def brakke_inequality_test(traj: FlowTrajectory, phi: ScalarTest,
 
     def mass_at(i):
         v = traj.snapshots[i]
-        return weight_measure(v, lambda p: phi.value_fn(p, times[i]), quad_order)
+        return weight_measure(v, lambda p: phi.value_fn(p, times[i]))
 
     lhs = mass_at(sel[-1]) - mass_at(sel[0])
 
@@ -222,9 +222,8 @@ def brakke_inequality_test(traj: FlowTrajectory, phi: ScalarTest,
         h = mean_curvature(v)
         fv = weighted_first_variation(
             v, lambda p: phi.value_fn(p, tt), lambda p: phi.gradient_fn(p, tt),
-            h, quad_order)
-        dphi = weight_measure(v, lambda p: phi.time_derivative_fn(p, tt),
-                              quad_order)
+            h)
+        dphi = weight_measure(v, lambda p: phi.time_derivative_fn(p, tt))
         vals.append(fv + dphi)
     rhs = float(np.trapezoid(vals, times[sel]))
     return rhs - lhs

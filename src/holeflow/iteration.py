@@ -33,7 +33,8 @@ import numpy as np
 
 from .geom import UNIT_BALL_VOLUME, Plane, coordinate_plane
 from .kernels import CutoffProfile, cylindrical_cutoff, make_profile
-from .varifold import DiscreteVarifold, weight_measure, parabolic_rescale
+from .varifold import (MEASUREMENT_SUBDIV, DiscreteVarifold, weight_measure,
+                       parabolic_rescale)
 from .fixtures import make_fixture
 from .nucleation import (GrowthEnvelope, SquashMap, envelope_check, nucleate,
                          nucleation_passes, verify_nucleation)
@@ -263,27 +264,26 @@ def choose_tail_start(alpha: float, n: int, budget: float, r0: float,
 
 
 def _cutoff_slab_mass(v: DiscreteVarifold, profile: CutoffProfile,
-                     t_plane: Plane, r: float, quad_order: int) -> float:
-    """||V||(chi_r^2 restricted to {|T_perp| < sqrt(2) r}), subdiv 2."""
+                      t_plane: Plane, r: float) -> float:
+    """||V||(chi_r^2 restricted to {|T_perp| < sqrt(2) r})."""
 
     def integrand(p):
         chi = cylindrical_cutoff(profile, t_plane, r, p)
         slab = t_plane.normal_norm(p) < math.sqrt(2.0) * r
         return chi ** 2 * slab
 
-    return weight_measure(v, integrand, quad_order, 2)
+    return weight_measure(v, integrand, subdiv=MEASUREMENT_SUBDIV)
 
 
 def density_floor_check(gamma0: DiscreteVarifold, profile: CutoffProfile,
-                        t_plane: Plane, r: float, q: int,
-                        quad_order: int = 3):
+                        t_plane: Plane, r: float, q: int):
     """Weighted density floor at scale r: ratio >= 1 + (Q-1)/2.
 
     ratio = (omega_n r^n)^-1 * ||Gamma0||(chi_r^2 restricted to
     {|T_perp| < sqrt(2) r}).
     """
     n = gamma0.surface_dim
-    mass = _cutoff_slab_mass(gamma0, profile, t_plane, r, quad_order)
+    mass = _cutoff_slab_mass(gamma0, profile, t_plane, r)
     ratio = mass / (UNIT_BALL_VOLUME[n] * r ** n)
     return ratio >= 1.0 + (q - 1) / 2.0, ratio
 
@@ -356,7 +356,6 @@ class ExperimentConfig:
     kind: str = "flat_stack"
     spacing: float = 0.0
     dt_factor: float = 0.1
-    quad_order: int = 3
     log_base: float = math.e
 
     def fixture_radius(self) -> float:
@@ -471,14 +470,13 @@ def orchestrate(cfg: ExperimentConfig,
     profile = make_profile(cfg.zeta)
     r_f = 2.0 ** (cfg.j / 2.0) * cfg.eps
     floor_ok, floor_ratio = density_floor_check(v0, profile, t_plane,
-                                                min(r_f, cfg.r0), cfg.q,
-                                                cfg.quad_order)
+                                                min(r_f, cfg.r0), cfg.q)
     if not floor_ok:
         raise ValueError(f"density floor precheck failed (ratio {floor_ratio:.4f})")
 
     v_nuc = nucleate(v0, t_plane, cfg.eps, SquashMap(delta=cfg.delta))
-    nuc_report = verify_nucleation(v0, v_nuc, t_plane, cfg.eps, envelope, cfg.q,
-                                cfg.quad_order)
+    nuc_report = verify_nucleation(v0, v_nuc, t_plane, cfg.eps, envelope,
+                                   cfg.q)
 
     t_end = window_end(cfg.eps, cfg.j)
     snap_times = sorted({float(t) for h in range(1, cfg.j + 1)
@@ -486,8 +484,7 @@ def orchestrate(cfg: ExperimentConfig,
     policy = DtPolicy(c_stab=cfg.dt_factor)
     traj = evolve(v_nuc, t_end, policy, snapshot_times=snap_times)
 
-    e0 = gaussian_density_sup(traj, cfg.fixture_radius() / 2.0, cfg.eps,
-                              quad_order=cfg.quad_order)
+    e0 = gaussian_density_sup(traj, cfg.fixture_radius() / 2.0, cfg.eps)
 
     rows, reports, chain_gaps, contacts = [], [], [], []
     schedule_notes = []
@@ -498,8 +495,7 @@ def orchestrate(cfg: ExperimentConfig,
         contact = barrier_monitor(wtraj, barrier)
         contacts.append(contact)
         cfg_h = ExpandingHolesConfig(t_plane=t_plane, profile=profile,
-                                     t1=window_start(h),
-                                     quad_order=cfg.quad_order)
+                                     t1=window_start(h))
         rep = expanding_holes_run(wtraj, cfg_h)
         reports.append(rep)
         bound, big_l = _analytic_excess_bound(cfg, h, e0)
@@ -520,8 +516,8 @@ def orchestrate(cfg: ExperimentConfig,
         })
 
     lef2_lhs = _cutoff_slab_mass(traj.snapshot_at(t_end), profile, t_plane,
-                                 r_f, cfg.quad_order)
-    lef2_rhs = _cutoff_slab_mass(v0, profile, t_plane, r_f, cfg.quad_order)
+                                 r_f)
+    lef2_rhs = _cutoff_slab_mass(v0, profile, t_plane, r_f)
 
     res = ExperimentResult(
         rows=rows, mass_initial=v0.total_mass(),

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import UNIT_BALL_VOLUME, Plane
-from .varifold import DiscreteVarifold, ball_mass, compact, weight_measure
+from .varifold import (MEASUREMENT_SUBDIV, DiscreteVarifold, ball_mass,
+                       compact, weight_measure)
 
 HEIGHT_BOUND_FRACTION = 1.0 / 20.0  # admissible height inside U_2 at unit scale
 MERGE_TOL = 1e-9  # coincidence tolerance, relative to eps
@@ -187,8 +188,8 @@ def _outside_signature(v: DiscreteVarifold, radius: float):
 
 
 def verify_nucleation(v_before: DiscreteVarifold, v_after: DiscreteVarifold,
-                   t_plane: Plane, eps: float, e: GrowthEnvelope,
-                   q: int, quad_order: int = 3, subdiv: int = 2) -> dict:
+                      t_plane: Plane, eps: float, e: GrowthEnvelope,
+                      q: int) -> dict:
     """Measure the nucleation properties on a before/after pair.
 
     Checks locality (1), the envelope inclusion (3), the coarse mass bound
@@ -214,7 +215,7 @@ def verify_nucleation(v_before: DiscreteVarifold, v_after: DiscreteVarifold,
         excess3 = 0.0
     prop3 = excess3 <= 1e-12 * eps
 
-    mass4 = ball_mass(v_after, 0.0, 2.0 * eps, quad_order, subdiv)
+    mass4 = ball_mass(v_after, 0.0, 2.0 * eps)
     bound4 = (4.0 * eps) ** n * omega * (q + 1)
 
     def hole_ind(p):
@@ -222,8 +223,9 @@ def verify_nucleation(v_before: DiscreteVarifold, v_after: DiscreteVarifold,
         in_cyl = t_plane.tangential_norm(p) < eps
         return (in_ball & in_cyl).astype(float)
 
-    mass5 = weight_measure(v_after, hole_ind, quad_order, subdiv)
-    mass5_before = weight_measure(v_before, hole_ind, quad_order, subdiv)
+    mass5 = weight_measure(v_after, hole_ind, subdiv=MEASUREMENT_SUBDIV)
+    mass5_before = weight_measure(v_before, hole_ind,
+                                  subdiv=MEASUREMENT_SUBDIV)
     bound5 = omega * eps ** n
 
     return {

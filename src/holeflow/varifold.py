@@ -17,7 +17,11 @@ import numpy as np
 from .geom import UNIT_BALL_VOLUME
 from .quadrature import simplex_rule
 
-MEASUREMENT_SUBDIV = 2  # default virtual refinement for clipped/cutoff integrals
+# The rule of every certified integral: the 6-point degree-4 triangle rule
+# (2-point Gauss on segments), and the virtual refinement of clipped and
+# cutoff integrals.
+QUAD_ORDER = 3
+MEASUREMENT_SUBDIV = 2
 
 # ``with_vertices`` builds a moved mesh fresh, rather than copying its
 # parent's clean face rows and recomputing the others, when more than this
@@ -232,7 +236,7 @@ class ScalarTest:
     support_radius: float
 
 
-def weight_measure(v: DiscreteVarifold, phi, quad_order: int = 3,
+def weight_measure(v: DiscreteVarifold, phi, quad_order: int = QUAD_ORDER,
                    subdiv: int = 0) -> float:
     """Integral of phi against the weight measure of v.
 
@@ -245,34 +249,34 @@ def weight_measure(v: DiscreteVarifold, phi, quad_order: int = 3,
     return _quad_sums(v, quad_order, subdiv, integrand)[0]
 
 
-def ball_mass(v: DiscreteVarifold, center, r: float, quad_order: int,
-              subdiv: int) -> float:
+def ball_mass(v: DiscreteVarifold, center, r: float,
+              subdiv: int = MEASUREMENT_SUBDIV) -> float:
     """||V||(U_r(center)), clipped at quadrature points; 0.0: the origin."""
     center = np.asarray(center, dtype=float)
 
     def indicator(p):
         return (np.linalg.norm(p - center, axis=1) < r).astype(float)
 
-    return weight_measure(v, indicator, quad_order, subdiv)
+    return weight_measure(v, indicator, subdiv=subdiv)
 
 
 def density_ratio(v: DiscreteVarifold, center, r: float,
-                  quad_order: int = 3, subdiv: int = MEASUREMENT_SUBDIV) -> float:
+                  subdiv: int = MEASUREMENT_SUBDIV) -> float:
     """||V||(U_r(center)) / (omega_n r^n), clipped at quadrature points."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    return (ball_mass(v, center, r, quad_order, subdiv)
+    return (ball_mass(v, center, r, subdiv)
             / (UNIT_BALL_VOLUME[v.surface_dim] * r ** v.surface_dim))
 
 
-def first_variation(v: DiscreteVarifold, g: TestField, quad_order: int = 3) -> float:
+def first_variation(v: DiscreteVarifold, g: TestField) -> float:
     """delta V(g) = integral of div^S g over the varifold."""
     def integrand(pts, bary, sel):
         jac = g.jacobian_fn(pts.reshape(-1, v.ambient_dim))
         jac = jac.reshape(pts.shape + (v.ambient_dim,))
         return [np.einsum("fmab,fab->fm", jac, v.face_projectors(sel))]
 
-    return _quad_sums(v, quad_order, 0, integrand)[0]
+    return _quad_sums(v, QUAD_ORDER, 0, integrand)[0]
 
 
 def _quad_sums(v: DiscreteVarifold, quad_order: int, subdiv: int, integrand,
@@ -527,7 +531,7 @@ def _weighted_variation(v, phi_value, phi_gradient, h_field, quad_order,
 
 
 def weighted_first_variation(v: DiscreteVarifold, phi_value, phi_gradient,
-                             h_field: np.ndarray, quad_order: int = 3,
+                             h_field: np.ndarray, quad_order: int = QUAD_ORDER,
                              subdiv: int = 0) -> float:
     """delta(V, phi)(h) = integral of (-phi |h|^2 + h . grad phi) d||V||."""
     return _weighted_variation(v, phi_value, phi_gradient, h_field,
@@ -535,7 +539,8 @@ def weighted_first_variation(v: DiscreteVarifold, phi_value, phi_gradient,
 
 
 def weighted_first_variation_perp(v: DiscreteVarifold, phi_value, phi_gradient,
-                                  h_field: np.ndarray, quad_order: int = 3,
+                                  h_field: np.ndarray,
+                                  quad_order: int = QUAD_ORDER,
                                   subdiv: int = 0) -> float:
     """Weighted first variation in the pre-perpendicularity form.
 

@@ -119,7 +119,7 @@ def squash(samples: int, seed: int, delta: float) -> tuple:
 
 
 def nucleation(level: int, eps: float, delta: float, q: int, alpha: float,
-               r0: float, quad_order: int) -> tuple:
+               r0: float) -> tuple:
     """Nucleation properties (1), (3), (4) and (5) on a flat stack of q
     sheets: the outside is bitwise unchanged, the envelope excess is exactly
     0, the coarse mass is at most 0.7 of its bound (`coarse_slack`), the
@@ -131,7 +131,7 @@ def nucleation(level: int, eps: float, delta: float, q: int, alpha: float,
                       radius=FIXTURE_RADIUS_FACTOR * eps, spacing=0.0)
     va = nucleate(v0, t_plane, eps, SquashMap(delta=delta))
     rep = verify_nucleation(v0, va, t_plane, eps,
-                            GrowthEnvelope(alpha=alpha, r0=r0), q, quad_order)
+                            GrowthEnvelope(alpha=alpha, r0=r0), q)
     coarse_slack = rep["prop4_mass"] / rep["prop4_bound"]
     hole_bound = rep["prop5_bound"] * 1.02
     sheets_mass = q * rep["prop5_bound"]
@@ -182,8 +182,7 @@ SUITES = {
     "squash": (lambda c: squash(20_000, c.seed + 2, c.delta),
                "sampled Lipschitz {lipschitz:.6f}"),
     "nucleation": (lambda c: nucleation(min(c.mesh_level, 4), c.eps, c.delta,
-                                        c.Q, max(c.alpha, 0.51), c.r0,
-                                        c.quad_order),
+                                        c.Q, max(c.alpha, 0.51), c.r0),
                    "hole mass {prop5_mass:.4g} within 1.02x of "
                    "{prop5_bound:.4g}"),
     "sphere": (lambda c: sphere(3, c.dt_factor),

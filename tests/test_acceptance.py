@@ -70,8 +70,7 @@ def test_criterion_03_squash_map():
 
 def test_criterion_04_nucleation_properties():
     t0 = time.time()
-    ok, m = verify.nucleation(5, EPS, delta=0.2, q=2, alpha=0.51, r0=0.1,
-                              quad_order=3)
+    ok, m = verify.nucleation(5, EPS, delta=0.2, q=2, alpha=0.51, r0=0.1)
     elapsed = time.time() - t0
     report(4, ok and elapsed < 30,
            f"local bitwise {m['prop1_local']}, envelope excess "

@@ -53,6 +53,23 @@ class TestConfig:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    @pytest.mark.parametrize("key", ["quad_order", "threads"])
+    def test_removed_knob_is_usage_error(self, tmp_path, capsys, key, where):
+        # the quadrature rule and the thread count are fixed in the library
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{key} = 1\n")
+        flag = "--" + key.replace("_", "-")
+        argv = ([f"{flag}=1"] if where == "flag" else ["--config", str(p)])
+        out = tmp_path / "out.dvar"
+        with pytest.raises(SystemExit) as err:
+            run_cli("gen-fixture", "--out", str(out), *argv)
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert (f"unknown key {key!r}" in err_text if where == "file"
+                else f"unrecognized arguments: {flag}=1" in err_text)
+        assert not out.exists()
+
     def test_critical_alpha_guard(self):
         cfg = Config(alpha=0.5)
         with pytest.raises(ValueError):
@@ -229,7 +246,7 @@ class TestExpandingHolesCommand:
         assert rc == 0
         rep = json.loads(out.read_text())
         for key in ("times", "mu_sq", "alpha_sq", "mass_ratio_start",
-                    "mass_ratio_end", "bound_rhs", "empirical_M",
+                    "mass_ratio_end", "empirical_M",
                     "dissipation", "config", "_meta"):
             assert key in rep
         assert len(rep["times"]) == len(rep["mu_sq"]) == 21
