@@ -114,10 +114,24 @@ def config_echo(cfg: Config) -> str:
     return " ".join(f"{k}={v}" for k, v in asdict(cfg).items())
 
 
+def command_inputs(cfg: Config, args, names) -> list:
+    """What a command's output depends on, as the blobs its inputs hash
+    covers: the config echo, the command's own arguments ``names`` as
+    ``name=value`` and the bytes of its ``--mesh`` file when given."""
+    blobs = [config_echo(cfg).encode(),
+             " ".join(f"{n}={getattr(args, n)}" for n in names).encode()]
+    if getattr(args, "mesh", None):
+        blobs.append(Path(args.mesh).read_bytes())
+    return blobs
+
+
+def inputs_sha1(input_blobs: list) -> str:
+    return git_blob_sha1(b"".join(input_blobs))
+
+
 def output_header(cfg: Config, input_blobs: list) -> str:
-    digest = git_blob_sha1(b"".join(input_blobs))
     return (f"# holeflow config: {config_echo(cfg)}\n"
-            f"# inputs-sha1: {digest}\n")
+            f"# inputs-sha1: {inputs_sha1(input_blobs)}\n")
 
 
 def _fmt(x) -> str:
@@ -177,7 +191,8 @@ def cmd_evolve(cfg: Config, args) -> int:
     v0 = read_dvar(args.mesh)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = output_header(cfg, [Path(args.mesh).read_bytes()])
+    header = output_header(cfg, command_inputs(cfg, args,
+                                               ("t_end", "snapshots")))
     policy = DtPolicy(c_stab=cfg.dt_factor)
     times = np.linspace(0.0, args.t_end, args.snapshots)
     traj = evolve(v0, args.t_end, policy, snapshot_times=times)
@@ -221,7 +236,8 @@ def cmd_expanding_holes(cfg: Config, args) -> int:
                                    profile=make_profile(cfg.zeta))
     rep = expanding_holes_run(rescaled_window(traj, cfg.eps, 1), run_cfg)
     meta = {"config": config_echo(cfg),
-            "inputs_sha1": git_blob_sha1(config_echo(cfg).encode())}
+            "inputs_sha1": inputs_sha1(command_inputs(
+                cfg, args, ("kind", "spacing")))}
     Path(args.out).write_text(rep.to_json(_meta=meta))
     ok = rep.dissipation_ok
     print(f"wrote {args.out}; dissipation checks "
@@ -239,9 +255,11 @@ def cmd_series(cfg: Config, args) -> int:
         return EXIT_USAGE
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = output_header(cfg, [config_echo(cfg).encode()])
+    blobs = command_inputs(cfg, args, ("K", "J"))
+    header = output_header(cfg, blobs)
     payload = sched.to_json_dict()
-    payload["_meta"] = {"config": config_echo(cfg)}
+    payload["_meta"] = {"config": config_echo(cfg),
+                        "inputs_sha1": inputs_sha1(blobs)}
     (out_dir / "schedule.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True))
     plot_dir = out_dir / "plot"
@@ -256,7 +274,9 @@ def cmd_series(cfg: Config, args) -> int:
 def cmd_experiment(cfg: Config, args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = output_header(cfg, [config_echo(cfg).encode()])
+    blobs = command_inputs(cfg, args, ("j", "kind", "spacing"))
+    header = output_header(cfg, blobs)
+    meta = {"config": config_echo(cfg), "inputs_sha1": inputs_sha1(blobs)}
     exp_cfg = ExperimentConfig(
         eps=cfg.eps, j=args.j, q=cfg.Q, alpha=cfg.alpha, r0=cfg.r0,
         zeta=cfg.zeta, delta=cfg.delta, mesh_level=cfg.mesh_level,
@@ -279,7 +299,7 @@ def cmd_experiment(cfg: Config, args) -> int:
                 res.trajectory.ledger)
     for h, rep in enumerate(res.reports, start=1):
         (out_dir / f"excess_report_h{h}.json").write_text(
-            rep.to_json(_meta={"config": config_echo(cfg), "h": h}))
+            rep.to_json(_meta={**meta, "h": h}))
     plot_dir = out_dir / "plot"
     plot_dir.mkdir(exist_ok=True)
     write_plot(plot_dir / "mass.dat", header,
@@ -304,7 +324,7 @@ def cmd_experiment(cfg: Config, args) -> int:
         "chain_gaps": res.chain_gaps,
         "schedule_note": res.schedule_note,
         "nucleation_report": res.nucleation_report,
-        "_meta": {"config": config_echo(cfg)},
+        "_meta": meta,
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True, default=str))

@@ -16,9 +16,15 @@ corners has nonzero h; the step-size caps read the altitudes and the
 largest corner |h| of active faces only.  The next mesh is told which
 vertices changed, bit for bit.  One face pass forms its face geometry and
 per-corner area-gradient terms on the faces touching them only, or on all
-faces when most did (``with_vertices``), bitwise a full rebuild; its mean
-curvature, like a remeshed mesh's, only scatters the terms.  A recorded
-snapshot and a mesh about to be remeshed drop the terms.
+faces when most did (``with_vertices``), bitwise a full rebuild.
+
+A step mesh holds its face rows (measures, normals or tangents, edge
+lengths), the per-corner area-gradient terms, its lumped vertex masses
+and its per-vertex area gradient.  A patched step copies its parent's
+vertex sums and sums again only the vertices of the faces it
+recomputed; a fully built one, like a remeshed mesh, scatters its terms
+once.  A recorded snapshot and a mesh about to be remeshed drop the
+terms and the area gradient.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .geom import Plane
-from .varifold import (DiscreteVarifold, ScalarTest, _row_max,
+from .varifold import (DiscreteVarifold, ScalarTest, _corner_max, _row_max,
                        mean_curvature, vertex_masses, weight_measure,
                        weighted_first_variation)
 from .remesh import remesh
@@ -140,11 +146,11 @@ def evolve(v0: DiscreteVarifold, t_end: float,
                     f"resolution exhausted at t={t:.6g}: surface collapsed "
                     "below the policy floor", traj)
             h = mean_curvature(v)
-            hn = np.linalg.norm(h, axis=1)
+            hn = _row_norm(h)
             rest = hn * initial_median <= REST_FLOOR
-            h[rest] = 0.0
+            h = np.where(rest[:, None], 0.0, h)  # faster than h[rest] = 0.0
             hn[rest] = 0.0
-            face_h = _row_max(hn[v.faces])
+            face_h = _corner_max(hn, v.faces)
             active = face_h > 0.0
             if np.any(active):
                 # stability and displacement caps from faces with moving
@@ -189,6 +195,15 @@ def evolve(v0: DiscreteVarifold, t_end: float,
                 f"{vv.total_mass() + cd:.6g} > {mass0:.6g} * (1 + tol)")
             break
     return traj
+
+
+def _row_norm(h: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(h, axis=1)`` for 2 or 3 columns, bit for bit: the
+    squares of the columns added in the norm's order, without its
+    reduction over a length-d axis."""
+    x = [h[:, a] for a in range(h.shape[1])]
+    s = x[0] * x[0] + x[1] * x[1]
+    return np.sqrt(s if len(x) == 2 else s + x[2] * x[2])
 
 
 def brakke_inequality_test(traj: FlowTrajectory, phi: ScalarTest,

@@ -162,16 +162,19 @@ def nucleate(v: DiscreteVarifold, t_plane: Plane, eps: float,
 
     keep = np.ones(v.num_faces, dtype=bool)
     mult = v.multiplicity.copy()
-    seen: dict = {}
-    for fi in np.flatnonzero(face_collapsed):
-        key = tuple(sorted(
-            tuple(int(c) for c in np.round(new_verts[vi] / tol))
-            for vi in v.faces[fi]))
-        if key in seen:
-            keep[fi] = False
-        else:
-            seen[key] = fi
-            mult[fi] = 1  # the hole sheet carries multiplicity one
+    fis = np.flatnonzero(face_collapsed)
+    if len(fis):
+        # a face's key is its corners on the tol grid, as a sorted triple of
+        # their ranks among all collapsed corners; the first face of each
+        # key is kept, and the hole sheet carries multiplicity one
+        d = v.ambient_dim
+        grid = np.round(new_verts[v.faces[fis]] / tol).astype(np.int64)
+        rank = np.unique(grid.reshape(-1, d), axis=0, return_inverse=True)[1]
+        keys = np.sort(rank.reshape(-1, d), axis=1)
+        first = fis[np.unique(keys, axis=0, return_index=True)[1]]
+        keep[fis] = False
+        keep[first] = True
+        mult[first] = 1
 
     return compact(new_verts, v.faces[keep], mult[keep], v.boundary)
 

@@ -20,22 +20,23 @@ DEGENERATE_REL = 1e-12
 
 def _edges_of(faces: np.ndarray):
     """Sorted vertex-pair edges with owning face ids (duplicates kept), in
-    the order of a mesh's ``_edge_lengths().ravel(order="F")``."""
+    the order of a mesh's ``_edge_lengths().ravel(order="F")``.  Each pair
+    is sorted as the minimum and maximum of its ends, not by a row sort."""
     if faces.shape[1] == 2:
-        pairs = faces
+        a, b = faces[:, 0], faces[:, 1]
         owners = np.arange(len(faces))
     else:
-        pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
-                                faces[:, [2, 0]]])
+        a = faces.ravel(order="F")
+        b = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
         owners = np.tile(np.arange(len(faces)), 3)
-    return np.sort(pairs, axis=1), owners
+    return np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1), owners
 
 
 def _split_pass(verts, faces, mult, boundary, median, lengths):
-    pairs, owners = _edges_of(faces)
     long_mask = lengths > SPLIT_FACTOR * median
     if not np.any(long_mask):
         return verts, faces, mult, boundary, False
+    pairs, owners = _edges_of(faces)
     adj = {}
     for i in np.flatnonzero(long_mask):
         adj.setdefault((int(pairs[i, 0]), int(pairs[i, 1])), []).append(int(owners[i]))
@@ -104,14 +105,19 @@ def _unique_pairs(pairs: np.ndarray, nv: int):
     return np.stack([key // nv, key % nv], axis=1), first
 
 
-def _collapse_pass(verts, faces, mult, boundary, median):
-    rows = _face_pass(verts, faces)
+def _collapse_pass(verts, faces, mult, boundary, median, rows=None):
+    """Collapse short edges and the shortest edges of thin faces; ``rows``
+    is the faces' ``_face_pass`` when the caller holds it."""
+    if rows is None:
+        rows = _face_pass(verts, faces)
     pairs, _ = _edges_of(faces)
-    pairs, first = _unique_pairs(pairs, len(verts))
-    # an edge's length is the same, bit for bit, in every face that has it
-    lengths = rows["edge_lengths"].ravel(order="F")[first]
-    short_mask = lengths < COLLAPSE_FACTOR * median
-    cand = pairs[short_mask][np.argsort(lengths[short_mask], kind="stable")]
+    lengths = rows["edge_lengths"].ravel(order="F")
+    # an edge's length is the same, bit for bit, in every face that has it,
+    # so the short edges are found before the pairs are made unique, and
+    # only they are sorted
+    short = lengths < COLLAPSE_FACTOR * median
+    pairs, first = _unique_pairs(pairs[short], len(verts))
+    cand = pairs[np.argsort(lengths[short][first], kind="stable")]
     thin = _thin_face_edges(faces, rows, median)
     if len(thin):
         cand = np.vstack([cand, thin])
@@ -164,7 +170,11 @@ def remesh(v: DiscreteVarifold):
     bnd = v.boundary.copy()
     verts, faces, mult, bnd, did_split = _split_pass(
         verts, faces, mult, bnd, median, v._edge_lengths().ravel(order="F"))
-    verts, faces, mult, bnd, did_collapse = _collapse_pass(verts, faces, mult, bnd, median)
+    # unsplit, the faces are v's, whose rows v holds
+    rows = None if did_split else {"measures": v.face_measures(),
+                                   "edge_lengths": v._edge_lengths()}
+    verts, faces, mult, bnd, did_collapse = _collapse_pass(
+        verts, faces, mult, bnd, median, rows)
     if not (did_split or did_collapse):
         return v, 0.0
     faces, mult, rows = _drop_degenerate(verts, faces, mult, median)

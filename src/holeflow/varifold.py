@@ -61,10 +61,14 @@ class DiscreteVarifold:
     there on first use.  Face corners, projectors, altitudes and quadrature
     points are formed on demand: trajectories hold many snapshots.
 
-    Every mesh that ``with_vertices(new, changed)`` (a flow step) or
-    ``remesh`` rebuilds holds the per-corner area-gradient terms until
-    its own step, or a recorded snapshot, drops them.  A mesh built
-    otherwise (a fixture, a rescaled mesh) holds none.
+    A step mesh, one that ``with_vertices(new, changed)`` (a flow step)
+    or ``remesh`` rebuilds, holds step-chain state on top of its face
+    rows: the per-corner area-gradient terms and, once ``area_gradient``
+    has summed them, the per-vertex area gradient.  A patched step mesh
+    is handed its lumped vertex masses and area gradient with its rows.
+    Its own step, or a recorded snapshot, drops the terms and the
+    gradient (``_leave_step_chain``); a mesh built otherwise (a fixture,
+    a rescaled mesh) holds neither.
     """
 
     vertices: np.ndarray
@@ -155,7 +159,7 @@ class DiscreteVarifold:
 
     def median_edge_length(self) -> float:
         if "median_edge" not in self._cache:
-            self._cache["median_edge"] = float(np.median(self._edge_lengths()))
+            self._cache["median_edge"] = _median(self._edge_lengths())
         return self._cache["median_edge"]
 
     def quad_points(self, quad_order: int, subdiv: int = 0, keep=None):
@@ -175,18 +179,22 @@ class DiscreteVarifold:
         ``changed`` is a boolean mask over the vertices that must include
         every vertex whose coordinates differ, bit for bit, from this
         mesh's; a flow step passes it.  This mesh then gives up its
-        per-corner area-gradient terms to the copy.  If it had them and at
-        most ``FRESH_BUILD_DIRTY_FRACTION`` of the faces have a changed
-        corner, the face pass recomputes those faces' rows and terms only,
-        patched into copies of this mesh's rows and into the terms in
-        place.  Otherwise it builds every row and term.  Either way the
+        per-corner area-gradient terms and its per-vertex area gradient to
+        the copy.  If it had the terms and at most
+        ``FRESH_BUILD_DIRTY_FRACTION`` of the faces have a changed corner,
+        the face pass recomputes those faces' rows and terms only, patched
+        into copies of this mesh's rows and into the terms in place; if
+        this mesh holds its vertex masses and area gradient, they are
+        copied and re-summed on the vertices of those faces only
+        (``_patch_vertex_sums``).  Otherwise it builds every row and term,
+        and the copy forms its vertex sums on first use.  Either way the
         copy's geometry is bitwise a fresh mesh's.
         """
         cache = {}
         if changed is not None:
             new_vertices = _owned_read_only(new_vertices, float)
-            terms = self._leave_step_chain()
-            dirty = np.flatnonzero(_row_max(changed[self.faces]))
+            terms, gradient = self._leave_step_chain()
+            dirty = np.flatnonzero(_corner_max(changed, self.faces))
             if (terms is None or len(dirty)
                     > FRESH_BUILD_DIRTY_FRACTION * self.num_faces):
                 cache = _face_pass(new_vertices, self.faces, self.multiplicity)
@@ -198,14 +206,20 @@ class DiscreteVarifold:
                 for key, new in rows.items():
                     cache[key] = self._cache[key].copy()
                     cache[key][dirty] = new
+                masses = self._cache.get("vertex_masses")
+                if masses is not None and gradient is not None:
+                    cache.update(_patch_vertex_sums(self, cache, dirty,
+                                                    masses, gradient))
         return DiscreteVarifold(new_vertices, self.faces, self.multiplicity,
                                 self.boundary, cache)
 
     def _leave_step_chain(self):
-        """Give up the per-corner gradient terms (None when absent): the
-        next flow step patches them, and a recorded snapshot or a mesh
-        about to be remeshed must not hold them."""
-        return self._cache.pop("corner_gradients", None)
+        """Give up the per-corner gradient terms and the per-vertex area
+        gradient, as a pair (None where absent): the next flow step patches
+        them, and a recorded snapshot or a mesh about to be remeshed must
+        not hold them."""
+        return (self._cache.pop("corner_gradients", None),
+                self._cache.pop("area_gradient", None))
 
 
 @dataclass(frozen=True)
@@ -323,6 +337,67 @@ def _scatter_add(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(idx, weights=weights, minlength=size)
 
 
+def _patch_vertex_sums(parent: "DiscreteVarifold", rows: dict,
+                       dirty: np.ndarray, masses: np.ndarray,
+                       gradient: np.ndarray) -> dict:
+    """The vertex masses and area gradient of ``parent``'s topology
+    holding the face rows and terms ``rows``, given ``parent``'s sums
+    ``masses`` and ``gradient`` and the faces ``dirty`` outside which the
+    rows equal the parent's.
+
+    Only the vertices W of the dirty faces can change.  Their sums are
+    formed again over the faces that touch W by one ``bincount`` whose
+    d + 1 rows are the masses and the gradient's coordinates; in each row
+    every vertex adds the same terms in the same face order as a full
+    ``bincount`` of that row, so it gets the same bits.  The other rows
+    are copied: the parent's arrays are not written, since its sums may
+    not change once its child exists.
+    """
+    faces, nv, d = parent.faces, parent.num_vertices, parent.ambient_dim
+    ring = np.zeros(nv, dtype=bool)
+    ring[faces[dirty]] = True
+    w = np.flatnonzero(ring)
+    touch = np.flatnonzero(_corner_max(ring, faces))
+    terms = np.empty((d + 1, len(touch), d))
+    terms[0] = (parent.multiplicity[touch] * rows["measures"][touch]
+                / d)[:, None]
+    np.take(rows["corner_gradients"], touch, axis=1, out=terms[1:])
+    idx = faces[touch] + (nv * np.arange(d + 1))[:, None, None]
+    sums = _scatter_add(idx.ravel(), terms.ravel(),
+                        (d + 1) * nv).reshape(d + 1, nv)[:, w]
+    m, g = masses.copy(), gradient.copy()
+    m[w] = sums[0]
+    g[w] = sums[1:].T
+    m.setflags(write=False)
+    g.setflags(write=False)
+    return {"vertex_masses": m, "area_gradient": g}
+
+
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of all entries of a (none NaN), bit for bit: one
+    single-kth partition instead of three, and for an even count the
+    largest entry below the kth and the same two-element mean.  The mean
+    of one entry adds it to +0.0, which turns -0.0 into 0.0."""
+    flat = a.ravel()
+    if flat.size == 0:
+        return float(np.median(flat))
+    k = flat.size // 2
+    part = np.partition(flat, k)
+    if flat.size % 2:
+        return float(part[k] + 0.0)
+    return float(np.mean([np.max(part[:k]), part[k]]))
+
+
+def _corner_max(values: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Largest of the per-vertex ``values`` over each face's corners (any,
+    for booleans): ``_row_max(values[faces])``, gathered one corner column
+    at a time instead of as an (nf, corners) array."""
+    out = values[faces[:, 0]]
+    for k in range(1, faces.shape[1]):
+        np.maximum(out, values[faces[:, k]], out=out)
+    return out
+
+
 def _row_max(a: np.ndarray) -> np.ndarray:
     """Largest entry of each row of an (m, k) array with few columns, k - 1
     column-wise ``np.maximum`` calls: the values of ``np.max(a, axis=1)``
@@ -428,19 +503,29 @@ def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
 
 
 def area_gradient(v: DiscreteVarifold) -> np.ndarray:
-    """Gradient of total (multiplicity-weighted) mass wrt vertex positions.
+    """Gradient of total (multiplicity-weighted) mass wrt vertex positions,
+    read-only.
 
     Scatters the per-corner terms a flow step or a remeshed mesh holds,
-    one coordinate row at a time in face order; on any other mesh, such as
-    a snapshot being measured, a face pass forms them and they are not kept.
+    one coordinate row at a time in face order, and keeps the sums on
+    that mesh until it leaves the step chain: the next step patches them.
+    On any other mesh, such as a snapshot being measured, a face pass
+    forms the terms and neither they nor the sums are kept.
     """
+    if "area_gradient" in v._cache:
+        return v._cache["area_gradient"]
     terms = v._cache.get("corner_gradients")
-    if terms is None:
+    kept = terms is not None
+    if not kept:
         terms = _face_pass(v.vertices, v.faces,
                            v.multiplicity)["corner_gradients"]
     idx = v.faces.ravel()
-    return np.column_stack([_scatter_add(idx, row.ravel(), v.num_vertices)
-                            for row in terms])
+    g = np.column_stack([_scatter_add(idx, row.ravel(), v.num_vertices)
+                         for row in terms])
+    g.setflags(write=False)
+    if kept:
+        v._cache["area_gradient"] = g
+    return g
 
 
 def mean_curvature(v: DiscreteVarifold) -> np.ndarray:

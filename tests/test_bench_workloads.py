@@ -3,17 +3,23 @@
 ``perfbench/workloads.py`` builds its inputs through the library's public
 names, keyword by keyword (``ExpandingHolesConfig(t_plane=..., t1=...)``),
 and checks every call's output.  A change to one of those names or
-signatures breaks the benchmark run; this test runs two workloads on seed
-0 and requires their output checks to pass: the criterion-07 window
-(``window_l4``) and ``orchestrate``'s whole path at mesh level 4
+signatures breaks the benchmark run; this test runs three workloads on
+seed 0 and requires their output checks to pass: the criterion-07 window
+(``window_l4``), ``orchestrate``'s whole path at mesh level 4
 (``reference_l4``: nucleation checks, density floor, density sup, both
-windows and the strict weighted mass drop).
+windows and the strict weighted mass drop) and the level-5 flow
+(``flow_l5``), whose steps mostly take the patched path of
+``with_vertices``.
 
 It also pins each run's certified numbers bit for bit:
 ``<workload>_seed0_certified.json`` is ``scripts/dump_certified.py
-<workload> 0`` as committed, numbers as ``float.hex`` strings.  A change
-that must not move results keeps them equal; one that moves them on
-purpose regenerates the file and lists every number, old and new.
+<workload> 0`` as committed, numbers as ``float.hex`` strings.  The
+``flow_l5`` pin holds the certified numbers only, without the dump's
+per-step ledger: ``steps``, ``faces_final``, ``mass_final``,
+``dissipation_total`` and ``remesh_delta_total``, which a changed bit in
+any step moves.  A change that must not move results keeps them equal;
+one that moves them on purpose regenerates the file and lists every
+number, old and new.
 """
 
 import importlib
@@ -25,7 +31,7 @@ import pytest
 HERE = Path(__file__).parent
 
 
-@pytest.mark.parametrize("name", ["window_l4", "reference_l4"])
+@pytest.mark.parametrize("name", ["window_l4", "reference_l4", "flow_l5"])
 def test_window_workload_runs_clean(monkeypatch, name):
     monkeypatch.syspath_prepend(str(HERE.parent / "perfbench"))
     workloads = importlib.import_module("workloads")

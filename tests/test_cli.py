@@ -224,6 +224,22 @@ class TestSeriesAndReport:
         assert text.startswith("# holeflow config:")
         assert "# inputs-sha1:" in text
 
+    def test_inputs_hash_covers_arguments(self, tmp_path):
+        # --J changes the output, so it changes the hash in the header and
+        # in the _meta block; a repeated run keeps both
+        def hashes(name, j):
+            d = tmp_path / name
+            assert run_cli("series", "--K", "3", "--J", j,
+                           "--out-dir", str(d)) == 0
+            header = (d / "plot" / "series.dat").read_text().splitlines()[1]
+            meta = json.loads((d / "schedule.json").read_text())["_meta"]
+            assert header == f"# inputs-sha1: {meta['inputs_sha1']}"
+            return header
+
+        first = hashes("a", "10")
+        assert hashes("b", "20") != first
+        assert hashes("c", "10") == first
+
     def test_report_reads_summary(self, tmp_path, capsys):
         d = tmp_path / "exp"
         d.mkdir()

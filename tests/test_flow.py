@@ -265,6 +265,22 @@ class TestRemesh:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(3, 40),
            st.sampled_from([2, 3]))
+    def test_edges_of_match_row_sort(self, seed, nf, nv, d):
+        # segments and triangles: each pair's minimum and maximum are the
+        # row sort's, in the order of the edge-length columns 0-1, 1-2, 2-0
+        rng = np.random.default_rng(seed)
+        faces = np.array([rng.choice(nv, d, replace=False)
+                          for _ in range(nf)], dtype=np.int64)
+        pairs, owners = _edges_of(faces)
+        corners = [[0, 1]] if d == 2 else [[0, 1], [1, 2], [2, 0]]
+        want = np.sort(np.concatenate([faces[:, c] for c in corners]), axis=1)
+        assert pairs.dtype == want.dtype and pairs.flags.c_contiguous
+        assert np.array_equal(pairs, want)
+        assert np.array_equal(owners, np.tile(np.arange(nf), len(corners)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(3, 40),
+           st.sampled_from([2, 3]))
     def test_unique_pairs_match_row_unique(self, seed, nf, nv, d):
         rng = np.random.default_rng(seed)
         faces = np.array([rng.choice(nv, d, replace=False)

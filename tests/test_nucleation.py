@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from holeflow import verify
 from holeflow.fixtures import disk_triangulation, make_fixture
-from holeflow.nucleation import (GrowthEnvelope, SquashMap,
+from holeflow.nucleation import (MERGE_TOL, GrowthEnvelope, SquashMap,
                                  _outside_signature, envelope_check,
                                  envelope_value, nucleate, squash_point,
                                  squash_points, verify_nucleation)
-from holeflow.varifold import DiscreteVarifold
+from holeflow.varifold import DiscreteVarifold, compact
 
 EPS = 0.05
 DELTA = 0.2
@@ -226,6 +226,56 @@ class TestNucleate:
         rep = verify_nucleation(v0, va, t_plane, EPS,
                              GrowthEnvelope(alpha=0.51, r0=0.1), 1)
         assert rep["prop4_ok"] and rep["prop5_ok"] and rep["prop1_local"]
+
+
+def _loop_nucleate(v, t_plane, eps):
+    """``nucleate`` with its coincident-face merge as the per-face loop it
+    replaced: a dict keyed by each collapsed face's sorted corner tuples on
+    the tol grid keeps the first face of each key."""
+    scaled = v.vertices / eps
+    squashed = squash_points(SquashMap(), t_plane, scaled)
+    changed = np.any(squashed != scaled, axis=1)
+    new_verts = v.vertices.copy()
+    new_verts[changed] = eps * squashed[changed]
+    tol = MERGE_TOL * eps
+    on_plane = t_plane.normal_norm(new_verts) <= tol
+    in_cyl = t_plane.tangential_norm(new_verts) <= eps * (1.0 + MERGE_TOL)
+    face_collapsed = np.all((on_plane & in_cyl)[v.faces], axis=1)
+    keep = np.ones(v.num_faces, dtype=bool)
+    mult = v.multiplicity.copy()
+    seen = {}
+    for fi in np.flatnonzero(face_collapsed):
+        key = tuple(sorted(
+            tuple(int(c) for c in np.round(new_verts[vi] / tol))
+            for vi in v.faces[fi]))
+        if key in seen:
+            keep[fi] = False
+        else:
+            seen[key] = fi
+            mult[fi] = 1
+    return compact(new_verts, v.faces[keep], mult[keep], v.boundary)
+
+
+@pytest.mark.parametrize("kind,spacing", [("flat_stack", 0.0),
+                                          ("perturbed_stack", 0.06)])
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_merge_equals_face_loop(t_plane, kind, spacing, level, seed):
+    # the vectorized merge against the loop, on stacks rotated about the
+    # normal by a seed-drawn angle (seed 0: none) as the benchmark does
+    v0 = make_fixture(kind, 2, level, radius=4 * EPS, spacing=spacing)
+    if seed:
+        angle = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        v0 = v0.with_vertices(v0.vertices @ rot.T)
+    got = nucleate(v0, t_plane, EPS)
+    want = _loop_nucleate(v0, t_plane, EPS)
+    assert got.num_faces < v0.num_faces  # coincident faces were merged
+    for name in ("faces", "multiplicity", "vertices", "boundary"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
 
 
 class TestFixtures:

@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holeflow.fixtures import (circle_mesh, cylinder_tube, disk_triangulation,
                                icosphere, make_fixture, square_sheet)
 from holeflow.varifold import (FRESH_BUILD_DIRTY_FRACTION, DiscreteVarifold,
-                               _face_pass, area_gradient, density_ratio,
+                               _face_pass, _median, area_gradient,
+                               density_ratio,
                                first_variation, interpolate_vertex_field,
                                mean_curvature,
                                parabolic_rescale, perpendicularity_defect,
@@ -293,6 +294,23 @@ def _assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+       repeat=st.integers(1, 3), cols=st.sampled_from([None, 1, 3]))
+@example(values=[0.5], repeat=1, cols=None)
+@example(values=[-0.0], repeat=1, cols=1)
+@example(values=[0.25, 0.5], repeat=1, cols=None)
+@example(values=[0.25, 0.5], repeat=1, cols=1)
+def test_median_equals_np_median(values, repeat, cols):
+    # repeats: an edge shared by two faces has the same length, bit for bit,
+    # in both; cols 1 and 3 are the edge-length arrays of segment and
+    # triangle meshes, filled cyclically with the values
+    a = np.repeat(np.asarray(values), repeat)
+    if cols is not None:
+        a = np.resize(a, (-(-len(a) // cols), cols))
+    _assert_same_bits(_median(a), float(np.median(a)))
+
+
 def _assert_cached_geometry_matches(v):
     ref = _direct_geometry(v)
     # twice: the first call fills the cache, the second reads it
@@ -431,7 +449,8 @@ def test_incremental_geometry_equals_fresh_build(kind, seed, frac, masks, drop,
     # a chain of steps, each bitwise a fresh build; before step `drop` (none
     # when 3) the parent drops its gradient terms, as a recorded snapshot
     # does.  The terms are patched in place, so a parent must give them up:
-    # its area gradient may not change once its child exists.
+    # its area gradient may not change once its child exists, nor may its
+    # vertex masses, which a patched child copies and re-sums in part.
     v = {"circle": lambda: circle_mesh(4),
          "sphere": lambda: icosphere(2),
          "nucleated": lambda: nucleated_stack}[kind]()
@@ -448,14 +467,23 @@ def test_incremental_geometry_equals_fresh_build(kind, seed, frac, masks, drop,
         changed = {"changed": moved, "empty": moved,
                    "superset": moved | (rng.random(v.num_vertices) < 0.05),
                    "all": np.ones(v.num_vertices, dtype=bool)}[mask]
+        masses = vertex_masses(parent).copy()
         before = area_gradient(parent)
         terms = parent._cache.get("corner_gradients")
+        # the area gradient is kept only on a mesh on the step chain
+        assert ("area_gradient" in parent._cache) == (terms is not None)
         child = parent.with_vertices(new, changed)
         assert "corner_gradients" not in parent._cache
+        assert "area_gradient" not in parent._cache
         assert "altitudes" not in parent._cache
         _assert_same_bits(area_gradient(parent), before)
+        _assert_same_bits(vertex_masses(parent), masses)
         dirty = np.mean(np.any(changed[v.faces], axis=1))
         patched = terms is not None and dirty <= FRESH_BUILD_DIRTY_FRACTION
+        # a patched child holds its vertex sums, patched from its parent's;
+        # a child built in full forms them on first use
+        assert ("vertex_masses" in child._cache) == patched
+        assert ("area_gradient" in child._cache) == patched
 
         fresh = DiscreteVarifold(new, v.faces, v.multiplicity, v.boundary)
         # every mesh, patched or built fresh, holds its edge lengths
@@ -480,7 +508,12 @@ def test_incremental_geometry_equals_fresh_build(kind, seed, frac, masks, drop,
         _assert_same_bits(child._cache["corner_gradients"],
                           _direct_gradient_terms(fresh))
         assert "corner_gradients" not in fresh._cache
+        assert "area_gradient" in child._cache
+        assert "area_gradient" not in fresh._cache
         parent = child
+    parent._leave_step_chain()
+    assert "corner_gradients" not in parent._cache
+    assert "area_gradient" not in parent._cache
 
 
 def test_construction_leaves_caller_arrays_writeable():
