@@ -172,7 +172,8 @@ def dissipation_check(v: DiscreteVarifold, cfg: ExpandingHolesConfig,
     derivation actually controls; the plain form differs only through the
     junction defect of the lumped mean curvature.  The record also carries
     slab_mass = ||V||(chi^2 restricted to {|T_perp| <= Rhat1}), the
-    numerator of the window's mass ratio at time t.
+    numerator of the window's mass ratio at time t, and margin = rhs - lhs,
+    by how much the inequality holds (negative: by how much it fails).
     """
     if support_annulus_violation(v, cfg):
         raise ValueError("support strays into forbidden annulus")
@@ -186,7 +187,7 @@ def dissipation_check(v: DiscreteVarifold, cfg: ExpandingHolesConfig,
     return {
         "t": t, "lhs": lhs, "rhs": rhs, "tol": tol,
         "mu_sq": mu_sq, "alpha_sq": alpha_sq, "slab_mass": slab_mass,
-        "pass": bool(lhs <= rhs + tol),
+        "margin": rhs - lhs, "pass": bool(lhs <= rhs + tol),
     }
 
 

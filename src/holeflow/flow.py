@@ -13,18 +13,24 @@ A step does work only where the surface moves.  A vertex whose |h| is at
 roundoff (``REST_FLOOR``) is at rest and gets h = 0, so a mesh at rest
 reaches its next snapshot in one step.  A face is active when one of its
 corners has nonzero h; the step-size caps read the altitudes and the
-largest corner |h| of active faces only.  The next mesh is told which
-vertices changed, bit for bit.  One face pass forms its face geometry and
-per-corner area-gradient terms on the faces touching them only, or on all
-faces when most did (``with_vertices``), bitwise a full rebuild.
+largest corner |h| of active faces only.
 
-A step mesh holds its face rows (measures, normals or tangents, edge
-lengths), the per-corner area-gradient terms, its lumped vertex masses
-and its per-vertex area gradient.  A patched step copies its parent's
-vertex sums and sums again only the vertices of the faces it
-recomputed; a fully built one, like a remeshed mesh, scatters its terms
-once.  A recorded snapshot and a mesh about to be remeshed drop the
-terms and the area gradient.
+``evolve`` keeps the state of the flow on the current topology in one
+mutable step workspace (``_StepWorkspace``): the vertices, the face rows
+(measures, normals or tangents, edge lengths) with the per-corner
+area-gradient terms, the lumped vertex masses and area gradient, the
+flow's h with |h| and the largest corner |h| per face, the minimum edge
+length and a vertex -> face incidence.  A step moves the vertices with
+nonzero h and rewrites, in place, the rows of the faces they touch, the
+vertex sums of those faces' vertices W (over every face that touches W,
+in face order, so each sum has the bits of a full ``bincount``), h on W
+and the face maxima of the faces that touch W.  The workspace is built in
+full at the start, after a remesh that changed the mesh and on a step
+that moved more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces.  Either
+way every array is bitwise that of a mesh built fresh at the same
+vertices.  Recorded snapshots and the mesh handed to ``remesh`` are
+``DiscreteVarifold`` copies of the workspace's rows and vertex masses,
+with no step state, so nothing the flow hands out is written afterwards.
 """
 
 from __future__ import annotations
@@ -36,9 +42,11 @@ from typing import Optional
 import numpy as np
 
 from .geom import Plane
-from .varifold import (DiscreteVarifold, ScalarTest, _corner_max, _row_max,
-                       mean_curvature, vertex_masses, weight_measure,
-                       weighted_first_variation)
+from .varifold import (DiscreteVarifold, ScalarTest, _corner_columns,
+                       _corner_max, _corner_terms, _face_altitudes,
+                       _face_pass, _gradient_sums, _lumped_masses, _median,
+                       _require_positive_measures, _row_max, mean_curvature,
+                       weight_measure, weighted_first_variation)
 from .remesh import remesh
 
 # A vertex whose |h| times the initial median edge e0 is at most REST_FLOOR
@@ -62,6 +70,18 @@ TOL_LEDGER = 0.05           # relative slack of the dissipation ledger
 MIN_EDGE_FLOOR_REL = 1e-4   # vs initial median: resolution exhausted
 MAX_STEPS = 2_000_000       # step budget of one run
 BARRIER_CHECK_SAMPLES = 9   # radii and heights of the barrier coverage check
+
+# A step rewrites in place the workspace's rows of the faces its moved
+# vertices touch, and the vertex sums of those faces' vertices, when at most
+# this share of the faces is dirty, and rebuilds every row and sum
+# otherwise.  Timed on nucleated level-4 and level-5 stacks (2976 and 11904
+# faces; a moved disc of vertices, one update and the h after it, best of
+# 7 x 20 on a 2-core x86-64), patching costs 0.34 / 0.15 of a rebuild at
+# 2.5 % dirty faces, 0.92 / 0.84 at 35 %, 1.03-1.29 / 0.83-1.13 at 40 % and
+# 1.75 / 1.96 at 70 %: the ring of re-summed vertices and the faces around
+# it outgrow the dirty faces.  flow_l5 and reference_l4 dirty 2-5 % of
+# their faces per step, window_l4's perturbed stack 98-100 %.
+FRESH_BUILD_DIRTY_FRACTION = 0.35
 
 
 @dataclass
@@ -96,6 +116,205 @@ class FlowTrajectory:
         return self.snapshots[i]
 
 
+class _StepWorkspace:
+    """The flow's state on one topology, rewritten in place step by step.
+
+    After ``build``, ``refresh`` or ``move`` these equal, bit for bit, what a
+    ``DiscreteVarifold`` built fresh at ``vertices`` gives: ``rows`` (the
+    ``_face_pass`` rows, keyed as a mesh's cache), ``terms`` (the
+    per-corner area-gradient terms, (d, nf, corners)), ``masses`` and
+    ``gradient`` (lumped vertex masses, per-vertex area gradient) and
+    ``min_edge``.  ``mean_curvature()`` then brings ``h`` (the mean
+    curvature with resting vertices zeroed, the rest floor scaled by
+    ``e0``, the flow's initial median edge length), ``hn`` (|h| per
+    vertex) and ``face_h`` (largest corner |h| per face) up to date where
+    the sums changed.  Every array is the workspace's own and is written
+    in place; ``snapshot`` hands out copies.
+    """
+
+    def __init__(self, v: DiscreteVarifold, e0: float):
+        self.e0 = e0
+        self.build(v)
+
+    @property
+    def num_faces(self) -> int:
+        return self.faces.shape[0]
+
+    def build(self, v: DiscreteVarifold) -> None:
+        """Take v's topology, vertices and face rows and form every other
+        array in full."""
+        self.faces, self.mult, self.boundary = (v.faces, v.multiplicity,
+                                                v.boundary)
+        nv, d = v.vertices.shape
+        nf, n = self.num_faces, self.faces.size
+        self.vertices = v.vertices.copy()
+        # vertex -> face incidence: row i lists the faces of vertex i,
+        # padded with nf, the index of a mark slot no face owns.  Sorting
+        # the keys vertex * n + corner position groups each vertex's
+        # corners; a corner's slot is its rank in its group.
+        flat = self.faces.ravel()
+        keys = flat * n
+        keys += np.arange(n)
+        keys.sort()
+        owner, pos = np.divmod(keys, n)
+        counts = np.bincount(flat, minlength=nv)
+        width = counts.max(initial=0)
+        slot = owner * width
+        slot += np.arange(n)
+        slot -= (np.cumsum(counts) - counts)[owner]
+        self._incidence = np.full((nv, width), nf)
+        self._incidence.ravel()[slot] = pos // d
+        self._face_mark = np.zeros(nf + 1, dtype=bool)
+        self._vertex_mark = np.zeros(nv, dtype=bool)
+        self._local = np.full(nv, -1, dtype=np.int64)
+        self.h, self.hn = np.empty((nv, d)), np.empty(nv)
+        self.face_h = np.empty(nf)
+        units = "tangents" if d == 2 else "normals"
+        self.rows = {key: v._cache[key].copy()
+                     for key in ("measures", units, "edge_lengths")}
+        self.terms = _corner_terms(
+            _corner_columns(self.vertices, self.faces),
+            [self.rows[units][:, a] for a in range(d)], self.mult)
+        self._sum_all()
+
+    def move(self, dt: float) -> None:
+        """One explicit step, x + dt * h on every vertex, as a fresh mesh
+        would take it; then what the vertices whose bits changed touch is
+        refreshed."""
+        moved = self.vertices + dt * self.mean_curvature()
+        # bit patterns, not values: x + dt * 0.0 turns -0.0 into +0.0
+        changed = _row_max(moved.view(np.int64)
+                           != self.vertices.view(np.int64))
+        self.vertices = moved
+        self.refresh(np.flatnonzero(changed))
+
+    def mean_curvature(self) -> np.ndarray:
+        """The flow's h at the current vertices, formed again on the vertices
+        whose sums changed since the last call, with |h| (``hn``) and the
+        face maxima (``face_h``) of the faces touching them.  Raises on an
+        interior vertex with no face, as ``varifold.mean_curvature`` does.
+        """
+        for ring, touch in self._pending:
+            masses, bnd = self.masses[ring], self.boundary[ring]
+            if np.any((masses == 0.0) & ~bnd):
+                raise ValueError("isolated vertex")
+            # a boundary vertex with no face divides 0 by 0; its row is reset
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h = -self.gradient[ring] / masses[:, None]
+            h[bnd] = 0.0
+            hn = _row_norm(h)
+            rest = hn * self.e0 <= REST_FLOOR
+            h[rest] = 0.0
+            hn[rest] = 0.0
+            self.h[ring], self.hn[ring] = h, hn
+            self.face_h[touch] = _corner_max(self.hn, self.faces[touch])
+        self._pending = []
+        return self.h
+
+    def total_mass(self) -> float:
+        return float(np.sum(self.mult * self.rows["measures"]))
+
+    def snapshot(self) -> DiscreteVarifold:
+        """A mesh holding copies of the vertices, rows and vertex masses."""
+        vertices, masses = self.vertices.copy(), self.masses.copy()
+        vertices.setflags(write=False)
+        masses.setflags(write=False)
+        cache = {key: row.copy() for key, row in self.rows.items()}
+        cache["vertex_masses"] = masses
+        return DiscreteVarifold(vertices, self.faces, self.mult,
+                                self.boundary, cache)
+
+    def remesh(self) -> float:
+        """One remesh pass on a snapshot; the workspace is built again in
+        full on the mesh it returns, unless the pass changed nothing.
+        Returns the pass's mass change."""
+        out, delta = remesh(self.snapshot())
+        if out.faces is not self.faces:  # a changed mesh has new faces
+            self.build(out)
+        return delta
+
+    def _faces_at(self, idx: np.ndarray) -> np.ndarray:
+        """The faces touching the vertices ``idx``, in increasing order."""
+        mark = self._face_mark
+        mark[self._incidence[idx]] = True
+        out = np.flatnonzero(mark[:-1])
+        mark[out] = False
+        return out
+
+    def refresh(self, idx: np.ndarray) -> None:
+        """Bring every array up to date after ``vertices`` changed on the
+        vertices ``idx`` (an index that includes every vertex whose bits
+        changed): the rows of the faces touching them are recomputed in
+        place, or all rows when they are more than
+        ``FRESH_BUILD_DIRTY_FRACTION`` of the faces, and the vertex sums of
+        those faces' vertices follow."""
+        dirty = self._faces_at(idx)
+        if len(dirty) > FRESH_BUILD_DIRTY_FRACTION * self.num_faces:
+            rows = _face_pass(self.vertices, self.faces, self.mult)
+            _require_positive_measures(rows["measures"])
+            self.terms = rows.pop("corner_gradients")
+            self.rows = rows
+            self._sum_all()
+        elif len(dirty):
+            rows = _face_pass(self.vertices, self.faces[dirty],
+                              self.mult[dirty])
+            _require_positive_measures(rows["measures"])
+            edges = self.rows["edge_lengths"]
+            # the minimum stays exact: it can rise only if a dirty face held it
+            held = np.min(edges[dirty]) <= self.min_edge
+            self.terms[:, dirty] = rows.pop("corner_gradients")
+            for key, new in rows.items():
+                self.rows[key][dirty] = new
+            self.min_edge = (float(np.min(edges)) if held else
+                             min(self.min_edge,
+                                 float(np.min(rows["edge_lengths"]))))
+            mark = self._vertex_mark
+            mark[self.faces[dirty]] = True
+            ring = np.flatnonzero(mark)
+            mark[ring] = False
+            self._sum_ring(ring, self._faces_at(ring))
+
+    def _sum_all(self) -> None:
+        """The minimum edge and the vertex sums of every vertex, from the
+        rows and terms; ``mean_curvature`` forms h everywhere next."""
+        nv = len(self.vertices)
+        self.min_edge = (float(np.min(self.rows["edge_lengths"]))
+                         if self.num_faces else 0.0)
+        self.masses = _lumped_masses(self.faces, self.mult,
+                                     self.rows["measures"], nv)
+        self.gradient = _gradient_sums(self.faces, self.terms, nv)
+        everything = slice(None)
+        self._pending = [(everything, everything)]
+
+    def _sum_ring(self, ring: np.ndarray, touch: np.ndarray) -> None:
+        """Sum the vertex masses and area gradient of the vertices ``ring``
+        again over the faces ``touch`` that touch them; ``mean_curvature``
+        forms h on ``ring`` next.
+
+        One ``bincount`` sums d + 1 rows, the masses and the gradient's
+        coordinates, over local vertex indices; corners outside ``ring``
+        add to a discarded slot.  In each row every vertex of ``ring``
+        adds the same terms in the same face order as a full ``bincount``
+        of that row, so it gets the same bits.
+        """
+        d, nr = self.vertices.shape[1], len(ring)
+        local = self._local
+        local[ring] = np.arange(nr)
+        idx = local[self.faces[touch]]
+        local[ring] = -1
+        idx[idx < 0] = nr
+        terms = np.empty((d + 1, len(touch), d))
+        terms[0] = (self.mult[touch] * self.rows["measures"][touch]
+                    / d)[:, None]
+        np.take(self.terms, touch, axis=1, out=terms[1:])
+        idx = idx + ((nr + 1) * np.arange(d + 1))[:, None, None]
+        sums = np.bincount(idx.ravel(), terms.ravel(),
+                           (d + 1) * (nr + 1)).reshape(d + 1, nr + 1)
+        self.masses[ring] = sums[0, :nr]
+        self.gradient[ring] = sums[1:, :nr].T
+        self._pending.append((ring, touch))
+
+
 def evolve(v0: DiscreteVarifold, t_end: float,
            policy: Optional[DtPolicy] = None,
            snapshot_times=None) -> FlowTrajectory:
@@ -115,18 +334,17 @@ def evolve(v0: DiscreteVarifold, t_end: float,
 
     traj = FlowTrajectory(times=[], snapshots=[], cumulative_dissipation=[],
                           ledger=[], policy=policy)
-    v = v0
+    ws = _StepWorkspace(v0, initial_median)
     t = 0.0
     cum_diss = 0.0
     steps = 0
 
-    def record(tt):
-        v._leave_step_chain()
+    def record(tt, v):
         traj.times.append(tt)
         traj.snapshots.append(v)
         traj.cumulative_dissipation.append(cum_diss)
 
-    record(0.0)
+    record(0.0, v0)
     steps_since_remesh = 0
     for t_next in req[1:]:
         while t_next - t > 1e-14 * max(1.0, t_next):
@@ -134,28 +352,26 @@ def evolve(v0: DiscreteVarifold, t_end: float,
                 raise ResolutionExhausted("step budget exhausted", traj)
             delta = 0.0
             need_remesh = (steps_since_remesh >= REMESH_EVERY)
+            # the median edge length is read only through these two tests
             if not need_remesh and steps_since_remesh >= REMESH_BACKOFF:
-                need_remesh = (v.min_edge_length()
-                               < REMESH_MIN_RATIO * v.median_edge_length())
+                need_remesh = _median_holds(
+                    ws.rows["edge_lengths"],
+                    lambda e: ws.min_edge < REMESH_MIN_RATIO * e)
             if need_remesh:
-                v._leave_step_chain()  # free its gradient terms before remesh
-                v, delta = remesh(v)
+                delta = ws.remesh()
                 steps_since_remesh = 0
-            if v.num_faces == 0 or v.median_edge_length() < floor:
+            if ws.num_faces == 0 or not _median_holds(
+                    ws.rows["edge_lengths"], lambda e: e >= floor):
                 raise ResolutionExhausted(
                     f"resolution exhausted at t={t:.6g}: surface collapsed "
                     "below the policy floor", traj)
-            h = mean_curvature(v)
-            hn = _row_norm(h)
-            rest = hn * initial_median <= REST_FLOOR
-            h = np.where(rest[:, None], 0.0, h)  # faster than h[rest] = 0.0
-            hn[rest] = 0.0
-            face_h = _corner_max(hn, v.faces)
-            active = face_h > 0.0
-            if np.any(active):
+            mean_curvature(ws)  # h on the moved ring; one call per step
+            active = np.flatnonzero(ws.face_h > 0.0)
+            if len(active):
                 # stability and displacement caps from faces with moving
                 # corners only; static slivers must not throttle the step
-                scales = v.face_altitudes(active)
+                scales = _face_altitudes(ws.rows["measures"][active],
+                                         ws.rows["edge_lengths"][active])
                 if np.min(scales) < floor:
                     raise ResolutionExhausted(
                         f"resolution exhausted at t={t:.6g} "
@@ -163,28 +379,22 @@ def evolve(v0: DiscreteVarifold, t_end: float,
                         f"< {floor:.3e})", traj)
                 dt = float(np.min(np.minimum(
                     policy.c_stab * scales**2,
-                    DISP_CAP * scales / face_h[active])))
+                    DISP_CAP * scales / ws.face_h[active])))
                 dt = min(dt, t_next - t)
             else:
                 dt = t_next - t
-            diss = dt * float(np.sum(vertex_masses(v) * hn * hn))
-            moved = v.vertices + dt * h
-            moved.setflags(write=False)  # fresh: hand it over uncopied
-            # bit patterns, not values: x + dt * 0.0 turns -0.0 into +0.0
-            changed = _row_max(moved.view(np.int64)
-                               != v.vertices.view(np.int64))
-            v = v.with_vertices(moved, changed)
+            diss = dt * float(np.sum(ws.masses * ws.hn * ws.hn))
+            ws.move(dt)
             t += dt
             cum_diss += diss
             steps += 1
             steps_since_remesh += 1
             traj.ledger.append({
-                "t": t, "mass": v.total_mass(), "dissipation": diss,
-                "min_edge": v.min_edge_length() if v.num_faces else 0.0,
-                "remesh_delta": delta,
+                "t": t, "mass": ws.total_mass(), "dissipation": diss,
+                "min_edge": ws.min_edge, "remesh_delta": delta,
             })
         t = t_next
-        record(t)
+        record(t, ws.snapshot())
 
     for tt, vv, cd in zip(traj.times, traj.snapshots,
                           traj.cumulative_dissipation):
@@ -195,6 +405,25 @@ def evolve(v0: DiscreteVarifold, t_end: float,
                 f"{vv.total_mass() + cd:.6g} > {mass0:.6g} * (1 + tol)")
             break
     return traj
+
+
+def _median_holds(a: np.ndarray, pred) -> bool:
+    """``pred(_median(a))`` for a test ``pred`` (array -> bool array) that
+    is monotone non-decreasing: if x passes, so does every y >= x.
+
+    With s the n sorted entries and k = n // 2, the entries that pass are
+    the last c, s_j for j >= n - c, counted in one pass.  The median is s_k
+    for odd n; for even n it lies between s_(k-1) and s_k (their rounded
+    mean), so it passes when both do and fails when neither does.  Only
+    when exactly s_k passes is the median itself tested.
+    """
+    n = a.size
+    first_pass, k = n - np.count_nonzero(pred(a)), n // 2
+    if n % 2:
+        return first_pass <= k
+    if first_pass != k:
+        return first_pass < k
+    return bool(pred(_median(a)))
 
 
 def _row_norm(h: np.ndarray) -> np.ndarray:

@@ -154,10 +154,9 @@ def _collapse_pass(verts, faces, mult, boundary, median, rows=None):
 
 def _drop_degenerate(verts, faces, mult, median):
     """Non-degenerate faces, their multiplicities and ``_face_pass`` rows."""
-    rows = _face_pass(verts, faces, mult)
+    rows = _face_pass(verts, faces)
     ok = rows["measures"] > DEGENERATE_REL * median ** (faces.shape[1] - 1)
-    rows = {key: row.compress(ok, axis=1 if key == "corner_gradients" else 0)
-            for key, row in rows.items()}
+    rows = {key: row.compress(ok, axis=0) for key, row in rows.items()}
     return faces[ok], mult[ok], rows
 
 

@@ -23,15 +23,6 @@ from .quadrature import simplex_rule
 QUAD_ORDER = 3
 MEASUREMENT_SUBDIV = 2
 
-# ``with_vertices`` builds a moved mesh fresh, rather than copying its
-# parent's clean face rows and recomputing the others, when more than this
-# share of the faces has a moved corner.  Copying costs a pass over every
-# cached per-face array on top of the recomputed rows; on nucleated level-4
-# and level-5 stacks it stops paying at 60-70 % dirty faces, so half keeps
-# mostly-dirty steps (a perturbed stack moves 99.6 % of its faces) on the
-# fresh build.
-FRESH_BUILD_DIRTY_FRACTION = 0.5
-
 # Most quadrature points ``_quad_sums`` places at a time.  A window_l4 call
 # (2-core x86-64, median of 8) took 0.757 / 0.746 / 0.820 / 0.816 s at 2^12
 # / 2^13 / 2^14 / 2^15 points per block and 0.819 s in one block, with 9k /
@@ -48,27 +39,21 @@ class DiscreteVarifold:
     multiplicity : (nf,) positive int array
     boundary : (nv,) bool array; flagged vertices are fixed by every flow step
 
-    Instances are treated as immutable; flow steps and surgeries return new
-    objects.  All four arrays are read-only; a writeable input is copied,
-    never frozen in place.  A copy made by ``with_vertices`` shares
-    ``faces``, ``multiplicity`` and ``boundary`` with its parent.
+    Instances are treated as immutable; surgeries return new objects.  All
+    four arrays are read-only; a writeable input is copied, never frozen in
+    place.  A copy made by ``with_vertices`` shares ``faces``,
+    ``multiplicity`` and ``boundary`` with its parent.
 
     Construction keeps in ``_cache`` the rows of one face pass
     (``_face_pass``): face measures, unit normals (n = 2) or tangents
-    (n = 1) and edge lengths; ``with_vertices``, ``compact`` and
-    ``read_dvar`` hand a mesh these rows instead.  The minimum and median
-    edge length and the lumped vertex masses (``vertex_masses``) are kept
-    there on first use.  Face corners, projectors, altitudes and quadrature
-    points are formed on demand: trajectories hold many snapshots.
-
-    A step mesh, one that ``with_vertices(new, changed)`` (a flow step)
-    or ``remesh`` rebuilds, holds step-chain state on top of its face
-    rows: the per-corner area-gradient terms and, once ``area_gradient``
-    has summed them, the per-vertex area gradient.  A patched step mesh
-    is handed its lumped vertex masses and area gradient with its rows.
-    Its own step, or a recorded snapshot, drops the terms and the
-    gradient (``_leave_step_chain``); a mesh built otherwise (a fixture,
-    a rescaled mesh) holds neither.
+    (n = 1) and edge lengths; ``compact``, ``read_dvar`` and the flow's
+    snapshots hand a mesh these rows instead.  The minimum and median edge
+    length and the lumped vertex masses (``vertex_masses``) are kept there
+    on first use, or handed over with the rows.  Face corners, projectors,
+    altitudes, area-gradient terms and quadrature points are formed on
+    demand: trajectories hold many snapshots.  A mesh holds no flow-step
+    state; ``flow.evolve`` keeps that in its own step workspace, whose
+    snapshots are meshes holding copies of its rows.
     """
 
     vertices: np.ndarray
@@ -88,8 +73,7 @@ class DiscreteVarifold:
             raise ValueError("multiplicities must be >= 1")
         if not self._cache:  # not handed its face rows: build them
             self._cache.update(_face_pass(self.vertices, self.faces))
-        if np.any(self.face_measures() <= 0.0):
-            raise ValueError("degenerate face")
+        _require_positive_measures(self.face_measures())
 
     @property
     def ambient_dim(self) -> int:
@@ -169,57 +153,11 @@ class DiscreteVarifold:
         bary, w = simplex_rule(self.surface_dim, quad_order, subdiv)
         return bary @ self.face_corners(keep), bary, w
 
-    def with_vertices(self, new_vertices: np.ndarray,
-                      changed=None) -> "DiscreteVarifold":
-        """Same topology at new vertex positions.
-
-        The read-only topology arrays are shared.  Without ``changed`` the
-        copy shares none of this mesh's cached geometry.
-
-        ``changed`` is a boolean mask over the vertices that must include
-        every vertex whose coordinates differ, bit for bit, from this
-        mesh's; a flow step passes it.  This mesh then gives up its
-        per-corner area-gradient terms and its per-vertex area gradient to
-        the copy.  If it had the terms and at most
-        ``FRESH_BUILD_DIRTY_FRACTION`` of the faces have a changed corner,
-        the face pass recomputes those faces' rows and terms only, patched
-        into copies of this mesh's rows and into the terms in place; if
-        this mesh holds its vertex masses and area gradient, they are
-        copied and re-summed on the vertices of those faces only
-        (``_patch_vertex_sums``).  Otherwise it builds every row and term,
-        and the copy forms its vertex sums on first use.  Either way the
-        copy's geometry is bitwise a fresh mesh's.
-        """
-        cache = {}
-        if changed is not None:
-            new_vertices = _owned_read_only(new_vertices, float)
-            terms, gradient = self._leave_step_chain()
-            dirty = np.flatnonzero(_corner_max(changed, self.faces))
-            if (terms is None or len(dirty)
-                    > FRESH_BUILD_DIRTY_FRACTION * self.num_faces):
-                cache = _face_pass(new_vertices, self.faces, self.multiplicity)
-            else:
-                rows = _face_pass(new_vertices, self.faces[dirty],
-                                  self.multiplicity[dirty])
-                terms[:, dirty] = rows.pop("corner_gradients")
-                cache = {"corner_gradients": terms}
-                for key, new in rows.items():
-                    cache[key] = self._cache[key].copy()
-                    cache[key][dirty] = new
-                masses = self._cache.get("vertex_masses")
-                if masses is not None and gradient is not None:
-                    cache.update(_patch_vertex_sums(self, cache, dirty,
-                                                    masses, gradient))
+    def with_vertices(self, new_vertices: np.ndarray) -> "DiscreteVarifold":
+        """Same topology at new vertex positions, built fresh: the read-only
+        topology arrays are shared, no cached geometry is."""
         return DiscreteVarifold(new_vertices, self.faces, self.multiplicity,
-                                self.boundary, cache)
-
-    def _leave_step_chain(self):
-        """Give up the per-corner gradient terms and the per-vertex area
-        gradient, as a pair (None where absent): the next flow step patches
-        them, and a recorded snapshot or a mesh about to be remeshed must
-        not hold them."""
-        return (self._cache.pop("corner_gradients", None),
-                self._cache.pop("area_gradient", None))
+                                self.boundary)
 
 
 @dataclass(frozen=True)
@@ -337,42 +275,6 @@ def _scatter_add(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(idx, weights=weights, minlength=size)
 
 
-def _patch_vertex_sums(parent: "DiscreteVarifold", rows: dict,
-                       dirty: np.ndarray, masses: np.ndarray,
-                       gradient: np.ndarray) -> dict:
-    """The vertex masses and area gradient of ``parent``'s topology
-    holding the face rows and terms ``rows``, given ``parent``'s sums
-    ``masses`` and ``gradient`` and the faces ``dirty`` outside which the
-    rows equal the parent's.
-
-    Only the vertices W of the dirty faces can change.  Their sums are
-    formed again over the faces that touch W by one ``bincount`` whose
-    d + 1 rows are the masses and the gradient's coordinates; in each row
-    every vertex adds the same terms in the same face order as a full
-    ``bincount`` of that row, so it gets the same bits.  The other rows
-    are copied: the parent's arrays are not written, since its sums may
-    not change once its child exists.
-    """
-    faces, nv, d = parent.faces, parent.num_vertices, parent.ambient_dim
-    ring = np.zeros(nv, dtype=bool)
-    ring[faces[dirty]] = True
-    w = np.flatnonzero(ring)
-    touch = np.flatnonzero(_corner_max(ring, faces))
-    terms = np.empty((d + 1, len(touch), d))
-    terms[0] = (parent.multiplicity[touch] * rows["measures"][touch]
-                / d)[:, None]
-    np.take(rows["corner_gradients"], touch, axis=1, out=terms[1:])
-    idx = faces[touch] + (nv * np.arange(d + 1))[:, None, None]
-    sums = _scatter_add(idx.ravel(), terms.ravel(),
-                        (d + 1) * nv).reshape(d + 1, nv)[:, w]
-    m, g = masses.copy(), gradient.copy()
-    m[w] = sums[0]
-    g[w] = sums[1:].T
-    m.setflags(write=False)
-    g.setflags(write=False)
-    return {"vertex_masses": m, "area_gradient": g}
-
-
 def _median(a: np.ndarray) -> float:
     """``np.median`` of all entries of a (none NaN), bit for bit: one
     single-kth partition instead of three, and for an even count the
@@ -424,60 +326,81 @@ def _owned_read_only(a, dtype) -> np.ndarray:
 def _face_pass(vertices: np.ndarray, faces: np.ndarray, mult=None) -> dict:
     """Face rows keyed as ``_cache``: measures, unit normals (n = 2) or
     tangents (n = 1), edge lengths (nf, edges per face) in columns 0-1,
-    1-2, 2-0 and, given the multiplicities ``mult``, the
-    per-corner area-gradient terms (d, nf, corners), coordinate-major:
-    0.5 m (c_a - c_b) x normal at the corner opposite edge a-b, -m t and
-    m t on a segment.  A degenerate face's measure is not positive.
+    1-2, 2-0 and, given the multiplicities ``mult``, the per-corner
+    area-gradient terms (``_corner_terms``).  A degenerate face's measure
+    is not positive.
 
-    Works on coordinate columns (strided views of the corners).  Forms
-    c1 - c0, c2 - c0, c1 - c2 and, for the terms, c0 - c1 once each, never
-    a negation, so signed zeros match; norms add the squares in
+    Works on coordinate columns (strided views of the corners).  The rows
+    take c1 - c0, c2 - c0 and c1 - c2, each formed once and never as a
+    negation, so signed zeros match; norms add the squares in
     ``np.linalg.norm``'s order and cross products take ``np.cross``'s
     products, so every row is bitwise the direct formula's.
     """
-    c = np.take(vertices, faces, axis=0)
-    nf, d = c.shape[0], c.shape[2]
-    x = [[c[:, k, a] for a in range(d)] for k in range(d)]
-
-    def edge(i, j):
-        return [x[i][a] - x[j][a] for a in range(d)]
-
-    def norm(e):
-        s = e[0] * e[0] + e[1] * e[1]
-        return np.sqrt(s if d == 2 else s + e[2] * e[2])
-
-    def cross(a, b):
-        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0]]
-
-    rows = {}
-    if mult is not None:
-        m = mult.astype(float)
-        g = rows["corner_gradients"] = np.empty((d, nf, d))
-    e01 = edge(1, 0)
-    if d == 2:
-        length = norm(e01)
+    x = _corner_columns(vertices, faces)
+    e01 = _edge(x, 1, 0)
+    if len(x) == 2:
+        length = _norm(e01)
         with np.errstate(invalid="ignore"):
-            t = [e / length for e in e01]
-        rows.update(measures=length, tangents=np.stack(t, axis=1),
-                    edge_lengths=length[:, None])
-        if mult is not None:
-            for a in range(d):
-                g[a, :, 0], g[a, :, 1] = -m * t[a], m * t[a]
-        return rows
-    e02, e12 = edge(2, 0), edge(1, 2)
-    n = cross(e01, e02)
-    area2 = norm(n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        nu = [na / area2 for na in n]
-    rows.update(measures=0.5 * area2, normals=np.stack(nu, axis=1),
-                edge_lengths=np.stack([norm(e01), norm(e12), norm(e02)], 1))
+            units = [e / length for e in e01]
+        rows = {"measures": length, "tangents": np.stack(units, axis=1),
+                "edge_lengths": length[:, None]}
+    else:
+        e02, e12 = _edge(x, 2, 0), _edge(x, 1, 2)
+        n = _cross(e01, e02)
+        area2 = _norm(n)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            units = [na / area2 for na in n]
+        rows = {"measures": 0.5 * area2, "normals": np.stack(units, axis=1),
+                "edge_lengths": np.stack([_norm(e01), _norm(e12),
+                                          _norm(e02)], 1)}
     if mult is not None:
-        half_m = 0.5 * m
-        for k, e in enumerate((e12, e02, edge(0, 1))):
-            for a, ga in enumerate(cross(e, nu)):
-                np.multiply(half_m, ga, out=g[a, :, k])
+        rows["corner_gradients"] = _corner_terms(x, units, mult)
     return rows
+
+
+def _corner_terms(x: list, units: list, mult: np.ndarray) -> np.ndarray:
+    """Per-corner area-gradient terms (d, nf, corners), coordinate-major,
+    from the corner columns ``x`` (``_corner_columns``) and the columns of
+    the faces' unit normals or tangents: 0.5 m (c_a - c_b) x normal at the
+    corner opposite edge a-b (c1 - c2, c2 - c0 and c0 - c1, each formed
+    directly), -m t and m t on a segment."""
+    d, m = len(x), mult.astype(float)
+    g = np.empty((d, len(m), d))
+    if d == 2:
+        for a in range(d):
+            g[a, :, 0], g[a, :, 1] = -m * units[a], m * units[a]
+        return g
+    half_m = 0.5 * m
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        for a, ga in enumerate(_cross(_edge(x, i, j), units)):
+            np.multiply(half_m, ga, out=g[a, :, k])
+    return g
+
+
+def _corner_columns(vertices: np.ndarray, faces: np.ndarray) -> list:
+    """x[k][a]: coordinate a of corner k of every face, a strided view."""
+    c = np.take(vertices, faces, axis=0)
+    d = c.shape[2]
+    return [[c[:, k, a] for a in range(d)] for k in range(d)]
+
+
+def _edge(x: list, i: int, j: int) -> list:
+    return [xi - xj for xi, xj in zip(x[i], x[j])]
+
+
+def _norm(e: list) -> np.ndarray:
+    s = e[0] * e[0] + e[1] * e[1]
+    return np.sqrt(s if len(e) == 2 else s + e[2] * e[2])
+
+
+def _cross(a: list, b: list) -> list:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
+def _require_positive_measures(measures: np.ndarray) -> None:
+    if np.any(measures <= 0.0):
+        raise ValueError("degenerate face")
 
 
 def _face_altitudes(measures: np.ndarray, edge_lengths: np.ndarray):
@@ -488,15 +411,31 @@ def _face_altitudes(measures: np.ndarray, edge_lengths: np.ndarray):
     return 2.0 * measures / _row_max(edge_lengths)
 
 
+def _lumped_masses(faces: np.ndarray, mult: np.ndarray,
+                   measures: np.ndarray, nv: int) -> np.ndarray:
+    """Adjacent multiplicity-weighted measure / (n + 1) per vertex, each
+    vertex's terms added in face order."""
+    contrib = mult * measures / faces.shape[1]
+    return _scatter_add(faces.ravel(), np.repeat(contrib, faces.shape[1]), nv)
+
+
+def _gradient_sums(faces: np.ndarray, terms: np.ndarray,
+                   nv: int) -> np.ndarray:
+    """(nv, d) sums of the per-corner area-gradient terms (d, nf, corners),
+    one coordinate row at a time, each vertex's terms in face order."""
+    idx = faces.ravel()
+    return np.column_stack([_scatter_add(idx, row.ravel(), nv)
+                            for row in terms])
+
+
 def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
     """Lumped vertex masses: adjacent multiplicity-weighted measure / (n+1).
 
     Cached on ``v`` and returned read-only.
     """
     if "vertex_masses" not in v._cache:
-        contrib = v.multiplicity * v.face_measures() / v.ambient_dim
-        m = _scatter_add(v.faces.ravel(),
-                         np.repeat(contrib, v.ambient_dim), v.num_vertices)
+        m = _lumped_masses(v.faces, v.multiplicity, v.face_measures(),
+                           v.num_vertices)
         m.setflags(write=False)
         v._cache["vertex_masses"] = m
     return v._cache["vertex_masses"]
@@ -504,36 +443,21 @@ def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
 
 def area_gradient(v: DiscreteVarifold) -> np.ndarray:
     """Gradient of total (multiplicity-weighted) mass wrt vertex positions,
-    read-only.
-
-    Scatters the per-corner terms a flow step or a remeshed mesh holds,
-    one coordinate row at a time in face order, and keeps the sums on
-    that mesh until it leaves the step chain: the next step patches them.
-    On any other mesh, such as a snapshot being measured, a face pass
-    forms the terms and neither they nor the sums are kept.
-    """
-    if "area_gradient" in v._cache:
-        return v._cache["area_gradient"]
-    terms = v._cache.get("corner_gradients")
-    kept = terms is not None
-    if not kept:
-        terms = _face_pass(v.vertices, v.faces,
-                           v.multiplicity)["corner_gradients"]
-    idx = v.faces.ravel()
-    g = np.column_stack([_scatter_add(idx, row.ravel(), v.num_vertices)
-                         for row in terms])
-    g.setflags(write=False)
-    if kept:
-        v._cache["area_gradient"] = g
-    return g
+    from the per-corner terms of a face pass.  Not cached."""
+    rows = _face_pass(v.vertices, v.faces, v.multiplicity)
+    return _gradient_sums(v.faces, rows["corner_gradients"], v.num_vertices)
 
 
 def mean_curvature(v: DiscreteVarifold) -> np.ndarray:
     """Generalized mean curvature at vertices: -area gradient / lumped mass.
 
     Boundary vertices get h = 0.  Raises on interior vertices with no
-    adjacent face (isolated vertex), whose mass would vanish.
+    adjacent face (isolated vertex), whose mass would vanish.  Given a
+    flow's step workspace (``flow._StepWorkspace``) instead of a mesh, it
+    returns the workspace's h, formed again where the last step moved.
     """
+    if not isinstance(v, DiscreteVarifold):
+        return v.mean_curvature()
     if v.ambient_dim not in (2, 3):
         raise ValueError("mean curvature implemented for ambient dim 2 and 3")
     masses = vertex_masses(v)

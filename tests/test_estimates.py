@@ -112,6 +112,28 @@ class TestDissipationCheck:
             assert chk["pass"], chk
 
 
+    def test_margin_is_rhs_minus_lhs(self, window_cfg, t_plane,
+                                     monkeypatch):
+        # margin = rhs - lhs bit for bit, and a record passes exactly when
+        # margin >= -tol; a negative coefficient makes checks fail
+        from holeflow import estimates
+        from holeflow.nucleation import nucleate
+        v0 = make_fixture("flat_stack", 2, 3, radius=4 * EPS,
+                          spacing=0.02 * EPS)
+        traj = evolve(nucleate(v0, t_plane, EPS), EPS**2,
+                      snapshot_times=np.linspace(0, 1, 3) * EPS**2)
+        snaps = [(parabolic_rescale(v, EPS), t / EPS**2)
+                 for t, v in zip(traj.times, traj.snapshots)]
+        records = [dissipation_check(v, window_cfg, t) for v, t in snaps]
+        monkeypatch.setattr(estimates, "DISSIPATION_COEF", -1e6)
+        records += [dissipation_check(v, window_cfg, t) for v, t in snaps]
+        assert any(r["pass"] for r in records)
+        assert not all(r["pass"] for r in records)
+        for r in records:
+            assert float(r["margin"]).hex() == float(r["rhs"] - r["lhs"]).hex()
+            assert r["pass"] == (r["margin"] >= -r["tol"])
+
+
 class TestExpandingHolesRun:
     def test_static_stack_zero_gain(self, window_cfg):
         # an exact multiplicity-2 plane inside the reference plane is
@@ -127,10 +149,10 @@ class TestExpandingHolesRun:
 
     def test_snapshots_keep_no_step_only_geometry(self, window_cfg, t_plane):
         # the per-corner area-gradient terms, the per-vertex area gradient
-        # and the altitudes live only on the flow's step chain: neither a
-        # recorded snapshot nor a rescaled copy that the window measures may
-        # keep them (they would add (nf, 3, 3), (nv, 3) and (nf,) floats to
-        # every snapshot)
+        # and the altitudes live only in the flow's step workspace: neither
+        # a recorded snapshot nor a rescaled copy that the window measures
+        # may keep them (they would add (nf, 3, 3), (nv, 3) and (nf,) floats
+        # to every snapshot), and no snapshot shares an array with another
         v0 = make_fixture("flat_stack", 2, 3, radius=4 * EPS)
         tgrid = np.linspace(0.0, 1.0, 6) * EPS**2
         traj = evolve(nucleate(v0, t_plane, EPS), EPS**2,
@@ -145,6 +167,9 @@ class TestExpandingHolesRun:
             assert "corner_gradients" not in v._cache
             assert "area_gradient" not in v._cache
             assert "altitudes" not in v._cache
+        for v, w in zip(traj.snapshots, traj.snapshots[1:]):
+            assert not np.shares_memory(v.vertices, w.vertices)
+            assert not np.shares_memory(v.face_measures(), w.face_measures())
 
     def test_missing_endpoints_rejected(self, window_cfg):
         stack = make_fixture("flat_stack", 2, 4, radius=6.0, spacing=0.0)

@@ -7,19 +7,71 @@ from hypothesis import assume, given, settings, strategies as st
 from holeflow import verify
 from holeflow.fixtures import (circle_mesh, cylinder_tube, icosphere,
                                make_fixture, square_sheet)
-from holeflow.flow import (REST_FLOOR, DtPolicy, ResolutionExhausted,
-                           barrier_monitor, barrier_offset_factor,
-                           brakke_inequality_test, evolve,
-                           sphere_barrier_from_scale, SphereBarrier)
+from holeflow import flow
+from holeflow.flow import (DISP_CAP, MIN_EDGE_FLOOR_REL, REMESH_BACKOFF,
+                           REMESH_EVERY, REMESH_MIN_RATIO, REST_FLOOR,
+                           DtPolicy, ResolutionExhausted, barrier_monitor,
+                           barrier_offset_factor, brakke_inequality_test,
+                           evolve, sphere_barrier_from_scale, SphereBarrier)
+from holeflow.geom import coordinate_plane
+from holeflow.nucleation import nucleate
 from holeflow.remesh import DEGENERATE_REL, _edges_of, _unique_pairs, remesh
 from holeflow.testfunctions import bump_scalar_test, random_scalar_test
-from holeflow.varifold import _face_pass, mean_curvature, weight_measure
+from holeflow.varifold import (_face_pass, mean_curvature, vertex_masses,
+                               weight_measure)
 from holeflow.kernels import make_profile
 
 
 def advance(v, dt):
     """The mesh that evolve reaches at time dt."""
     return evolve(v, dt, snapshot_times=[0.0, dt]).snapshots[-1]
+
+
+def _fresh_mesh_evolve(v0, t_end, snapshot_times):
+    """``evolve``'s step rule with one mesh built fresh per step, the
+    reference for its step workspace: (ledger, snapshots)."""
+    e0 = v0.median_edge_length()
+    req = sorted({float(t) for t in snapshot_times} | {0.0, float(t_end)})
+    v, t, since, ledger, snapshots = v0, 0.0, 0, [], [v0]
+    for t_next in req[1:]:
+        while t_next - t > 1e-14 * max(1.0, t_next):
+            delta = 0.0
+            if since >= REMESH_EVERY or (
+                    since >= REMESH_BACKOFF and v.min_edge_length()
+                    < REMESH_MIN_RATIO * v.median_edge_length()):
+                v, delta = remesh(v)
+                since = 0
+            assert v.median_edge_length() >= MIN_EDGE_FLOOR_REL * e0
+            h = mean_curvature(v)
+            hn = np.linalg.norm(h, axis=1)
+            rest = hn * e0 <= REST_FLOOR
+            h[rest] = 0.0
+            hn[rest] = 0.0
+            face_h = np.max(hn[v.faces], axis=1)
+            active = face_h > 0.0
+            dt = t_next - t
+            if np.any(active):
+                scales = v.face_altitudes(active)
+                dt = min(float(np.min(np.minimum(
+                    DtPolicy().c_stab * scales**2,
+                    DISP_CAP * scales / face_h[active]))), dt)
+            diss = dt * float(np.sum(vertex_masses(v) * hn * hn))
+            v = v.with_vertices(v.vertices + dt * h)
+            t += dt
+            since += 1
+            ledger.append({"t": t, "mass": v.total_mass(),
+                           "dissipation": diss,
+                           "min_edge": v.min_edge_length(),
+                           "remesh_delta": delta})
+        t = t_next
+        snapshots.append(v)
+    return ledger, snapshots
+
+
+def _nucleated(kind, level):
+    spacing = 0.06 if kind == "perturbed_stack" else 0.0
+    return nucleate(make_fixture(kind, 2, level, radius=0.2, spacing=spacing),
+                    coordinate_plane([0, 1], 3), 0.05)
 
 
 class TestStep:
@@ -79,6 +131,65 @@ class TestEvolve:
         assert len(traj.ledger) == len(times) - 1
         for v in traj.snapshots:
             assert np.array_equal(v.vertices, sheet.vertices)
+
+    @pytest.mark.parametrize("case", ["rim", "perturbed", "circle",
+                                      "tube"])
+    def test_equals_fresh_mesh_per_step(self, case):
+        # the step workspace, patched where the rim moves (with periodic and
+        # adaptive remeshes), rebuilt every step when nearly every face moves
+        # (a perturbed stack), on segments and with a fixed boundary, steps
+        # bit for bit as a fresh mesh per step does
+        v0, t_end = {"rim": lambda: (_nucleated("flat_stack", 3), 1e-3),
+                     "perturbed": lambda: (_nucleated("perturbed_stack", 2),
+                                           5e-3),
+                     "circle": lambda: (circle_mesh(5), 0.01),
+                     "tube": lambda: (cylinder_tube(3), 0.1)}[case]()
+        times = np.linspace(0.0, t_end, 4)
+        traj = evolve(v0, t_end, snapshot_times=times)
+        ledger, snapshots = _fresh_mesh_evolve(v0, t_end, times)
+        assert len(ledger) > REMESH_EVERY
+        if case == "rim":
+            assert sum(row["remesh_delta"] != 0.0 for row in ledger) >= 2
+        assert [{k: float(x).hex() for k, x in row.items()}
+                for row in traj.ledger] == [
+                    {k: float(x).hex() for k, x in row.items()}
+                    for row in ledger]
+        assert len(traj.snapshots) == len(snapshots)
+        for got, ref in zip(traj.snapshots, snapshots):
+            assert got.vertices.tobytes() == ref.vertices.tobytes()
+            assert got.faces.tobytes() == ref.faces.tobytes()
+            for key, row in _face_pass(ref.vertices, ref.faces).items():
+                assert got._cache[key].tobytes() == row.tobytes(), key
+            assert (vertex_masses(got).tobytes()
+                    == vertex_masses(ref).tobytes())
+
+    def test_handed_out_meshes_keep_their_arrays(self, monkeypatch):
+        # the recorded snapshots and the meshes handed to remesh hold copies
+        # of the step workspace's arrays: the flow goes on past each of them
+        # without writing any array it holds
+        taken, real = [], flow._StepWorkspace.snapshot
+
+        def spy(ws):
+            v = real(ws)
+            taken.append((v, [a.copy() for a in _arrays(v)]))
+            return v
+
+        def _arrays(v):
+            return [v.vertices, *(a for a in v._cache.values()
+                                  if isinstance(a, np.ndarray))]
+
+        monkeypatch.setattr(flow._StepWorkspace, "snapshot", spy)
+        traj = evolve(_nucleated("flat_stack", 3), 1e-3,
+                      snapshot_times=np.linspace(0.0, 1e-3, 4))
+        assert len(taken) > len(traj.snapshots)  # remeshes took some
+        for v, frozen in taken:
+            for a, b in zip(_arrays(v), frozen, strict=True):
+                assert a.tobytes() == b.tobytes()
+        for v in traj.snapshots[1:]:
+            assert "corner_gradients" not in v._cache
+            assert not any(np.shares_memory(a, b)
+                           for w in traj.snapshots if w is not v
+                           for a in _arrays(v) for b in _arrays(w))
 
     def test_dissipation_nonnegative(self):
         s = icosphere(3)
@@ -346,13 +457,13 @@ class TestRemeshProperties:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(**REMESH_CASES)
     def test_rebuilt_mesh_holds_its_face_pass(self, seed, level, amp):
-        # the rows the pass hands over, gradient terms included, are bitwise
-        # those of a face pass on the rebuilt mesh, and contiguous like them
-        # (each step scatters and patches the terms in place)
+        # the rows the pass hands over are bitwise those of a face pass on
+        # the rebuilt mesh, and contiguous like them; it hands over no
+        # gradient terms, which only the flow's step workspace holds
         v = _jittered_sheet(seed, level, amp)
         out, _ = remesh(v)
         assume(out is not v)
-        fresh = _face_pass(out.vertices, out.faces, out.multiplicity)
+        fresh = _face_pass(out.vertices, out.faces)
         assert sorted(out._cache) == sorted(fresh)
         for key, row in fresh.items():
             assert out._cache[key].shape == row.shape

@@ -6,8 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from holeflow.fixtures import (circle_mesh, cylinder_tube, disk_triangulation,
                                icosphere, make_fixture, square_sheet)
-from holeflow.varifold import (FRESH_BUILD_DIRTY_FRACTION, DiscreteVarifold,
-                               _face_pass, _median, area_gradient,
+from holeflow.remesh import remesh
+from holeflow.flow import (FRESH_BUILD_DIRTY_FRACTION, REST_FLOOR,
+                           _median_holds, _StepWorkspace)
+from holeflow.varifold import (DiscreteVarifold, _face_pass, _median,
+                               area_gradient,
                                density_ratio,
                                first_variation, interpolate_vertex_field,
                                mean_curvature,
@@ -385,27 +388,30 @@ def _direct_gradient_terms(v):
 @pytest.mark.parametrize("kind", ["circle", "sphere", "nucleated"])
 @pytest.mark.parametrize("patched", [True, False])
 def test_gradient_terms_equal_direct_formula(kind, patched, nucleated_stack):
-    # the terms a step mesh holds, patched from its parent's or formed in
-    # full, and those the helper forms, are the direct formula's bit for
+    # the terms a flow's step workspace holds, patched in place or formed
+    # in full, and those the helper forms, are the direct formula's bit for
     # bit, signed zeros included: the moves keep z, so the flat sheets of
     # the nucleated stack keep their zero z differences
     v = {"circle": lambda: circle_mesh(4),
          "sphere": lambda: icosphere(2),
          "nucleated": lambda: nucleated_stack}[kind]()
     rng = np.random.default_rng(7)
-    parent = _step_parent(v)
-    terms = parent._cache["corner_gradients"]
-    moved = rng.random(v.num_vertices) < (0.05 if patched else 1.0)
+    ws = _StepWorkspace(v, v.median_edge_length())
+    terms = ws.terms
+    moved = np.flatnonzero(rng.random(v.num_vertices)
+                           < (0.05 if patched else 1.0))
     jitter = 1e-3 * v.median_edge_length() * rng.uniform(-1.0, 1.0,
                                                          v.vertices.shape)
     jitter[:, 2:] = 0.0
-    new = np.where(moved[:, None], v.vertices + jitter, v.vertices)
-    child = parent.with_vertices(new, moved)
-    assert (child._cache["corner_gradients"] is terms) == patched
+    ws.vertices[moved] += jitter[moved]
+    ws.refresh(moved)
+    assert (ws.terms is terms) == patched
+    child = DiscreteVarifold(ws.vertices.copy(), v.faces, v.multiplicity,
+                             v.boundary)
     ref = _direct_gradient_terms(child)
     if kind == "nucleated":
         assert np.any((ref == 0.0) & np.signbit(ref))
-    _assert_same_bits(child._cache["corner_gradients"], ref)
+    _assert_same_bits(ws.terms, ref)
     _assert_same_bits(_face_pass(child.vertices, child.faces,
                                  child.multiplicity)["corner_gradients"], ref)
 
@@ -432,88 +438,176 @@ def test_with_vertices_shares_read_only_topology():
             a[0] = a[0]
 
 
-def _step_parent(v):
-    """v as a flow step holds it: made by ``with_vertices`` with a mask of
-    changed vertices, so with its per-corner area-gradient terms."""
-    return v.with_vertices(v.vertices, np.zeros(v.num_vertices, dtype=bool))
+def _assert_workspace_matches_fresh(ws):
+    """Every array of the step workspace, and of a snapshot of it, is
+    bitwise that of a mesh built fresh at its vertices; h, |h| and the face
+    maxima follow the flow's rest rule from the fresh mean curvature."""
+    fresh = DiscreteVarifold(ws.vertices.copy(), ws.faces, ws.mult,
+                             ws.boundary)
+    h = mean_curvature(ws)
+    assert h is ws.h
+    ref_h = mean_curvature(fresh)
+    ref_hn = np.linalg.norm(ref_h, axis=1)
+    rest = ref_hn * ws.e0 <= REST_FLOOR
+    ref_h[rest] = 0.0
+    ref_hn[rest] = 0.0
+    _assert_same_bits(h, ref_h)
+    _assert_same_bits(ws.hn, ref_hn)
+    if fresh.num_faces:
+        _assert_same_bits(ws.face_h, np.max(ref_hn[fresh.faces], axis=1))
+        _assert_same_bits(ws.min_edge, fresh.min_edge_length())
+    _assert_same_bits(ws.masses, vertex_masses(fresh))
+    _assert_same_bits(ws.gradient, area_gradient(fresh))
+    _assert_same_bits(ws.terms, _direct_gradient_terms(fresh))
+    _assert_same_bits(ws.total_mass(), fresh.total_mass())
+    snap = ws.snapshot()
+    rows = _face_pass(fresh.vertices, fresh.faces)
+    assert sorted(snap._cache) == sorted([*rows, "vertex_masses"])
+    for key, row in rows.items():
+        _assert_same_bits(snap._cache[key], row)
+        assert not np.shares_memory(snap._cache[key], ws.rows[key])
+    _assert_same_bits(snap.vertices, fresh.vertices)
+    _assert_same_bits(vertex_masses(snap), vertex_masses(fresh))
+    _assert_same_bits(snap.median_edge_length(), fresh.median_edge_length())
+    _assert_same_bits(snap.face_altitudes(), fresh.face_altitudes())
+    return snap
+
+
+def _frozen(v):
+    """Copies of every array a mesh holds, to check later that none moved."""
+    return [a.copy() for a in (v.vertices, v.faces, v.multiplicity,
+                               v.boundary, *v._cache.values())
+            if isinstance(a, np.ndarray)]
+
+
+def _assert_unchanged(v, frozen):
+    for a, b in zip(_frozen(v), frozen, strict=True):
+        _assert_same_bits(a, b)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["sphere", "circle", "nucleated"]),
        seed=st.integers(0, 2**31 - 1), frac=st.floats(0.0, 0.1),
-       masks=st.lists(st.sampled_from(["changed", "empty", "superset", "all"]),
-                      min_size=3, max_size=3),
-       drop=st.integers(0, 3))
-def test_incremental_geometry_equals_fresh_build(kind, seed, frac, masks, drop,
+       masks=st.lists(st.sampled_from(["changed", "empty", "superset", "all",
+                                       "remesh"]),
+                      min_size=3, max_size=4))
+def test_incremental_geometry_equals_fresh_build(kind, seed, frac, masks,
                                                  nucleated_stack):
-    # a chain of steps, each bitwise a fresh build; before step `drop` (none
-    # when 3) the parent drops its gradient terms, as a recorded snapshot
-    # does.  The terms are patched in place, so a parent must give them up:
-    # its area gradient may not change once its child exists, nor may its
-    # vertex masses, which a patched child copies and re-sums in part.
+    # a chain of updates of a flow's step workspace, each bitwise a fresh
+    # build: moves patched in place, or rebuilt in full when most faces are
+    # dirty, and remesh passes.  The snapshots taken along the chain keep
+    # their bits while the workspace goes on.
     v = {"circle": lambda: circle_mesh(4),
          "sphere": lambda: icosphere(2),
          "nucleated": lambda: nucleated_stack}[kind]()
     rng = np.random.default_rng(seed)
-    parent = _step_parent(v)
-    for step, mask in enumerate(masks):
-        if step == drop:
-            parent._leave_step_chain()
-        moved = rng.random(v.num_vertices) < (0.0 if mask == "empty" else frac)
-        jitter = 1e-3 * v.median_edge_length() * rng.uniform(
-            -1.0, 1.0, v.vertices.shape)
-        new = np.where(moved[:, None], parent.vertices + jitter,
-                       parent.vertices)
-        changed = {"changed": moved, "empty": moved,
-                   "superset": moved | (rng.random(v.num_vertices) < 0.05),
-                   "all": np.ones(v.num_vertices, dtype=bool)}[mask]
-        masses = vertex_masses(parent).copy()
-        before = area_gradient(parent)
-        terms = parent._cache.get("corner_gradients")
-        # the area gradient is kept only on a mesh on the step chain
-        assert ("area_gradient" in parent._cache) == (terms is not None)
-        child = parent.with_vertices(new, changed)
-        assert "corner_gradients" not in parent._cache
-        assert "area_gradient" not in parent._cache
-        assert "altitudes" not in parent._cache
-        _assert_same_bits(area_gradient(parent), before)
-        _assert_same_bits(vertex_masses(parent), masses)
-        dirty = np.mean(np.any(changed[v.faces], axis=1))
-        patched = terms is not None and dirty <= FRESH_BUILD_DIRTY_FRACTION
-        # a patched child holds its vertex sums, patched from its parent's;
-        # a child built in full forms them on first use
-        assert ("vertex_masses" in child._cache) == patched
-        assert ("area_gradient" in child._cache) == patched
+    ws = _StepWorkspace(v, v.median_edge_length())
+    snaps = [_assert_workspace_matches_fresh(ws)]
+    for mask in masks:
+        terms = ws.terms
+        if mask == "remesh":
+            faces = ws.faces
+            snap = ws.snapshot()
+            out, delta = remesh(snap)
+            _assert_same_bits(ws.remesh(), delta)
+            assert (ws.faces is faces) == (out is snap)
+            assert (ws.terms is terms) == (out is snap)
+        else:
+            nv = len(ws.vertices)
+            moved = rng.random(nv) < (0.0 if mask == "empty" else frac)
+            jitter = 1e-3 * ws.e0 * rng.uniform(-1.0, 1.0,
+                                                ws.vertices.shape)
+            new = np.where(moved[:, None], ws.vertices + jitter, ws.vertices)
+            changed = {"changed": moved, "empty": moved,
+                       "superset": moved | (rng.random(nv) < 0.05),
+                       "all": np.ones(nv, dtype=bool)}[mask]
+            dirty = np.mean(np.any(changed[ws.faces], axis=1))
+            ws.vertices[changed] = new[changed]
+            ws.refresh(np.flatnonzero(changed))
+            # patched rows are written in place; a full build replaces them
+            assert (ws.terms is terms) == (dirty
+                                           <= FRESH_BUILD_DIRTY_FRACTION)
+        snap = _assert_workspace_matches_fresh(ws)
+        snaps.append((snap, _frozen(snap)))
+    for snap, frozen in snaps[1:]:
+        _assert_unchanged(snap, frozen)
 
-        fresh = DiscreteVarifold(new, v.faces, v.multiplicity, v.boundary)
-        # every mesh, patched or built fresh, holds its edge lengths
-        assert "edge_lengths" in child._cache
-        assert "edge_lengths" in fresh._cache
-        _assert_same_bits(child.face_corners(), fresh.face_corners())
-        _assert_same_bits(child.face_measures(), fresh.face_measures())
-        if v.surface_dim == 2:
-            _assert_same_bits(child.face_normals(), fresh.face_normals())
-        _assert_same_bits(child._edge_lengths(), fresh._edge_lengths())
-        _assert_same_bits(child.min_edge_length(), fresh.min_edge_length())
-        _assert_same_bits(child.median_edge_length(),
-                          fresh.median_edge_length())
-        _assert_same_bits(child.face_altitudes(), fresh.face_altitudes())
-        _assert_same_bits(vertex_masses(child), vertex_masses(fresh))
-        _assert_same_bits(area_gradient(child), area_gradient(fresh))
-        _assert_same_bits(mean_curvature(child), mean_curvature(fresh))
-        # every step mesh holds the gradient terms for the next, its
-        # parent's patched in place or formed in full; a mesh built fresh
-        # holds none, and area_gradient stores none
-        assert (child._cache["corner_gradients"] is terms) == patched
-        _assert_same_bits(child._cache["corner_gradients"],
-                          _direct_gradient_terms(fresh))
-        assert "corner_gradients" not in fresh._cache
-        assert "area_gradient" in child._cache
-        assert "area_gradient" not in fresh._cache
-        parent = child
-    parent._leave_step_chain()
-    assert "corner_gradients" not in parent._cache
-    assert "area_gradient" not in parent._cache
+
+@pytest.mark.parametrize("kind", ["circle", "sphere"])
+def test_workspace_chain_through_remesh(kind):
+    # a vertex pulled most of the way to a neighbour leaves a short edge: the
+    # next remesh pass collapses it and the workspace is built again on the
+    # new mesh; the pass after that changes nothing and the workspace is
+    # kept.  Every step, before and after, is bitwise a fresh build.
+    v = circle_mesh(4) if kind == "circle" else icosphere(2)
+    ws = _StepWorkspace(v, v.median_edge_length())
+    i = int(np.flatnonzero(~v.boundary)[v.num_vertices // 3])
+    j = next(int(k) for k in v.faces[np.any(v.faces == i, axis=1)][0]
+             if k != i)
+    ws.vertices[i] = 0.2 * v.vertices[i] + 0.8 * v.vertices[j]
+    ws.refresh(np.array([i]))
+    _assert_workspace_matches_fresh(ws)
+    faces = ws.faces
+    assert ws.remesh() != 0.0
+    assert ws.faces is not faces
+    assert ws.num_faces < v.num_faces
+    _assert_workspace_matches_fresh(ws)
+    for step in range(3):
+        if step == 1:
+            faces, terms = ws.faces, ws.terms
+            assert ws.remesh() == 0.0
+            assert ws.faces is faces and ws.terms is terms
+        ws.move(1e-3 * ws.e0**2)
+        _assert_workspace_matches_fresh(ws)
+
+
+def test_move_refreshes_signed_zeros_at_rest():
+    # a resting vertex has h = +0.0, and x + dt * 0.0 turns its -0.0
+    # coordinates into +0.0: the bits change although the value does not,
+    # and the terms of its faces (0.5 m (c0 - c1) x normal) change sign
+    sheet = square_sheet(2.0, 3)
+    verts = sheet.vertices.copy()
+    verts[np.flatnonzero(~sheet.boundary)[::2], 2] = -0.0
+    v = DiscreteVarifold(verts, sheet.faces, sheet.multiplicity,
+                         sheet.boundary)
+    ws = _StepWorkspace(v, v.median_edge_length())
+    assert not np.any(mean_curvature(ws))
+    ws.move(1e-3)
+    assert not np.any(np.signbit(ws.vertices[:, 2]))
+    _assert_workspace_matches_fresh(ws)
+
+
+def test_workspace_keeps_the_mesh_checks():
+    # the step workspace raises where a mesh built fresh would: on a
+    # recomputed face whose measure is not positive, and on an interior
+    # vertex with no face
+    v = icosphere(2)
+    ws = _StepWorkspace(v, v.median_edge_length())
+    i, j = (int(k) for k in v.faces[0][:2])
+    ws.vertices[i] = v.vertices[j]
+    with pytest.raises(ValueError, match="degenerate face"):
+        ws.refresh(np.array([i]))
+    verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]])
+    lonely = DiscreteVarifold(verts, np.array([[0, 1, 2]]), np.array([1]),
+                              np.zeros(4, dtype=bool))
+    with pytest.raises(ValueError, match="isolated vertex"):
+        mean_curvature(_StepWorkspace(lonely, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=30),
+       repeat=st.integers(1, 3), pick=st.integers(0, 10**6),
+       scale=st.sampled_from([0.35, 1.0]), below=st.booleans())
+def test_median_holds_equals_test_of_median(values, repeat, pick, scale,
+                                            below):
+    # thresholds at the entries themselves, where counting is most likely
+    # to go wrong: the two middle entries of an even count and their mean
+    a = np.repeat(np.asarray(values), repeat)
+    cands = np.concatenate([a, [_median(a)], np.nextafter(a, 0.0)])
+    x = float(cands[pick % len(cands)])
+    pred = ((lambda e: e >= x) if below
+            else (lambda e: x < scale * e))
+    assert _median_holds(a, pred) == bool(pred(_median(a)))
 
 
 def test_construction_leaves_caller_arrays_writeable():
