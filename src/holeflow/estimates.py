@@ -16,9 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import UNIT_BALL_VOLUME, Plane
+from .geom import UNIT_BALL_VOLUME, Plane, dot_last, norm_last
 from .kernels import CutoffProfile, cylindrical_cutoff
-from .varifold import (DiscreteVarifold, _normal_part, _quad_sums, _row_max,
+from .varifold import (DiscreteVarifold, _corner_max, _normal_part,
+                       _quad_sums, _row_max,
                        ball_mass, interpolate_vertex_field, mean_curvature,
                        weight_measure, MEASUREMENT_SUBDIV, QUAD_ORDER)
 from .flow import FlowTrajectory
@@ -52,7 +53,7 @@ def curvature_l2_sq(v: DiscreteVarifold, h_field: np.ndarray, weight_fn,
     def integrand(pts, bary, sel):
         wt = weight_fn(pts.reshape(-1, v.ambient_dim)).reshape(pts.shape[:2])
         hq = interpolate_vertex_field(v, h_field, bary, sel)
-        return [wt * np.sum(hq * hq, axis=2)]
+        return [wt * dot_last(hq, hq)]
 
     return _quad_sums(v, quad_order, subdiv, integrand)[0]
 
@@ -94,10 +95,21 @@ class ExpandingHolesConfig:
 
 
 def support_annulus_violation(v: DiscreteVarifold, cfg: ExpandingHolesConfig) -> bool:
-    """True when some face vertex falls in the forbidden normal annulus."""
-    used = np.unique(v.faces.ravel())
-    heights = cfg.t_plane.normal_norm(v.vertices[used])
-    return bool(np.any((heights > cfg.rhat1) & (heights < cfg.rhat2)))
+    """True when some face meets the forbidden normal annulus
+    Rhat1 < |T_perp x| < Rhat2.
+
+    T is a hyperplane, so the signed normal coordinate x . nu is linear on a
+    face: |T_perp x| takes every value between its corner extremes there,
+    from 0 up when the corners lie on both sides of T.
+    """
+    height = cfg.t_plane.normal_norm(v.vertices)
+    side = v.vertices @ cfg.t_plane.unit_normal()
+    hi = _corner_max(height, v.faces)
+    lo = -_corner_max(-height, v.faces)
+    crosses = _corner_max(side > 0.0, v.faces) & _corner_max(side < 0.0,
+                                                             v.faces)
+    lo[crosses] = 0.0
+    return bool(np.any((hi > cfg.rhat1) & (lo < cfg.rhat2)))
 
 
 def slab_weighted_mass(v: DiscreteVarifold, cfg: ExpandingHolesConfig,
@@ -134,7 +146,8 @@ def _window_pass(v: DiscreteVarifold, cfg: ExpandingHolesConfig, t: float,
 
     Every window integrand vanishes where |T x| >= R(t), so only faces that
     reach the cylinder C(T, 0, R) are integrated.  |T x|, |T_perp x|, chi,
-    chi' and h are evaluated once per quadrature point.
+    chi' and h are evaluated once per quadrature point, chi and chi' in one
+    profile evaluation.
     """
     big_r = cfg.radius_at(t)
     plane = cfg.t_plane
@@ -142,19 +155,19 @@ def _window_pass(v: DiscreteVarifold, cfg: ExpandingHolesConfig, t: float,
 
     def integrand(pts, bary, sel):
         tx = plane.apply(pts)
-        s = np.linalg.norm(tx, axis=-1)
+        s = norm_last(tx)
         height = plane.normal_norm(pts)
-        chi = cfg.profile.value(s / big_r)
+        chi, d1 = cfg.profile.jet(s / big_r)
         # grad chi = chi'(|Tx|/R) Tx / (R |Tx|), zero on the axis
         coef = np.zeros_like(s)
         nz = s > 0
-        coef[nz] = cfg.profile.d1(s[nz] / big_r) / (big_r * s[nz])
+        coef[nz] = d1[nz] / (big_r * s[nz])
         grad = 2.0 * chi[..., None] * (coef[..., None] * tx)
         grad_perp = _normal_part(v, grad, sel)
         hq = interpolate_vertex_field(v, h_field, bary, sel)
-        h_sq = np.sum(hq * hq, axis=-1)
+        h_sq = dot_last(hq, hq)
         chi_sq = chi ** 2
-        return (-chi_sq * h_sq + np.sum(hq * grad_perp, axis=-1),
+        return (-chi_sq * h_sq + dot_last(hq, grad_perp),
                 height ** 2 * (s < big_r), chi_sq * h_sq,
                 chi_sq * (height <= cfg.rhat1 * (1.0 + 1e-12)))
 
@@ -257,7 +270,7 @@ def expanding_holes_run(traj: FlowTrajectory,
 def ball_height_excess_sq(v: DiscreteVarifold, t_plane: Plane,
                           r: float) -> float:
     def integrand(p):
-        inside = np.linalg.norm(p, axis=1) < r
+        inside = norm_last(p) < r
         return t_plane.normal_norm(p) ** 2 * inside
 
     return weight_measure(v, integrand, subdiv=MEASUREMENT_SUBDIV)
@@ -311,14 +324,14 @@ def gaussian_density_sup(traj: FlowTrajectory, r0: float,
     radii = np.geomspace(eps, r0, DENSITY_RADII)
 
     def integrand(pts, bary, sel):
-        dist = np.linalg.norm(pts, axis=-1)
+        dist = norm_last(pts)
         return [(dist < r).astype(float) for r in radii]
 
     out = 0.0
     for t, v in zip(traj.times, traj.snapshots):
         if t > r0 * r0 * (1 + 1e-12):
             continue
-        keep = _faces_reaching(v, np.linalg.norm(v.vertices, axis=1),
+        keep = _faces_reaching(v, norm_last(v.vertices),
                                np.max(radii))
         masses = _quad_sums(v, QUAD_ORDER, MEASUREMENT_SUBDIV, integrand,
                             keep)

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import Plane
+from .geom import Plane, norm_last
 from .varifold import (DiscreteVarifold, ScalarTest, _corner_columns,
                        _corner_max, _corner_terms, _face_altitudes,
                        _face_pass, _gradient_sums, _lumped_masses, _median,
@@ -202,7 +202,7 @@ class _StepWorkspace:
             with np.errstate(divide="ignore", invalid="ignore"):
                 h = -self.gradient[ring] / masses[:, None]
             h[bnd] = 0.0
-            hn = _row_norm(h)
+            hn = norm_last(h)
             rest = hn * self.e0 <= REST_FLOOR
             h[rest] = 0.0
             hn[rest] = 0.0
@@ -424,15 +424,6 @@ def _median_holds(a: np.ndarray, pred) -> bool:
     if first_pass != k:
         return first_pass < k
     return bool(pred(_median(a)))
-
-
-def _row_norm(h: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(h, axis=1)`` for 2 or 3 columns, bit for bit: the
-    squares of the columns added in the norm's order, without its
-    reduction over a length-d axis."""
-    x = [h[:, a] for a in range(h.shape[1])]
-    s = x[0] * x[0] + x[1] * x[1]
-    return np.sqrt(s if len(x) == 2 else s + x[2] * x[2])
 
 
 def brakke_inequality_test(traj: FlowTrajectory, phi: ScalarTest,

@@ -17,6 +17,41 @@ import numpy as np
 UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
 
 
+def column_norm(x: list) -> np.ndarray:
+    """Euclidean norm from a list of 2 or 3 coordinate columns: the squares
+    added in the order ``np.linalg.norm``'s ``np.add.reduce`` adds them over
+    a last axis, so bitwise that norm."""
+    s = x[0] * x[0] + x[1] * x[1]
+    return np.sqrt(s if len(x) == 2 else s + x[2] * x[2])
+
+
+def norm_last(a) -> np.ndarray:
+    """``np.linalg.norm(a, axis=-1)`` of a float array, bit for bit.
+
+    A last axis of length 2 or 3 is read as coordinate columns
+    (``column_norm``), which skips numpy's reduction machinery over a short
+    axis; other lengths call the norm itself.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] not in (2, 3):
+        return np.linalg.norm(a, axis=-1)
+    return column_norm([a[..., i] for i in range(a.shape[-1])])
+
+
+def dot_last(a, b) -> np.ndarray:
+    """``np.sum(a * b, axis=-1)`` of float arrays of one shape, bit for bit.
+
+    For a last axis of length 2 or 3 the column products are added in the
+    reduction's order, starting from its identity +0.0 (so a sum of -0.0
+    terms is +0.0); other lengths call the sum itself.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[-1] not in (2, 3):
+        return np.sum(a * b, axis=-1)
+    s = 0.0 + a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    return s if a.shape[-1] == 2 else s + a[..., 2] * b[..., 2]
+
+
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value of a matrix (the spectral norm)."""
     return float(np.linalg.norm(np.asarray(a, dtype=float), 2))
@@ -60,11 +95,11 @@ class Plane:
 
     def tangential_norm(self, x: np.ndarray) -> np.ndarray:
         """|P(x)| for points of shape (..., d)."""
-        return np.linalg.norm(self.apply(x), axis=-1)
+        return norm_last(self.apply(x))
 
     def normal_norm(self, x: np.ndarray) -> np.ndarray:
         """|P_perp(x)|, the distance of x from the plane (for linear x)."""
-        return np.linalg.norm(self.apply_perp(x), axis=-1)
+        return norm_last(self.apply_perp(x))
 
     def unit_normal(self) -> np.ndarray:
         """A unit vector spanning the 1-d orthogonal complement.

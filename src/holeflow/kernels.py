@@ -14,64 +14,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Plane
+from .geom import Plane, dot_last, norm_last
 
 RHO_SAMPLES = 100_000
 RHO_SAFETY = 1.01
+# Samples the rho sweep evaluates at a time.  The joint profile evaluation
+# holds about 17 arrays of its input's size: on all samples at once that is
+# a 13.8 MB traced peak, above the 7.4 MB of the rest of a window_l4 call.
+# In blocks it peaks at 2.2 MB and takes 7 ms instead of 20 ms (x86-64).
+RHO_BLOCK = 2 ** 13
 
 
-def _bump(s):
-    """exp(-1/s) for s > 0, zero otherwise; vectorized, underflow-safe."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
+def _bump_jet(s: np.ndarray, order: int) -> list:
+    """[B(s), B'(s), B''(s)] up to the given order for B(s) = exp(-1/s),
+    zero where s <= 0, all from one exponential:  B' = B / s^2 and
+    B'' = B (1/s^4 - 2/s^3).  Underflow-safe."""
     pos = s > 0
+    sp = s[pos]
+    out = [np.zeros_like(s) for _ in range(order + 1)]
     with np.errstate(under="ignore"):
-        out[pos] = np.exp(-1.0 / s[pos])
+        e = np.exp(-1.0 / sp)
+        out[0][pos] = e
+        if order >= 1:
+            out[1][pos] = e / sp**2
+        if order >= 2:
+            out[2][pos] = e * (1.0 / sp**4 - 2.0 / sp**3)
     return out
-
-
-def _bump_d1(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    with np.errstate(under="ignore"):
-        sp = s[pos]
-        out[pos] = np.exp(-1.0 / sp) / sp**2
-    return out
-
-
-def _bump_d2(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    with np.errstate(under="ignore"):
-        sp = s[pos]
-        out[pos] = np.exp(-1.0 / sp) * (1.0 / sp**4 - 2.0 / sp**3)
-    return out
-
-
-def _smoothstep(u):
-    """Decreasing C-infinity step on [0, 1]: 1 at 0, 0 at 1."""
-    n = _bump(1.0 - u)
-    d = _bump(u) + n
-    return n / d
-
-
-def _smoothstep_d1(u):
-    n, np_ = _bump(1.0 - u), -_bump_d1(1.0 - u)
-    d = _bump(u) + n
-    dp = _bump_d1(u) + np_
-    return (np_ * d - n * dp) / d**2
-
-
-def _smoothstep_d2(u):
-    n = _bump(1.0 - u)
-    np_ = -_bump_d1(1.0 - u)
-    npp = _bump_d2(1.0 - u)
-    d = _bump(u) + n
-    dp = _bump_d1(u) + np_
-    dpp = _bump_d2(u) + npp
-    return npp / d - 2 * np_ * dp / d**2 - n * dpp / d**2 + 2 * n * dp**2 / d**3
 
 
 @dataclass(frozen=True)
@@ -81,28 +49,44 @@ class CutoffProfile:
     zeta: float
     rho: float
 
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.ones_like(r)
-        out[r >= 1.0] = 0.0
-        band = (r > 1.0 - self.zeta) & (r < 1.0)
-        out[band] = _smoothstep((r[band] - (1.0 - self.zeta)) / self.zeta)
-        return out
+    def jet(self, r, order: int = 1) -> list:
+        """[chi(r), chi'(r), chi''(r)] up to the given derivative order.
 
-    def d1(self, r):
+        The band 1 - zeta < r < 1 and its coordinate u are formed once, and
+        the smoothstep B(1-u) / (B(u) + B(1-u)) and its derivatives share
+        one exponential per side (``_bump_jet``).
+        """
         r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        band = (r > 1.0 - self.zeta) & (r < 1.0)
-        out[band] = _smoothstep_d1((r[band] - (1.0 - self.zeta)) / self.zeta) / self.zeta
-        return out
-
-    def d2(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
         band = (r > 1.0 - self.zeta) & (r < 1.0)
         u = (r[band] - (1.0 - self.zeta)) / self.zeta
-        out[band] = _smoothstep_d2(u) / self.zeta**2
+        bu, bv = _bump_jet(u, order), _bump_jet(1.0 - u, order)
+        n = bv[0]
+        d = bu[0] + n
+        chi = np.ones_like(r)
+        chi[r >= 1.0] = 0.0
+        chi[band] = n / d
+        out = [chi]
+        if order >= 1:
+            n1 = -bv[1]
+            d1 = bu[1] + n1
+            out.append(np.zeros_like(r))
+            out[1][band] = (n1 * d - n * d1) / d**2 / self.zeta
+        if order >= 2:
+            n2 = bv[2]
+            d2 = bu[2] + n2
+            out.append(np.zeros_like(r))
+            out[2][band] = (n2 / d - 2 * n1 * d1 / d**2 - n * d2 / d**2
+                            + 2 * n * d1**2 / d**3) / self.zeta**2
         return out
+
+    def value(self, r):
+        return self.jet(r, 0)[0]
+
+    def d1(self, r):
+        return self.jet(r, 1)[1]
+
+    def d2(self, r):
+        return self.jet(r, 2)[2]
 
 
 def make_profile(zeta: float) -> CutoffProfile:
@@ -115,10 +99,14 @@ def make_profile(zeta: float) -> CutoffProfile:
         raise ValueError("zeta must lie in (0, 1/2)")
     prof = CutoffProfile(zeta=zeta, rho=0.0)
     r = np.linspace(1.0 - zeta, 1.0, RHO_SAMPLES)[1:-1]
-    d1 = np.abs(prof.d1(r))
-    hess = np.maximum(np.abs(prof.d2(r)), d1 / r)
-    rho = RHO_SAFETY * float(np.max(d1 + 2.0 * hess))
-    return CutoffProfile(zeta=zeta, rho=rho)
+    sup = 0.0
+    for lo in range(0, len(r), RHO_BLOCK):
+        part = r[lo:lo + RHO_BLOCK]
+        _, d1, d2 = prof.jet(part, 2)
+        d1 = np.abs(d1)
+        hess = np.maximum(np.abs(d2), d1 / part)
+        sup = max(sup, float(np.max(d1 + 2.0 * hess)))
+    return CutoffProfile(zeta=zeta, rho=RHO_SAFETY * sup)
 
 
 def cylindrical_cutoff(profile: CutoffProfile, t: Plane, big_r: float,
@@ -134,7 +122,7 @@ def cylindrical_cutoff_gradient(profile: CutoffProfile, t: Plane, big_r: float,
     """Gradient of the cylindrical cutoff; lies in the plane T."""
     x = np.asarray(x, dtype=float)
     tx = t.apply(x)
-    s = np.linalg.norm(tx, axis=-1)
+    s = norm_last(tx)
     out = np.zeros_like(x)
     nz = s > 0
     coef = profile.d1(s[nz] / big_r) / (big_r * s[nz])
@@ -158,7 +146,8 @@ class HeatKernel:
 
     def value(self, x: np.ndarray, t: float) -> np.ndarray:
         tau = self._tau(t)
-        d2 = np.sum((np.asarray(x) - self.center) ** 2, axis=-1)
+        dx = np.asarray(x) - self.center
+        d2 = dot_last(dx, dx)
         return (4.0 * np.pi * tau) ** (-self.k / 2.0) * np.exp(-d2 / (4.0 * tau))
 
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -175,7 +164,8 @@ class HeatKernel:
 
     def time_derivative(self, x: np.ndarray, t: float) -> np.ndarray:
         tau = self._tau(t)
-        d2 = np.sum((np.asarray(x) - self.center) ** 2, axis=-1)
+        dx = np.asarray(x) - self.center
+        d2 = dot_last(dx, dx)
         return self.value(x, t) * (self.k / (2.0 * tau) - d2 / (4.0 * tau**2))
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import UNIT_BALL_VOLUME, Plane
-from .varifold import (MEASUREMENT_SUBDIV, DiscreteVarifold, ball_mass,
-                       compact, weight_measure)
+from .geom import UNIT_BALL_VOLUME, Plane, norm_last
+from .varifold import (MEASUREMENT_SUBDIV, DiscreteVarifold, _corner_max,
+                       ball_mass, compact, weight_measure)
 
 HEIGHT_BOUND_FRACTION = 1.0 / 20.0  # admissible height inside U_2 at unit scale
 MERGE_TOL = 1e-9  # coincidence tolerance, relative to eps
@@ -180,14 +180,29 @@ def nucleate(v: DiscreteVarifold, t_plane: Plane, eps: float,
 
 
 def _outside_signature(v: DiscreteVarifold, radius: float):
-    """Multisets describing the mesh outside the closed ball of given radius."""
-    outside_v = np.linalg.norm(v.vertices, axis=1) > radius
-    vert_sig = sorted(map(tuple, v.vertices[outside_v].tolist()))
-    corners = v.face_corners()
-    far = np.any(np.linalg.norm(corners, axis=2) > radius, axis=1)
-    face_sig = [(tuple(sorted(map(tuple, c))), m) for c, m in
-                zip(corners[far].tolist(), v.multiplicity[far].tolist())]
-    return vert_sig, sorted(face_sig)
+    """Multisets describing the mesh outside the closed ball of given
+    radius, as arrays of rows in lexicographic order: the vertices outside
+    it, and per face with a corner outside it the face's corners in
+    lexicographic order followed by its multiplicity.  Two meshes agree
+    outside the ball when ``_same_signature`` holds for their signatures."""
+    d = v.ambient_dim
+    outside = norm_last(v.vertices) > radius
+    far = _corner_max(outside, v.faces)
+    corners = v.face_corners(far).reshape(-1, d)
+    owner = np.repeat(np.arange(len(corners) // d), d)
+    corners = corners[np.lexsort((*corners.T[::-1], owner))]
+    faces = np.column_stack([corners.reshape(-1, d * d), v.multiplicity[far]])
+    return _lex_rows(v.vertices[outside]), _lex_rows(faces)
+
+
+def _lex_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array in lexicographic order (stable)."""
+    return a[np.lexsort(a.T[::-1])]
+
+
+def _same_signature(a, b) -> bool:
+    """Equal multisets: equal row counts and equal values, so -0.0 == 0.0."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def verify_nucleation(v_before: DiscreteVarifold, v_after: DiscreteVarifold,
@@ -206,9 +221,9 @@ def verify_nucleation(v_before: DiscreteVarifold, v_after: DiscreteVarifold,
 
     sig_before = _outside_signature(v_before, 2.0 * eps)
     sig_after = _outside_signature(v_after, 2.0 * eps)
-    prop1 = sig_before == sig_after
+    prop1 = _same_signature(sig_before, sig_after)
 
-    inside = np.linalg.norm(v_after.vertices, axis=1) < 2.0 * eps
+    inside = norm_last(v_after.vertices) < 2.0 * eps
     if np.any(inside):
         tang = t_plane.tangential_norm(v_after.vertices[inside])
         norm = t_plane.normal_norm(v_after.vertices[inside])
@@ -222,7 +237,7 @@ def verify_nucleation(v_before: DiscreteVarifold, v_after: DiscreteVarifold,
     bound4 = (4.0 * eps) ** n * omega * (q + 1)
 
     def hole_ind(p):
-        in_ball = np.linalg.norm(p, axis=1) < 2.0 * eps
+        in_ball = norm_last(p) < 2.0 * eps
         in_cyl = t_plane.tangential_norm(p) < eps
         return (in_ball & in_cyl).astype(float)
 

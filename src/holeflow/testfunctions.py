@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geom import dot_last, norm_last
 from .varifold import ScalarTest, TestField
 
 
 def _bump_and_gradient(points: np.ndarray, center: np.ndarray, radius: float):
     dx = np.asarray(points, dtype=float) - center
-    rho_sq = np.sum(dx * dx, axis=-1) / radius**2
+    rho_sq = dot_last(dx, dx) / radius**2
     w = 1.0 - rho_sq
     val = np.zeros_like(rho_sq)
     grad = np.zeros_like(dx)
@@ -70,11 +71,11 @@ def plateau_test_field(center, radius: float, zeta: float, matrix,
 
     def chi_and_grad(p):
         dx = p - center
-        r = np.linalg.norm(dx, axis=-1)
-        chi = prof.value(r / radius)
+        r = norm_last(dx)
+        chi, d1 = prof.jet(r / radius)
         grad = np.zeros_like(dx)
         nz = r > 0
-        grad[nz] = (prof.d1(r[nz] / radius) / (radius * r[nz]))[:, None] * dx[nz]
+        grad[nz] = (d1[nz] / (radius * r[nz]))[:, None] * dx[nz]
         return chi, grad
 
     def value(p):

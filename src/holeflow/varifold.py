@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geom import UNIT_BALL_VOLUME
+from .geom import UNIT_BALL_VOLUME, column_norm, dot_last, norm_last
 from .quadrature import simplex_rule
 
 # The rule of every certified integral: the 6-point degree-4 triangle rule
@@ -207,7 +207,7 @@ def ball_mass(v: DiscreteVarifold, center, r: float,
     center = np.asarray(center, dtype=float)
 
     def indicator(p):
-        return (np.linalg.norm(p - center, axis=1) < r).astype(float)
+        return (norm_last(p - center) < r).astype(float)
 
     return weight_measure(v, indicator, subdiv=subdiv)
 
@@ -339,7 +339,7 @@ def _face_pass(vertices: np.ndarray, faces: np.ndarray, mult=None) -> dict:
     x = _corner_columns(vertices, faces)
     e01 = _edge(x, 1, 0)
     if len(x) == 2:
-        length = _norm(e01)
+        length = column_norm(e01)
         with np.errstate(invalid="ignore"):
             units = [e / length for e in e01]
         rows = {"measures": length, "tangents": np.stack(units, axis=1),
@@ -347,12 +347,12 @@ def _face_pass(vertices: np.ndarray, faces: np.ndarray, mult=None) -> dict:
     else:
         e02, e12 = _edge(x, 2, 0), _edge(x, 1, 2)
         n = _cross(e01, e02)
-        area2 = _norm(n)
+        area2 = column_norm(n)
         with np.errstate(invalid="ignore", divide="ignore"):
             units = [na / area2 for na in n]
         rows = {"measures": 0.5 * area2, "normals": np.stack(units, axis=1),
-                "edge_lengths": np.stack([_norm(e01), _norm(e12),
-                                          _norm(e02)], 1)}
+                "edge_lengths": np.stack([column_norm(e01), column_norm(e12),
+                                          column_norm(e02)], 1)}
     if mult is not None:
         rows["corner_gradients"] = _corner_terms(x, units, mult)
     return rows
@@ -386,11 +386,6 @@ def _corner_columns(vertices: np.ndarray, faces: np.ndarray) -> list:
 
 def _edge(x: list, i: int, j: int) -> list:
     return [xi - xj for xi, xj in zip(x[i], x[j])]
-
-
-def _norm(e: list) -> np.ndarray:
-    s = e[0] * e[0] + e[1] * e[1]
-    return np.sqrt(s if len(e) == 2 else s + e[2] * e[2])
 
 
 def _cross(a: list, b: list) -> list:
@@ -534,7 +529,7 @@ def _weighted_variation(v, phi_value, phi_gradient, h_field, quad_order,
         if project:
             grad = _normal_part(v, grad, sel)
         hq = interpolate_vertex_field(v, h_field, bary, sel)
-        return [-phi * np.sum(hq * hq, axis=2) + np.sum(hq * grad, axis=2)]
+        return [-phi * dot_last(hq, hq) + dot_last(hq, grad)]
 
     return _quad_sums(v, quad_order, subdiv, integrand)[0]
 

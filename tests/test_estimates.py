@@ -99,6 +99,27 @@ class TestDissipationCheck:
         with pytest.raises(ValueError, match="forbidden annulus"):
             dissipation_check(bad, window_cfg, 0.0)
 
+    @pytest.mark.parametrize("low,high,meets", [
+        (1.0, 3.0, True),     # corners below Rhat1 and above Rhat2
+        (-3.0, 3.0, True),    # corners above Rhat2 on both sides of T
+        (-1.0, 1.0, False),   # crosses T below Rhat1
+        (2.5, 3.0, False),    # above Rhat2
+        (0.5, 1.2, False)])   # below Rhat1
+    def test_support_annulus_guard_checks_faces(self, window_cfg, low, high,
+                                                meets):
+        # a two-triangle strip from height low to height high, normal to T:
+        # no vertex lies in the annulus sqrt(2) < |T_perp x| < 2
+        strip = DiscreteVarifold(
+            np.array([[0.0, 0.0, low], [0.5, 0.0, low], [0.0, 0.0, high],
+                      [0.5, 0.0, high]]),
+            np.array([[0, 1, 2], [1, 3, 2]]), np.ones(2, dtype=int),
+            np.zeros(4, dtype=bool))
+        if meets:
+            with pytest.raises(ValueError, match="forbidden annulus"):
+                dissipation_check(strip, window_cfg, 0.0)
+        else:
+            dissipation_check(strip, window_cfg, 0.0)
+
     def test_passes_during_nucleated_flow(self, window_cfg, t_plane):
         from holeflow.nucleation import nucleate
         v0 = make_fixture("flat_stack", 2, 4, radius=4 * EPS,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from holeflow import verify
-from holeflow.geom import (Plane, coordinate_plane, grassmann_gap, make_plane,
-                           operator_norm, random_plane, tangential_divergence)
+from holeflow.geom import (Plane, coordinate_plane, dot_last, grassmann_gap,
+                           make_plane, norm_last, operator_norm, random_plane,
+                           tangential_divergence)
 
 
 def gram_schmidt_projector(basis):
@@ -117,3 +119,57 @@ def test_tangential_divergence_rank_one(rng):
 def test_projection_inequalities_random(seed):
     ok, m = verify.grassmann(1, seed)
     assert ok, m
+
+
+# signed zeros, subnormals, and magnitudes whose squares overflow to inf
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                               -1e-160, 1e155, -1e200, 1.7e308, -1.7e308])
+COORDS = st.one_of(st.floats(-4.0, 4.0),
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   EDGE_FLOATS)
+COLUMN_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 9), st.sampled_from([2, 3])),
+    st.tuples(st.integers(1, 4), st.integers(1, 5), st.just(3)),
+    st.tuples(st.sampled_from([2, 3])),
+    st.tuples(st.integers(1, 5), st.sampled_from([1, 4])))  # the fallback
+
+
+def same_bits(a, b) -> bool:
+    """Bitwise equality of float arrays or scalars, any NaN matching NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a[~nan].view(np.int64),
+                                   b[~nan].view(np.int64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=COLUMN_SHAPES)
+def test_column_helpers_equal_reductions_bitwise(data, shape):
+    a = data.draw(hnp.arrays(np.float64, shape, elements=COORDS))
+    b = data.draw(hnp.arrays(np.float64, shape, elements=COORDS))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        assert same_bits(norm_last(a), np.linalg.norm(a, axis=-1))
+        assert same_bits(dot_last(a, b), np.sum(a * b, axis=-1))
+        assert same_bits(dot_last(a, a), np.sum(a * a, axis=-1))
+        if a.ndim == 1:  # one point gives a scalar, as the reductions do
+            assert np.ndim(norm_last(a)) == 0 == np.ndim(dot_last(a, b))
+
+
+@pytest.mark.parametrize("shape", [(5000, 2), (5000, 3), (40, 96, 3)])
+def test_column_helpers_equal_reductions_on_random_points(shape):
+    # comparable magnitudes, where the order of the additions shows
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    assert same_bits(norm_last(a), np.linalg.norm(a, axis=-1))
+    assert same_bits(dot_last(a, b), np.sum(a * b, axis=-1))
+
+
+def test_dot_of_negative_zero_terms_is_positive_zero():
+    a = np.array([[-0.0, 0.0, -0.0], [1.0, -1.0, -0.0]])
+    b = np.array([[1.0, -1.0, 2.0], [0.0, 0.0, 1.0]])
+    got = dot_last(a, b)
+    assert same_bits(got, np.sum(a * b, axis=-1))
+    assert not np.any(np.signbit(got))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from holeflow import verify
 from holeflow.geom import coordinate_plane
-from holeflow.kernels import (HeatKernel, cylindrical_cutoff,
+from holeflow.kernels import (RHO_SAFETY, HeatKernel, cylindrical_cutoff,
                               cylindrical_cutoff_gradient,
                               heat_identity_residual, make_profile)
 
@@ -66,6 +66,64 @@ class TestProfile:
     def test_rejects_bad_zeta(self, zeta):
         with pytest.raises(ValueError):
             make_profile(zeta)
+
+
+def separate_profile(zeta):
+    """value, d1 and d2 of the cutoff profile, each from its own formula
+    with its own exponentials: the evaluation the joint one replaced."""
+    def bump(s, k):
+        out = np.zeros_like(s)
+        pos = s > 0
+        sp = s[pos]
+        with np.errstate(under="ignore"):
+            out[pos] = [np.exp(-1.0 / sp), np.exp(-1.0 / sp) / sp**2,
+                        np.exp(-1.0 / sp) * (1.0 / sp**4 - 2.0 / sp**3)][k]
+        return out
+
+    def step(u, k):
+        n, np_, npp = bump(1.0 - u, 0), -bump(1.0 - u, 1), bump(1.0 - u, 2)
+        d = bump(u, 0) + n
+        dp, dpp = bump(u, 1) + np_, bump(u, 2) + npp
+        return [n / d, (np_ * d - n * dp) / d**2,
+                npp / d - 2 * np_ * dp / d**2 - n * dpp / d**2
+                + 2 * n * dp**2 / d**3][k]
+
+    def chi(r, k):
+        out = np.zeros_like(r) if k else np.ones_like(r)
+        if k == 0:
+            out[r >= 1.0] = 0.0
+        band = (r > 1.0 - zeta) & (r < 1.0)
+        out[band] = step((r[band] - (1.0 - zeta)) / zeta, k) / zeta**k
+        return out
+
+    return chi
+
+
+@pytest.mark.parametrize("zeta", [0.1, 0.25, 0.3, 0.45])
+def test_joint_profile_equals_separate_formulas_bitwise(zeta):
+    prof = make_profile(zeta)
+    edges = []
+    for x in (1.0 - zeta, 1.0):
+        below = above = x
+        for _ in range(4):  # the edge and four floats on either side
+            below, above = np.nextafter(below, -1.0), np.nextafter(above, 2.0)
+            edges += [below, above]
+        edges.append(x)
+    r = np.concatenate([np.linspace(-0.1, 1.1, 120_001), edges])
+    chi = separate_profile(zeta)
+    want = [chi(r, k) for k in range(3)]
+    for order in range(3):
+        got = prof.jet(r, order)
+        assert len(got) == order + 1
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    for g, w in zip((prof.value(r), prof.d1(r), prof.d2(r)), want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    # rho from the separate formulas over make_profile's samples
+    rs = np.linspace(1.0 - zeta, 1.0, 100_000)[1:-1]
+    d1 = np.abs(chi(rs, 1))
+    hess = np.maximum(np.abs(chi(rs, 2)), d1 / rs)
+    assert prof.rho == RHO_SAFETY * float(np.max(d1 + 2.0 * hess))
 
 
 class TestCylindricalCutoff:

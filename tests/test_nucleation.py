@@ -8,13 +8,34 @@ from hypothesis import given, settings, strategies as st
 from holeflow import verify
 from holeflow.fixtures import disk_triangulation, make_fixture
 from holeflow.nucleation import (MERGE_TOL, GrowthEnvelope, SquashMap,
-                                 _outside_signature, envelope_check,
+                                 _outside_signature, _same_signature,
+                                 envelope_check,
                                  envelope_value, nucleate, squash_point,
                                  squash_points, verify_nucleation)
 from holeflow.varifold import DiscreteVarifold, compact
 
 EPS = 0.05
 DELTA = 0.2
+
+
+def _signature_lists(sig, d):
+    """An array signature as the sorted lists of tuples it replaced."""
+    verts, faces = sig
+    return (list(map(tuple, verts.tolist())),
+            [(tuple(map(tuple, row[:-1].reshape(d, d).tolist())), int(row[-1]))
+             for row in faces])
+
+
+def _tuple_signature(v, radius):
+    """The tuple-sort implementation of ``_outside_signature`` that the
+    array one replaced, compared with ``==``."""
+    outside_v = np.linalg.norm(v.vertices, axis=1) > radius
+    vert_sig = sorted(map(tuple, v.vertices[outside_v].tolist()))
+    corners = v.face_corners()
+    far = np.any(np.linalg.norm(corners, axis=2) > radius, axis=1)
+    face_sig = [(tuple(sorted(map(tuple, c))), m) for c, m in
+                zip(corners[far].tolist(), v.multiplicity[far].tolist())]
+    return vert_sig, sorted(face_sig)
 
 
 @pytest.fixture(scope="module")
@@ -174,15 +195,66 @@ class TestNucleate:
         mult[outside[len(outside) // 2]] += 1
         vb = DiscreteVarifold(va.vertices, va.faces, mult, va.boundary)
         for v in (v0, va, vb):
-            assert (_outside_signature(v, 2 * EPS)
+            assert (_signature_lists(_outside_signature(v, 2 * EPS), 3)
                     == loop_signature(v, 2 * EPS))
-        assert _outside_signature(va, 2 * EPS) != _outside_signature(
-            vb, 2 * EPS)
+        assert not _same_signature(_outside_signature(va, 2 * EPS),
+                                   _outside_signature(vb, 2 * EPS))
         envelope = GrowthEnvelope(alpha=0.51, r0=0.1)
         assert verify_nucleation(v0, va, t_plane, EPS, envelope,
                                  2)["prop1_local"]
         assert not verify_nucleation(v0, vb, t_plane, EPS, envelope,
                                      2)["prop1_local"]
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    @pytest.mark.parametrize("kind,spacing", [("flat_stack", 0.0),
+                                              ("flat_stack", 0.02 * EPS),
+                                              ("perturbed_stack", 0.06)])
+    def test_signature_verdict_equals_tuple_sort(self, t_plane, kind,
+                                                 spacing, level):
+        # the array signatures against the tuple sort they replaced, on a
+        # nucleated pair and on copies of the nucleated mesh that differ from
+        # it outside U_2eps in one vertex, one corner, one multiplicity or
+        # only in the sign of zero coordinates
+        radius = 2 * EPS
+        v0 = make_fixture(kind, 2, level, radius=4 * EPS, spacing=spacing)
+        va = nucleate(v0, t_plane, EPS)
+        outside = np.linalg.norm(va.vertices, axis=1) > radius
+        far = np.flatnonzero(np.all(outside[va.faces], axis=1))
+
+        def remade(vertices=va.vertices, faces=va.faces,
+                   mult=va.multiplicity):
+            return DiscreteVarifold(vertices, faces, mult, va.boundary)
+
+        moved = va.vertices.copy()
+        moved[np.flatnonzero(outside)[0], 0] += 1e-3 * EPS
+        bumped = va.multiplicity.copy()
+        bumped[far[len(far) // 2]] += 1
+        # a face takes another outside vertex as one corner: the vertex
+        # multiset is unchanged, the face multiset is not
+        f = far[0]
+        c0, c1 = va.vertices[va.faces[f, :2]]
+        spare = next(i for i in np.flatnonzero(outside)
+                     if i not in va.faces[f] and np.linalg.norm(
+                         np.cross(c1 - c0, va.vertices[i] - c0)) > 0.0)
+        recorner = va.faces.copy()
+        recorner[f, 2] = spare
+        signed = va.vertices.copy()
+        signed[outside] = np.where(signed[outside] == 0.0, -0.0,
+                                   signed[outside])
+        # the coarsest nucleation moves corners of faces that reach outside
+        # U_2eps, so the first pair's verdict is only compared
+        pairs = [(v0, va, None), (va, remade(vertices=signed), True),
+                 (va, remade(vertices=moved), False),
+                 (va, remade(faces=recorner), False),
+                 (va, remade(mult=bumped), False)]
+        for a, b, same in pairs:
+            new_a, new_b = (_outside_signature(a, radius),
+                            _outside_signature(b, radius))
+            old = _tuple_signature(a, radius) == _tuple_signature(b, radius)
+            assert _signature_lists(new_a, 3) == _tuple_signature(a, radius)
+            assert _same_signature(new_a, new_b) is old
+            assert same is None or old is same
+        assert np.any(np.signbit(signed[outside]) & (signed[outside] == 0.0))
 
     def test_support_of_difference_is_local(self, t_plane):
         v0 = make_fixture("flat_stack", 2, 4, radius=4 * EPS,
