@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: gen-fixture, nucleate, evolve, verify, expanding-holes,
-series, experiment, report.  Exit codes: 0 success, 1 check failure,
-2 usage error, 3 resolution exhausted.  Every output file embeds a header
-with the effective configuration and a git-style content hash of its
-inputs, and identical configuration + seed yields byte-identical output.
+series, experiment, report.  Exit codes: 0 success, 1 check failure or
+input the library refuses, 2 usage error, 3 resolution exhausted.  Every
+output file embeds a header with the effective configuration and a
+git-style content hash of its inputs, and identical configuration + seed
+yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOLUTION = 3
 
-LEDGER_COLUMNS = ["t", "mass", "dissipation", "min_edge", "remesh_delta"]
+# ExperimentResult fields written to files of their own, not to summary.json
+BULK_FIELDS = ("rows", "trajectory", "reports")
 
 
 @dataclass
@@ -135,12 +137,16 @@ def output_header(cfg: Config, input_blobs: list) -> str:
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return "nan"
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
 
 
-def write_table(path, header: str, columns: list, rows: list) -> None:
+def write_table(path, header: str, rows: list) -> None:
+    """CSV of dict rows, with the first row's keys as the columns."""
+    columns = list(rows[0]) if rows else []
     with open(path, "w") as fh:
         fh.write(header)
         fh.write(",".join(columns) + "\n")
@@ -172,11 +178,7 @@ def cmd_gen_fixture(cfg: Config, args) -> int:
 def cmd_nucleate(cfg: Config, args) -> int:
     v0 = read_dvar(args.mesh)
     t_plane = coordinate_plane(list(range(v0.surface_dim)), v0.ambient_dim)
-    try:
-        va = nucleate(v0, t_plane, cfg.eps, SquashMap(delta=cfg.delta))
-    except ValueError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    va = nucleate(v0, t_plane, cfg.eps, SquashMap(delta=cfg.delta))
     write_dvar(va, args.out)
     env = GrowthEnvelope(alpha=cfg.alpha, r0=cfg.r0)
     rep = verify_nucleation(v0, va, t_plane, cfg.eps, env, cfg.Q)
@@ -196,9 +198,9 @@ def cmd_evolve(cfg: Config, args) -> int:
     policy = DtPolicy(c_stab=cfg.dt_factor)
     times = np.linspace(0.0, args.t_end, args.snapshots)
     traj = evolve(v0, args.t_end, policy, snapshot_times=times)
-    for i, (t, v) in enumerate(zip(traj.times, traj.snapshots)):
+    for i, v in enumerate(traj.snapshots):
         write_dvar(v, out_dir / f"snapshot_{i:04d}.dvar")
-    write_table(out_dir / "ledger.csv", header, LEDGER_COLUMNS, traj.ledger)
+    write_table(out_dir / "ledger.csv", header, traj.ledger)
     print(f"evolved to t={args.t_end:g} in {len(traj.ledger)} steps; "
           f"ledger {'valid' if traj.valid else 'INVALID: ' + traj.invalid_reason}")
     return EXIT_OK if traj.valid else EXIT_CHECK_FAILED
@@ -206,12 +208,8 @@ def cmd_evolve(cfg: Config, args) -> int:
 
 def cmd_verify(cfg: Config, args) -> int:
     if args.mesh:
-        try:
-            v = read_dvar(args.mesh)
-            print(f"mesh ok: {v.num_vertices} vertices, {v.num_faces} faces")
-        except DvarParseError as e:
-            print(f"mesh parse error: {e}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
+        v = read_dvar(args.mesh)
+        print(f"mesh ok: {v.num_vertices} vertices, {v.num_faces} faces")
     results = verify_mod.run_suites(cfg, suite=args.suite)
     all_ok = True
     for name, ok, detail in results:
@@ -225,11 +223,7 @@ def cmd_expanding_holes(cfg: Config, args) -> int:
         args.kind, cfg.Q, cfg.mesh_level,
         radius=FIXTURE_RADIUS_FACTOR * cfg.eps, spacing=args.spacing)
     t_plane = coordinate_plane(list(range(v0.surface_dim)), v0.ambient_dim)
-    try:
-        va = nucleate(v0, t_plane, cfg.eps, SquashMap(delta=cfg.delta))
-    except ValueError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    va = nucleate(v0, t_plane, cfg.eps, SquashMap(delta=cfg.delta))
     traj = evolve(va, window_end(cfg.eps, 1), DtPolicy(c_stab=cfg.dt_factor),
                   snapshot_times=window_times(cfg.eps, 1))
     run_cfg = ExpandingHolesConfig(t_plane=t_plane,
@@ -282,21 +276,9 @@ def cmd_experiment(cfg: Config, args) -> int:
         zeta=cfg.zeta, delta=cfg.delta, mesh_level=cfg.mesh_level,
         kind=args.kind, spacing=args.spacing, dt_factor=cfg.dt_factor,
         log_base=cfg.log_base_value())
-    try:
-        res = orchestrate(exp_cfg, keep_trajectory=True)
-    except ValueError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-
-    write_table(out_dir / "experiment.csv", header,
-                ["h", "scale", "mu_h_sq_measured", "mu_h_sq_bound",
-                 "ratio_before", "ratio_after", "M_empirical"],
-                [{**r, "M_empirical": (r["M_empirical"]
-                                       if r["M_empirical"] is not None
-                                       else float("nan"))}
-                 for r in res.rows])
-    write_table(out_dir / "ledger.csv", header, LEDGER_COLUMNS,
-                res.trajectory.ledger)
+    res = orchestrate(exp_cfg, keep_trajectory=True)
+    write_table(out_dir / "experiment.csv", header, res.rows)
+    write_table(out_dir / "ledger.csv", header, res.trajectory.ledger)
     for h, rep in enumerate(res.reports, start=1):
         (out_dir / f"excess_report_h{h}.json").write_text(
             rep.to_json(_meta={**meta, "h": h}))
@@ -310,22 +292,9 @@ def cmd_experiment(cfg: Config, args) -> int:
     write_plot(plot_dir / "series.dat", header,
                [(q, series_term(q, cfg.alpha, 2, cfg.log_base_value()))
                 for q in range(3, 203)])
-    summary = {
-        "passes": res.passes,
-        "mass_initial": res.mass_initial,
-        "mass_after_nucleation": res.mass_after_nucleation,
-        "mass_final": res.mass_final,
-        "mass_drop_required": res.mass_drop_required,
-        "lef2_lhs": res.lef2_lhs,
-        "lef2_rhs": res.lef2_rhs,
-        "final_ratio": res.final_ratio,
-        "omega_n": res.omega_n,
-        "density_sup": res.density_sup,
-        "chain_gaps": res.chain_gaps,
-        "schedule_note": res.schedule_note,
-        "nucleation_report": res.nucleation_report,
-        "_meta": meta,
-    }
+    summary = {f.name: getattr(res, f.name) for f in fields(res)
+               if f.name not in BULK_FIELDS}
+    summary["_meta"] = meta
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True, default=str))
     print(f"experiment {'PASS' if res.passes else 'FAIL'}: "
@@ -341,41 +310,31 @@ def cmd_report(cfg: Config, args) -> int:
         print(f"no summary.json under {out_dir}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     summary = json.loads(summary_path.read_text())
-    for key in ("mass_initial", "mass_after_nucleation", "mass_final",
-                "mass_drop_required", "lef2_lhs", "lef2_rhs", "final_ratio",
-                "omega_n", "density_sup"):
-        print(f"  {key} = {summary.get(key)}")
+    for key, value in summary.items():
+        if isinstance(value, float):
+            print(f"  {key} = {value}")
     print(f"  passes = {summary.get('passes')}")
     return EXIT_OK if summary.get("passes") else EXIT_CHECK_FAILED
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, "
-                                         f"got {text}")
-    return value
+def _checked(cast, ok, what: str):
+    """An argparse type: ``cast`` the text, then refuse a value that is not
+    ``ok`` with "must be <what>"."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid <name> value"
+    return parse
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+_positive_float = _checked(float, lambda x: 0 < x < math.inf,
+                           "positive and finite")
+_finite_float = _checked(float, math.isfinite, "finite")
+_non_negative_int = _checked(int, lambda n: n >= 0, "non-negative")
+_positive_int = _checked(int, lambda n: n >= 1, "positive")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,6 +424,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, args)
     except DvarParseError as e:
         print(f"mesh parse error: {e}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except ValueError as e:  # the library refuses its input
+        print(f"refused: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except ResolutionExhausted as e:
         print(f"aborted: {e}", file=sys.stderr)

@@ -102,8 +102,8 @@ def support_annulus_violation(v: DiscreteVarifold, cfg: ExpandingHolesConfig) ->
     face: |T_perp x| takes every value between its corner extremes there,
     from 0 up when the corners lie on both sides of T.
     """
-    height = cfg.t_plane.normal_norm(v.vertices)
     side = v.vertices @ cfg.t_plane.unit_normal()
+    height = np.abs(side)
     hi = _corner_max(height, v.faces)
     lo = -_corner_max(-height, v.faces)
     crosses = _corner_max(side > 0.0, v.faces) & _corner_max(side < 0.0,
@@ -112,17 +112,28 @@ def support_annulus_violation(v: DiscreteVarifold, cfg: ExpandingHolesConfig) ->
     return bool(np.any((hi > cfg.rhat1) & (lo < cfg.rhat2)))
 
 
+def slab_mass(v: DiscreteVarifold, profile: CutoffProfile, t_plane: Plane,
+              big_r: float, rhat: float,
+              subdiv: int = MEASUREMENT_SUBDIV) -> float:
+    """||V||(chi_R^2 restricted to the closed slab {|T_perp| <= Rhat}).
+
+    The slab is closed up to a relative 1e-12, as in the window's fused
+    pass (``_window_pass``), so a sheet at height exactly Rhat counts.
+    """
+
+    def integrand(p):
+        chi = cylindrical_cutoff(profile, t_plane, big_r, p)
+        slab = t_plane.normal_norm(p) <= rhat * (1.0 + 1e-12)
+        return chi ** 2 * slab
+
+    return weight_measure(v, integrand, subdiv=subdiv)
+
+
 def slab_weighted_mass(v: DiscreteVarifold, cfg: ExpandingHolesConfig,
                        t: float) -> float:
     """||V||(chi_{R(t)}^2 restricted to {|T_perp| <= Rhat1})."""
-    big_r = cfg.radius_at(t)
-
-    def integrand(p):
-        chi = cylindrical_cutoff(cfg.profile, cfg.t_plane, big_r, p)
-        slab = cfg.t_plane.normal_norm(p) <= cfg.rhat1 * (1.0 + 1e-12)
-        return chi ** 2 * slab
-
-    return weight_measure(v, integrand, subdiv=cfg.subdiv)
+    return slab_mass(v, cfg.profile, cfg.t_plane, cfg.radius_at(t),
+                     cfg.rhat1, cfg.subdiv)
 
 
 def _faces_reaching(v: DiscreteVarifold, vertex_dist: np.ndarray,
@@ -193,13 +204,13 @@ def dissipation_check(v: DiscreteVarifold, cfg: ExpandingHolesConfig,
     if h_field is None:
         h_field = mean_curvature(v)
     big_r = cfg.radius_at(t)
-    lhs, mu_sq, alpha_sq, slab_mass = _window_pass(v, cfg, t, h_field)
+    lhs, mu_sq, alpha_sq, slab = _window_pass(v, cfg, t, h_field)
     rho = cfg.profile.rho
     rhs = -0.5 * alpha_sq + DISSIPATION_COEF * rho**2 * big_r**-4 * mu_sq
     tol = TOL_DISC_REL * (abs(lhs) + abs(rhs)) + TOL_DISC_ABS
     return {
         "t": t, "lhs": lhs, "rhs": rhs, "tol": tol,
-        "mu_sq": mu_sq, "alpha_sq": alpha_sq, "slab_mass": slab_mass,
+        "mu_sq": mu_sq, "alpha_sq": alpha_sq, "slab_mass": slab,
         "margin": rhs - lhs, "pass": bool(lhs <= rhs + tol),
     }
 

@@ -55,7 +55,6 @@ def disk_triangulation(radius: float, level: int):
 
 def _stack_sheets(points2d, faces2d, rim, heights_per_sheet):
     """Assemble q sheets over a common planar mesh into one varifold."""
-    q = len(heights_per_sheet)
     nv = len(points2d)
     verts, faces, bnd = [], [], []
     for i, hz in enumerate(heights_per_sheet):

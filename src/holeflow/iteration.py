@@ -32,16 +32,15 @@ from typing import Optional
 import numpy as np
 
 from .geom import UNIT_BALL_VOLUME, Plane, coordinate_plane
-from .kernels import CutoffProfile, cylindrical_cutoff, make_profile
-from .varifold import (MEASUREMENT_SUBDIV, DiscreteVarifold, weight_measure,
-                       parabolic_rescale)
+from .kernels import CutoffProfile, make_profile
+from .varifold import DiscreteVarifold, parabolic_rescale
 from .fixtures import make_fixture
 from .nucleation import (GrowthEnvelope, SquashMap, envelope_check, nucleate,
                          nucleation_passes, verify_nucleation)
 from .flow import (DtPolicy, FlowTrajectory, _empty_spot_d1, barrier_monitor,
                    evolve, sphere_barrier_from_scale)
 from .estimates import (ExpandingHolesConfig, expanding_holes_run,
-                        gaussian_density_sup)
+                        gaussian_density_sup, slab_mass)
 
 LN2 = math.log(2.0)
 MAX_TAIL_START = 10 ** 9
@@ -242,7 +241,9 @@ def choose_tail_start(alpha: float, n: int, budget: float, r0: float,
     if budget <= 0 or c_e0_m <= 0:
         raise ValueError("budget and measured constant must be positive")
     target = budget / c_e0_m
-    q = 3
+    # am2 holds exactly for q > -1 - 2 log r1 / ln 2, and am1 and am2 are
+    # monotone in q, so no admissible index lies below this start
+    q = max(3, int(-1.0 - 2.0 * log_r1 / LN2) - 1)
     while q < MAX_TAIL_START and not (am1_holds(q, r0, log_base)
                                       and am2_holds(q, log_r1)):
         q += 1
@@ -263,27 +264,15 @@ def choose_tail_start(alpha: float, n: int, budget: float, r0: float,
     return hi
 
 
-def _cutoff_slab_mass(v: DiscreteVarifold, profile: CutoffProfile,
-                      t_plane: Plane, r: float) -> float:
-    """||V||(chi_r^2 restricted to {|T_perp| < sqrt(2) r})."""
-
-    def integrand(p):
-        chi = cylindrical_cutoff(profile, t_plane, r, p)
-        slab = t_plane.normal_norm(p) < math.sqrt(2.0) * r
-        return chi ** 2 * slab
-
-    return weight_measure(v, integrand, subdiv=MEASUREMENT_SUBDIV)
-
-
 def density_floor_check(gamma0: DiscreteVarifold, profile: CutoffProfile,
                         t_plane: Plane, r: float, q: int):
     """Weighted density floor at scale r: ratio >= 1 + (Q-1)/2.
 
-    ratio = (omega_n r^n)^-1 * ||Gamma0||(chi_r^2 restricted to
-    {|T_perp| < sqrt(2) r}).
+    ratio = (omega_n r^n)^-1 * ||Gamma0||(chi_r^2 restricted to the closed
+    slab {|T_perp| <= sqrt(2) r}).
     """
     n = gamma0.surface_dim
-    mass = _cutoff_slab_mass(gamma0, profile, t_plane, r)
+    mass = slab_mass(gamma0, profile, t_plane, r, math.sqrt(2.0) * r)
     ratio = mass / (UNIT_BALL_VOLUME[n] * r ** n)
     return ratio >= 1.0 + (q - 1) / 2.0, ratio
 
@@ -435,14 +424,13 @@ def _analytic_excess_bound(cfg: ExperimentConfig, h: int, e0: float):
     lam = window_scale(cfg.eps, h)
     l_max = cfg.r0 / (2.0 * lam)
     if l_max <= 2.0:
-        return float("nan"), float("nan")
+        return float("nan")
     big_l = min(l_max * (1.0 - 1e-9), max(2.0, math.log(max(3.0, 1.0 / lam))))
     n = 2
     lb = math.log(cfg.log_base)
     arg = 1.0 / (2.0 ** ((h + 1) / 2.0) * cfg.eps * big_l)
     logterm = (math.log(arg) / lb) ** (-2.0 * cfg.alpha) if arg > 1 else float("inf")
-    bound = e0 * big_l ** (n + 2) * (logterm + math.exp(-(big_l - 1) ** 2 / 8.0))
-    return bound, big_l
+    return e0 * big_l ** (n + 2) * (logterm + math.exp(-(big_l - 1) ** 2 / 8.0))
 
 
 def orchestrate(cfg: ExperimentConfig,
@@ -486,9 +474,7 @@ def orchestrate(cfg: ExperimentConfig,
 
     e0 = gaussian_density_sup(traj, cfg.fixture_radius() / 2.0, cfg.eps)
 
-    rows, reports, chain_gaps, contacts = [], [], [], []
-    schedule_notes = []
-    prev_ratio_end = None
+    rows, reports, contacts, schedule_notes = [], [], [], []
     for h in range(1, cfg.j + 1):
         wtraj = rescaled_window(traj, cfg.eps, h)
         barrier = sphere_barrier_from_scale(1.0, n, t_plane)
@@ -498,14 +484,11 @@ def orchestrate(cfg: ExperimentConfig,
                                      t1=window_start(h))
         rep = expanding_holes_run(wtraj, cfg_h)
         reports.append(rep)
-        bound, big_l = _analytic_excess_bound(cfg, h, e0)
+        bound = _analytic_excess_bound(cfg, h, e0)
         if math.isnan(bound):
             schedule_notes.append(
                 f"h={h}: window-scale condition infeasible at this eps; "
                 "analytic excess bound not applicable")
-        if prev_ratio_end is not None:
-            chain_gaps.append(abs(rep.mass_ratio_start - prev_ratio_end))
-        prev_ratio_end = rep.mass_ratio_end
         rows.append({
             "h": h, "scale": window_scale(cfg.eps, h),
             "mu_h_sq_measured": rep.mu_bar_sq,
@@ -515,9 +498,10 @@ def orchestrate(cfg: ExperimentConfig,
             "M_empirical": rep.empirical_M,
         })
 
-    lef2_lhs = _cutoff_slab_mass(traj.snapshot_at(t_end), profile, t_plane,
-                                 r_f)
-    lef2_rhs = _cutoff_slab_mass(v0, profile, t_plane, r_f)
+    rhat_f = math.sqrt(2.0) * r_f
+    lef2_lhs = slab_mass(traj.snapshot_at(t_end), profile, t_plane, r_f,
+                         rhat_f)
+    lef2_rhs = slab_mass(v0, profile, t_plane, r_f, rhat_f)
 
     res = ExperimentResult(
         rows=rows, mass_initial=v0.total_mass(),
@@ -525,9 +509,11 @@ def orchestrate(cfg: ExperimentConfig,
         mass_final=traj.snapshots[-1].total_mass(),
         mass_drop_required=0.5 * (cfg.q - 1) * omega * cfg.eps ** n,
         lef2_lhs=lef2_lhs, lef2_rhs=lef2_rhs,
-        final_ratio=prev_ratio_end if prev_ratio_end is not None else 0.0,
+        final_ratio=reports[-1].mass_ratio_end if reports else 0.0,
         omega_n=omega, density_sup=e0, nucleation_report=nuc_report,
-        chain_gaps=chain_gaps, barrier_contacts=contacts,
+        chain_gaps=[abs(b.mass_ratio_start - a.mass_ratio_end)
+                    for a, b in zip(reports, reports[1:])],
+        barrier_contacts=contacts,
         schedule_note="; ".join(schedule_notes),
         trajectory=traj if keep_trajectory else None,
         reports=reports)

@@ -10,6 +10,7 @@ constants are relative to the chosen profile and recorded in outputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,14 @@ class CutoffProfile:
         return self.jet(r, 2)[2]
 
 
+@functools.cache
 def make_profile(zeta: float) -> CutoffProfile:
     """Build the profile and sample its derivative-bound constant rho.
 
     rho bounds |chi'| + 2 ||D^2 chi|| for the radial extension to R^k; the
     Hessian operator norm of a radial function is max(|chi''|, |chi'| / r).
+    The sweep is deterministic and the profile frozen, so one profile is
+    built per zeta and returned again on every later call.
     """
     if not 0.0 < zeta < 0.5:
         raise ValueError("zeta must lie in (0, 1/2)")

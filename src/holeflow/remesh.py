@@ -42,8 +42,6 @@ def _split_pass(verts, faces, mult, boundary, median, lengths):
         adj.setdefault((int(pairs[i, 0]), int(pairs[i, 1])), []).append(int(owners[i]))
     touched = np.zeros(len(faces), dtype=bool)
     replaced = np.zeros(len(faces), dtype=bool)
-    new_verts = [verts]
-    new_bnd = [boundary]
     extra_pts = []
     out_faces, out_mult = [], []
     next_idx = len(verts)
@@ -163,12 +161,10 @@ def _drop_degenerate(verts, faces, mult, median):
 def remesh(v: DiscreteVarifold):
     """One equalization pass; returns (new_varifold, mass_delta)."""
     median = v.median_edge_length()
-    verts = v.vertices.copy()
-    faces = v.faces.copy()
-    mult = v.multiplicity.copy()
-    bnd = v.boundary.copy()
+    # no pass writes its inputs: each returns new arrays or v's own
     verts, faces, mult, bnd, did_split = _split_pass(
-        verts, faces, mult, bnd, median, v._edge_lengths().ravel(order="F"))
+        v.vertices, v.faces, v.multiplicity, v.boundary, median,
+        v._edge_lengths().ravel(order="F"))
     # unsplit, the faces are v's, whose rows v holds
     rows = None if did_split else {"measures": v.face_measures(),
                                    "edge_lengths": v._edge_lengths()}

@@ -483,7 +483,7 @@ def vertex_projectors(v: DiscreteVarifold) -> np.ndarray:
     out = np.zeros_like(acc)
     ok = wsum > 0
     acc[ok] /= wsum[ok, None, None]
-    w, vecs = np.linalg.eigh(acc[ok])
+    vecs = np.linalg.eigh(acc[ok]).eigenvectors
     # top n eigenvectors span the averaged tangent plane
     top = vecs[:, :, 1:]  # eigh sorts ascending; keep largest d-1 = n
     out[ok] = np.einsum("vik,vjk->vij", top, top)

@@ -1,10 +1,17 @@
+import hashlib
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from holeflow.cli import Config, load_config, main
 from holeflow.dvar import read_dvar
+from holeflow.iteration import ExperimentResult
+
+# SHA-256 of every file that `experiment --j 1 --level 4` writes
+CLI_EXPERIMENT_PIN = Path(__file__).with_name("cli_experiment_l4_sha256.json")
 
 
 def run_cli(*argv):
@@ -282,9 +289,16 @@ class TestExperimentCommand:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["passes"]
         assert summary["mass_final"] < summary["mass_initial"]
-        for name in ("ledger.csv", "excess_report_h1.json",
-                     "plot/mass.dat", "plot/ratio.dat", "plot/series.dat"):
-            assert (out_dir / name).exists()
+        # every ExperimentResult field but the three that have files of
+        # their own (experiment.csv, ledger.csv, excess_report_h*.json)
+        assert set(summary) == ({f.name for f in fields(ExperimentResult)}
+                                - {"rows", "trajectory", "reports"}
+                                | {"_meta"})
+        assert summary["barrier_contacts"] == [None]
+        written = {str(p.relative_to(out_dir)):
+                   hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out_dir.rglob("*")) if p.is_file()}
+        assert written == json.loads(CLI_EXPERIMENT_PIN.read_text())
         assert run_cli("report", "--dir", str(out_dir)) == 0
 
     @pytest.mark.parametrize("j", ["0", "-1"])
@@ -322,6 +336,22 @@ class TestEvolveCommand:
                      "--snapshots", "0", "--out-dir", str(tmp_path / "run"))
         assert rc == 0
         assert (tmp_path / "run" / "ledger.csv").exists()
+
+    def test_isolated_vertex_refused(self, tmp_path, capsys):
+        # the flow refuses an interior vertex with no face; the CLI reports
+        # the refusal and exits 1 instead of raising
+        from holeflow.dvar import write_dvar
+        from holeflow.fixtures import icosphere
+        from holeflow.varifold import DiscreteVarifold
+        s = icosphere(2)
+        mesh = tmp_path / "iso.dvar"
+        write_dvar(DiscreteVarifold(np.vstack([s.vertices, np.zeros((1, 3))]),
+                                    s.faces, s.multiplicity,
+                                    np.append(s.boundary, False)), mesh)
+        rc = run_cli("evolve", "--mesh", str(mesh), "--t-end", "0.01",
+                     "--out-dir", str(tmp_path / "run"))
+        assert rc == 1
+        assert "refused: isolated vertex" in capsys.readouterr().err
 
     def test_resolution_exhausted_exit_code(self, tmp_path, capsys):
         from holeflow.dvar import write_dvar

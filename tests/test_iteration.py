@@ -258,6 +258,16 @@ class TestDensityFloor:
         ok, ratio = density_floor_check(v, profile_01, t_plane, 0.1, 1)
         assert ratio < 1.0 and not ok
 
+    def test_sheet_on_slab_boundary_counts(self, t_plane, profile_01):
+        # the slab {|T_perp| <= sqrt(2) r} is closed: a sheet lifted to
+        # height exactly sqrt(2) r weighs what the sheet in T does
+        v = make_fixture("flat_stack", 1, 4, radius=0.4)
+        lifted = v.with_vertices(v.vertices
+                                 + [0.0, 0.0, math.sqrt(2.0) * 0.1])
+        _, in_plane = density_floor_check(v, profile_01, t_plane, 0.1, 1)
+        _, on_edge = density_floor_check(lifted, profile_01, t_plane, 0.1, 1)
+        assert on_edge == in_plane
+
     def test_empty_varifold(self, t_plane, profile_01):
         empty = DiscreteVarifold(np.zeros((0, 3)),
                                  np.zeros((0, 3), dtype=np.int64),

@@ -28,6 +28,10 @@ class TestProfile:
         prof = make_profile(0.1)
         assert prof.rho == pytest.approx(RHO_ZETA_01, rel=1e-4)
 
+    def test_profile_built_once_per_zeta(self):
+        assert make_profile(0.1) is make_profile(0.1)
+        assert make_profile(0.2) is not make_profile(0.1)
+
     def test_rho_from_independent_sampling(self):
         # finite-difference resampling of the defining sup
         prof = make_profile(0.2)
