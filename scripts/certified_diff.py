@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Check that a revision and the working tree compute the same certified
-numbers, bit for bit.
+numbers and write the same CLI output, bit for bit.
 
 Run from anywhere inside a checkout:
 
@@ -11,10 +11,14 @@ It exports REV's committed files (``git archive``) into
 for every benchmark workload on seeds 0 and 1, once in that copy and once
 in the working tree.  For each pair of dumps that differ it prints the
 first key whose value differs (``ledger[12].mass``, say) with both values.
-It exits 1 if any pair differs by a byte and 0 when every dump is
-byte-identical; the exported copy is removed either way.  The copy is an
-export rather than a ``git worktree``: nothing is registered in ``.git``,
-so an interrupted run leaves only an ignored directory behind.
+It then runs each command of ``CLI_RUNS`` as ``python -m holeflow.cli``
+on each tree's ``src/``, in a fresh directory per tree, and compares the
+two directories' files byte for byte; for each pair that differs it
+prints the first file that does.  It exits 1 if any dump or output tree
+differs by a byte and 0 when all are identical; the exported copy is
+removed either way.  The copy is an export rather than a ``git
+worktree``: nothing is registered in ``.git``, so an interrupted run
+leaves only an ignored directory behind.
 """
 
 from __future__ import annotations
@@ -22,15 +26,32 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("flow_l5", "reference_l4", "window_l4", "series")
 SEEDS = (0, 1)
+# CLI runs whose output trees are compared: a name and the commands that
+# run in order in one directory, which holds what they write.
+CLI_RUNS = (
+    ("experiment", [["experiment", "--j", "2", "--level", "4",
+                     "--out-dir", "out"]]),
+    ("expanding-holes", [["expanding-holes", "--spacing", "0.001",
+                          "--level", "4", "--out", "excess_report.json"]]),
+    ("series", [["series", "--K", "10", "--J", "40", "--out-dir", "out"]]),
+    # a nucleated level-3 stack, whose hole opens (76 steps, with
+    # remeshes); the level-3 surgery report fails, which exits 1
+    ("evolve", [["gen-fixture", "--level", "3", "--out", "mesh.dvar"],
+                ["nucleate", "--mesh", "mesh.dvar", "--out", "nuc.dvar"],
+                ["evolve", "--mesh", "nuc.dvar", "--t-end", "4e-4",
+                 "--snapshots", "3", "--out-dir", "out"]]),
+)
 
 
 def export(rev: str) -> Path:
@@ -55,6 +76,24 @@ def dump(tree: Path, workload: str, seed: int) -> bytes:
         raise SystemExit(f"{tree}: dump_certified.py {workload} {seed} "
                          f"failed:\n{out.stderr.decode()}")
     return out.stdout
+
+
+def cli_tree(tree: Path, commands) -> dict:
+    """{relative path: bytes} of every file that ``commands`` write, run in
+    order as ``python -m holeflow.cli`` on tree's ``src/`` in a fresh
+    directory.  A command may report a failed check (exit 1), which its
+    files record; any other nonzero exit stops the comparison."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    with tempfile.TemporaryDirectory(dir=ROOT / ".bench_build") as work:
+        for argv in commands:
+            out = subprocess.run([sys.executable, "-m", "holeflow.cli",
+                                  *argv], cwd=work, env=env,
+                                 capture_output=True)
+            if out.returncode not in (0, 1):
+                raise SystemExit(f"{tree}: holeflow {' '.join(argv)} exited "
+                                 f"{out.returncode}:\n{out.stderr.decode()}")
+        return {str(p.relative_to(work)): p.read_bytes()
+                for p in Path(work).rglob("*") if p.is_file()}
 
 
 def first_difference(a, b, path: str = ""):
@@ -99,11 +138,22 @@ def main(argv=None) -> int:
                 where = ("bytes only (same JSON values)" if found is None
                          else f"{found[0]}: {found[1]!r} -> {found[2]!r}")
                 print(f"DIFFERS {workload} seed {seed}: {where}")
+        trees_differ = 0
+        for name, commands in CLI_RUNS:
+            old, new = cli_tree(base, commands), cli_tree(ROOT, commands)
+            path = next((p for p in sorted(old.keys() | new.keys())
+                         if old.get(p) != new.get(p)), None)
+            if path is None:
+                print(f"same    cli {name}: {len(new)} files")
+                continue
+            trees_differ += 1
+            print(f"DIFFERS cli {name}: {path}")
     finally:
         shutil.rmtree(base, ignore_errors=True)
-    print(f"{differ} of {len(WORKLOADS) * len(SEEDS)} dumps differ from "
+    print(f"{differ} of {len(WORKLOADS) * len(SEEDS)} dumps and "
+          f"{trees_differ} of {len(CLI_RUNS)} CLI trees differ from "
           f"{args.rev}")
-    return 1 if differ else 0
+    return 1 if differ or trees_differ else 0
 
 
 if __name__ == "__main__":

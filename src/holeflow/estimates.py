@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .geom import UNIT_BALL_VOLUME, Plane, dot_last, norm_last
-from .kernels import CutoffProfile, cylindrical_cutoff
+from .kernels import CutoffProfile, cylindrical_cutoff, radial_cutoff
 from .varifold import (DiscreteVarifold, _corner_max, _normal_part,
                        _quad_sums, _row_max,
                        ball_mass, interpolate_vertex_field, mean_curvature,
@@ -165,15 +165,9 @@ def _window_pass(v: DiscreteVarifold, cfg: ExpandingHolesConfig, t: float,
     keep = _faces_reaching(v, plane.tangential_norm(v.vertices), big_r)
 
     def integrand(pts, bary, sel):
-        tx = plane.apply(pts)
-        s = norm_last(tx)
+        s, chi, grad_chi = radial_cutoff(cfg.profile, plane.apply(pts), big_r)
         height = plane.normal_norm(pts)
-        chi, d1 = cfg.profile.jet(s / big_r)
-        # grad chi = chi'(|Tx|/R) Tx / (R |Tx|), zero on the axis
-        coef = np.zeros_like(s)
-        nz = s > 0
-        coef[nz] = d1[nz] / (big_r * s[nz])
-        grad = 2.0 * chi[..., None] * (coef[..., None] * tx)
+        grad = 2.0 * chi[..., None] * grad_chi
         grad_perp = _normal_part(v, grad, sel)
         hq = interpolate_vertex_field(v, h_field, bary, sel)
         h_sq = dot_last(hq, hq)
@@ -250,11 +244,12 @@ def expanding_holes_run(traj: FlowTrajectory,
     excess).
     """
     k = traj.snapshots[0].surface_dim
-    times = [t for t in traj.times if cfg.t1 - 1e-12 <= t <= cfg.t2 + 1e-12]
+    window = traj.between(cfg.t1, cfg.t2)
+    times = [t for t, _ in window]
     if not times or abs(times[0] - cfg.t1) > 1e-9 or abs(times[-1] - cfg.t2) > 1e-9:
         raise ValueError("trajectory does not cover [t1, t2] at its endpoints")
 
-    checks = [dissipation_check(traj.snapshot_at(t), cfg, t) for t in times]
+    checks = [dissipation_check(v, cfg, t) for t, v in window]
 
     mu_sq = [c["mu_sq"] for c in checks]
     alpha_sq = [c["alpha_sq"] for c in checks]
@@ -269,7 +264,7 @@ def expanding_holes_run(traj: FlowTrajectory,
         emp_m = ((ratio_end - ratio_start)
                  / (mu_bar_sq * math.log(cfg.r2 / cfg.r1)))
     return ExcessReport(
-        times=list(times), mu_sq=mu_sq, alpha_sq=alpha_sq,
+        times=times, mu_sq=mu_sq, alpha_sq=alpha_sq,
         mass_ratio_start=ratio_start, mass_ratio_end=ratio_end,
         empirical_M=emp_m, mu_bar_sq=mu_bar_sq, dissipation=checks,
         config={"t1": cfg.t1, "t2": cfg.t2, "R1": cfg.r1, "R2": cfg.r2,
@@ -301,17 +296,17 @@ def l2_height_bound_check(traj: FlowTrajectory, t_plane: Plane, r: float,
         raise ValueError("need L >= 2")
     k = traj.snapshots[0].surface_dim
     t_max = r * r
-    times = [t for t in traj.times if t <= t_max * (1 + 1e-12)]
-    if not times or times[-1] < t_max * (1 - 1e-9):
+    window = traj.between(0.0, t_max)
+    if not window or window[-1][0] < t_max * (1 - 1e-9):
         raise ValueError("trajectory too short for the height bound window")
 
-    lhs = max(ball_height_excess_sq(traj.snapshot_at(t), t_plane, r)
-              for t in times) / r ** (k + 2)
+    lhs = max(ball_height_excess_sq(v, t_plane, r)
+              for _, v in window) / r ** (k + 2)
 
     first = math.exp(0.25) * ball_height_excess_sq(
         traj.snapshots[0], t_plane, big_l * r) / r ** (k + 2)
-    sup_mass_ratio = max(ball_mass(traj.snapshot_at(t), 0.0, big_l * r)
-                         for t in times) / (big_l * r) ** k
+    sup_mass_ratio = max(ball_mass(v, 0.0, big_l * r)
+                         for _, v in window) / (big_l * r) ** k
     decay = big_l ** (k + 2) * math.exp(-(big_l - 1.0) ** 2 / 8.0)
     rhs = first + HEIGHT_BOUND_CONST * decay * sup_mass_ratio
     min_c = ((lhs - first) / (decay * sup_mass_ratio)
@@ -339,9 +334,7 @@ def gaussian_density_sup(traj: FlowTrajectory, r0: float,
         return [(dist < r).astype(float) for r in radii]
 
     out = 0.0
-    for t, v in zip(traj.times, traj.snapshots):
-        if t > r0 * r0 * (1 + 1e-12):
-            continue
+    for _, v in traj.between(0.0, r0 * r0):
         keep = _faces_reaching(v, norm_last(v.vertices),
                                np.max(radii))
         masses = _quad_sums(v, QUAD_ORDER, MEASUREMENT_SUBDIV, integrand,

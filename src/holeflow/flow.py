@@ -29,8 +29,8 @@ full at the start, after a remesh that changed the mesh and on a step
 that moved more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces.  Either
 way every array is bitwise that of a mesh built fresh at the same
 vertices.  Recorded snapshots and the mesh handed to ``remesh`` are
-``DiscreteVarifold`` copies of the workspace's rows and vertex masses,
-with no step state, so nothing the flow hands out is written afterwards.
+``DiscreteVarifold`` meshes holding copies of the workspace's vertices and
+face rows, with no step state; a mesh is never written after it is built.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ from typing import Optional
 import numpy as np
 
 from .geom import Plane, norm_last
-from .varifold import (DiscreteVarifold, ScalarTest, _corner_columns,
-                       _corner_max, _corner_terms, _face_altitudes,
-                       _face_pass, _gradient_sums, _lumped_masses, _median,
-                       _require_positive_measures, _row_max, mean_curvature,
-                       weight_measure, weighted_first_variation)
+from .varifold import (DiscreteVarifold, ScalarTest, _corner_max,
+                       _curvature, _face_altitudes, _face_pass,
+                       _gradient_sums, _gradient_terms, _lumped_masses,
+                       _median, _require_positive_measures, _row_max,
+                       mean_curvature, weight_measure,
+                       weighted_first_variation)
 from .remesh import remesh
 
 # A vertex whose |h| times the initial median edge e0 is at most REST_FLOOR
@@ -107,6 +108,13 @@ class FlowTrajectory:
     policy: DtPolicy
     valid: bool = True
     invalid_reason: str = ""
+
+    def between(self, t1: float, t2: float) -> list:
+        """The (t, snapshot) pairs recorded in [t1, t2], in time order; both
+        ends are widened by 1e-12 max(1, |t2|)."""
+        slack = 1e-12 * max(1.0, abs(t2))
+        return [(t, v) for t, v in zip(self.times, self.snapshots)
+                if t1 - slack <= t <= t2 + slack]
 
     def snapshot_at(self, t: float) -> DiscreteVarifold:
         arr = np.asarray(self.times)
@@ -169,12 +177,8 @@ class _StepWorkspace:
         self._local = np.full(nv, -1, dtype=np.int64)
         self.h, self.hn = np.empty((nv, d)), np.empty(nv)
         self.face_h = np.empty(nf)
-        units = "tangents" if d == 2 else "normals"
-        self.rows = {key: v._cache[key].copy()
-                     for key in ("measures", units, "edge_lengths")}
-        self.terms = _corner_terms(
-            _corner_columns(self.vertices, self.faces),
-            [self.rows[units][:, a] for a in range(d)], self.mult)
+        self.rows = {key: row.copy() for key, row in v._cache.items()}
+        self.terms = _gradient_terms(v)
         self._sum_all()
 
     def move(self, dt: float) -> None:
@@ -195,13 +199,8 @@ class _StepWorkspace:
         interior vertex with no face, as ``varifold.mean_curvature`` does.
         """
         for ring, touch in self._pending:
-            masses, bnd = self.masses[ring], self.boundary[ring]
-            if np.any((masses == 0.0) & ~bnd):
-                raise ValueError("isolated vertex")
-            # a boundary vertex with no face divides 0 by 0; its row is reset
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h = -self.gradient[ring] / masses[:, None]
-            h[bnd] = 0.0
+            h = _curvature(self.gradient[ring], self.masses[ring],
+                           self.boundary[ring])
             hn = norm_last(h)
             rest = hn * self.e0 <= REST_FLOOR
             h[rest] = 0.0
@@ -215,14 +214,14 @@ class _StepWorkspace:
         return float(np.sum(self.mult * self.rows["measures"]))
 
     def snapshot(self) -> DiscreteVarifold:
-        """A mesh holding copies of the vertices, rows and vertex masses."""
-        vertices, masses = self.vertices.copy(), self.masses.copy()
+        """A mesh holding copies of the vertices and face rows, which it
+        freezes; no vertex sum or other step state goes with them."""
+        vertices = self.vertices.copy()
         vertices.setflags(write=False)
-        masses.setflags(write=False)
-        cache = {key: row.copy() for key, row in self.rows.items()}
-        cache["vertex_masses"] = masses
         return DiscreteVarifold(vertices, self.faces, self.mult,
-                                self.boundary, cache)
+                                self.boundary,
+                                {key: row.copy()
+                                 for key, row in self.rows.items()})
 
     def remesh(self) -> float:
         """One remesh pass on a snapshot; the workspace is built again in
@@ -439,28 +438,24 @@ def brakke_inequality_test(traj: FlowTrajectory, phi: ScalarTest,
     lo, hi = traj.times[0], traj.times[-1]
     if not (lo <= t1 < t2 <= hi * (1 + 1e-12)):
         raise ValueError("requested interval outside trajectory span")
-    times = np.asarray(traj.times)
-    sel = np.flatnonzero((times >= t1 - 1e-12) & (times <= t2 + 1e-12))
-    if len(sel) < 2:
+    window = traj.between(t1, t2)
+    if len(window) < 2:
         raise ValueError("need at least two snapshots in [t1, t2]")
 
-    def mass_at(i):
-        v = traj.snapshots[i]
-        return weight_measure(v, lambda p: phi.value_fn(p, times[i]))
+    def mass_at(tt, v):
+        return weight_measure(v, lambda p: phi.value_fn(p, tt))
 
-    lhs = mass_at(sel[-1]) - mass_at(sel[0])
+    lhs = mass_at(*window[-1]) - mass_at(*window[0])
 
     vals = []
-    for i in sel:
-        v = traj.snapshots[i]
-        tt = times[i]
+    for tt, v in window:
         h = mean_curvature(v)
         fv = weighted_first_variation(
             v, lambda p: phi.value_fn(p, tt), lambda p: phi.gradient_fn(p, tt),
             h)
         dphi = weight_measure(v, lambda p: phi.time_derivative_fn(p, tt))
         vals.append(fv + dphi)
-    rhs = float(np.trapezoid(vals, times[sel]))
+    rhs = float(np.trapezoid(vals, [tt for tt, _ in window]))
     return rhs - lhs
 
 

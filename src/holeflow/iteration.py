@@ -407,11 +407,11 @@ def rescaled_window(traj: FlowTrajectory, eps: float,
     """The snapshots of window h blown up by 1/lambda_h, in rescaled time."""
     lam = window_scale(eps, h)
     lam_sq = window_end(eps, h)
-    times = [t for t in traj.times
-             if window_start(h) * lam_sq - 1e-18 <= t <= lam_sq * (1 + 1e-12)]
-    snaps = [parabolic_rescale(traj.snapshot_at(t), lam) for t in times]
-    return FlowTrajectory(times=[t / lam_sq for t in times], snapshots=snaps,
-                          cumulative_dissipation=[0.0] * len(times),
+    window = traj.between(window_start(h) * lam_sq, lam_sq)
+    return FlowTrajectory(times=[t / lam_sq for t, _ in window],
+                          snapshots=[parabolic_rescale(v, lam)
+                                     for _, v in window],
+                          cumulative_dissipation=[0.0] * len(window),
                           ledger=[], policy=traj.policy)
 
 
@@ -452,7 +452,7 @@ def orchestrate(cfg: ExperimentConfig,
     omega = UNIT_BALL_VOLUME[n]
     t_plane = coordinate_plane(list(range(n)), v0.ambient_dim)
     envelope = GrowthEnvelope(alpha=cfg.alpha, r0=cfg.r0)
-    ok, excess = envelope_check(v0, envelope, t_plane, cfg.r0)
+    ok, excess = envelope_check(v0, envelope, t_plane)
     if not ok:
         raise ValueError(f"growth-envelope precheck failed (excess {excess:.3e})")
     profile = make_profile(cfg.zeta)
@@ -499,8 +499,7 @@ def orchestrate(cfg: ExperimentConfig,
         })
 
     rhat_f = math.sqrt(2.0) * r_f
-    lef2_lhs = slab_mass(traj.snapshot_at(t_end), profile, t_plane, r_f,
-                         rhat_f)
+    lef2_lhs = slab_mass(traj.snapshots[-1], profile, t_plane, r_f, rhat_f)
     lef2_rhs = slab_mass(v0, profile, t_plane, r_f, rhat_f)
 
     res = ExperimentResult(

@@ -121,17 +121,23 @@ def cylindrical_cutoff(profile: CutoffProfile, t: Plane, big_r: float,
     return profile.value(t.tangential_norm(x) / big_r)
 
 
+def radial_cutoff(profile: CutoffProfile, y: np.ndarray, big_r: float):
+    """(|y|, chi(|y| / R), grad chi) for vectors y of shape (..., d), from
+    one profile evaluation: grad chi = chi'(|y| / R) y / (R |y|), zero at
+    y = 0."""
+    s = norm_last(y)
+    chi, d1 = profile.jet(s / big_r)
+    coef = np.zeros_like(s)
+    nz = s > 0
+    coef[nz] = d1[nz] / (big_r * s[nz])
+    return s, chi, coef[..., None] * y
+
+
 def cylindrical_cutoff_gradient(profile: CutoffProfile, t: Plane, big_r: float,
                                 x: np.ndarray) -> np.ndarray:
     """Gradient of the cylindrical cutoff; lies in the plane T."""
-    x = np.asarray(x, dtype=float)
-    tx = t.apply(x)
-    s = norm_last(tx)
-    out = np.zeros_like(x)
-    nz = s > 0
-    coef = profile.d1(s[nz] / big_r) / (big_r * s[nz])
-    out[nz] = coef[..., None] * tx[nz]
-    return out
+    return radial_cutoff(profile, t.apply(np.asarray(x, dtype=float)),
+                         big_r)[2]
 
 
 @dataclass(frozen=True)

@@ -47,14 +47,14 @@ def envelope_value(e: GrowthEnvelope, s):
     return out if out.ndim else float(out)
 
 
-def envelope_check(v: DiscreteVarifold, e: GrowthEnvelope, t_plane: Plane,
-                   r0: float | None = None):
-    """Check every vertex in C(T,0,r0) with |x_N| < r0 against the envelope.
+def envelope_check(v: DiscreteVarifold, e: GrowthEnvelope, t_plane: Plane):
+    """Check every vertex in C(T,0,r0) with |x_N| < r0 against the envelope,
+    r0 the envelope's own.
 
     Returns (ok, worst_excess); excess is max(|x_N| - g(|x'|), 0) over the
     checked region.
     """
-    r0 = e.r0 if r0 is None else r0
+    r0 = e.r0
     tang = t_plane.tangential_norm(v.vertices)
     norm = t_plane.normal_norm(v.vertices)
     region = (tang < r0) & (norm < r0)

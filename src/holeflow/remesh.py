@@ -166,8 +166,7 @@ def remesh(v: DiscreteVarifold):
         v.vertices, v.faces, v.multiplicity, v.boundary, median,
         v._edge_lengths().ravel(order="F"))
     # unsplit, the faces are v's, whose rows v holds
-    rows = None if did_split else {"measures": v.face_measures(),
-                                   "edge_lengths": v._edge_lengths()}
+    rows = None if did_split else v._cache
     verts, faces, mult, bnd, did_collapse = _collapse_pass(
         verts, faces, mult, bnd, median, rows)
     if not (did_split or did_collapse):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geom import dot_last, norm_last
+from .geom import dot_last
+from .kernels import make_profile, radial_cutoff
 from .varifold import ScalarTest, TestField
 
 
@@ -43,8 +44,7 @@ def bump_test_field(center, radius: float, matrix, offset) -> TestField:
         lin = (p - center) @ matrix.T + offset
         return lin[:, :, None] * grad[:, None, :] + val[:, None, None] * matrix
 
-    return TestField(value_fn=value, jacobian_fn=jacobian,
-                     support_radius=radius, center=center)
+    return TestField(value_fn=value, jacobian_fn=jacobian)
 
 
 def random_test_field(rng: np.random.Generator, dim: int,
@@ -62,34 +62,22 @@ def plateau_test_field(center, radius: float, zeta: float, matrix,
     Exactly equals the affine field on the plateau, so first-variation
     identities for surfaces inside the plateau hold without cutoff error.
     """
-    from .kernels import make_profile
-
     center = np.asarray(center, dtype=float)
     matrix = np.asarray(matrix, dtype=float)
     offset = np.asarray(offset, dtype=float)
     prof = make_profile(zeta)
 
-    def chi_and_grad(p):
-        dx = p - center
-        r = norm_last(dx)
-        chi, d1 = prof.jet(r / radius)
-        grad = np.zeros_like(dx)
-        nz = r > 0
-        grad[nz] = (d1[nz] / (radius * r[nz]))[:, None] * dx[nz]
-        return chi, grad
-
     def value(p):
-        chi, _ = chi_and_grad(p)
+        _, chi, _ = radial_cutoff(prof, p - center, radius)
         lin = (p - center) @ matrix.T + offset
         return chi[:, None] * lin
 
     def jacobian(p):
-        chi, grad = chi_and_grad(p)
+        _, chi, grad = radial_cutoff(prof, p - center, radius)
         lin = (p - center) @ matrix.T + offset
         return lin[:, :, None] * grad[:, None, :] + chi[:, None, None] * matrix
 
-    return TestField(value_fn=value, jacobian_fn=jacobian,
-                     support_radius=radius, center=center)
+    return TestField(value_fn=value, jacobian_fn=jacobian)
 
 
 def bump_scalar_test(center, radius: float, base: float,
@@ -110,8 +98,7 @@ def bump_scalar_test(center, radius: float, base: float,
         return val * slope
 
     return ScalarTest(value_fn=value, gradient_fn=gradient,
-                      time_derivative_fn=time_derivative,
-                      support_radius=radius)
+                      time_derivative_fn=time_derivative)
 
 
 def random_scalar_test(rng: np.random.Generator, dim: int,

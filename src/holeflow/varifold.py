@@ -10,6 +10,7 @@ for triangle meshes coincides with the cotangent discretization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,7 @@ MEASUREMENT_SUBDIV = 2
 QUAD_BLOCK_POINTS = 2 ** 13
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteVarifold:
     """Triangulated surface with per-face integer multiplicity.
 
@@ -39,21 +40,21 @@ class DiscreteVarifold:
     multiplicity : (nf,) positive int array
     boundary : (nv,) bool array; flagged vertices are fixed by every flow step
 
-    Instances are treated as immutable; surgeries return new objects.  All
-    four arrays are read-only; a writeable input is copied, never frozen in
-    place.  A copy made by ``with_vertices`` shares ``faces``,
-    ``multiplicity`` and ``boundary`` with its parent.
+    Instances are immutable: the fields cannot be reassigned, surgeries
+    return new objects and nothing is written to a mesh after
+    ``__post_init__``.  All four arrays are read-only; a writeable input is
+    copied, never frozen in place.  A copy made by ``with_vertices`` shares
+    ``faces``, ``multiplicity`` and ``boundary`` with its parent.
 
-    Construction keeps in ``_cache`` the rows of one face pass
-    (``_face_pass``): face measures, unit normals (n = 2) or tangents
-    (n = 1) and edge lengths; ``compact``, ``read_dvar`` and the flow's
-    snapshots hand a mesh these rows instead.  The minimum and median edge
-    length and the lumped vertex masses (``vertex_masses``) are kept there
-    on first use, or handed over with the rows.  Face corners, projectors,
-    altitudes, area-gradient terms and quadrature points are formed on
-    demand: trajectories hold many snapshots.  A mesh holds no flow-step
-    state; ``flow.evolve`` keeps that in its own step workspace, whose
-    snapshots are meshes holding copies of its rows.
+    Construction keeps in ``_cache``, a read-only mapping, the rows of one
+    face pass (``_face_pass``): face measures, unit normals (n = 2) or
+    tangents (n = 1) and edge lengths, and marks them read-only; ``compact``,
+    ``read_dvar`` and the flow's snapshots hand a mesh fresh rows instead,
+    which it freezes in place.  A mesh holds only these rows: edge
+    statistics, vertex masses, face corners, projectors, altitudes,
+    area-gradient terms and quadrature points are formed on each call.  A
+    mesh holds no flow-step state; ``flow.evolve`` keeps that in its own
+    step workspace, whose snapshots are meshes holding copies of its rows.
     """
 
     vertices: np.ndarray
@@ -63,16 +64,19 @@ class DiscreteVarifold:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.vertices = _owned_read_only(self.vertices, float)
-        self.faces = _owned_read_only(self.faces, np.int64)
-        self.multiplicity = _owned_read_only(self.multiplicity, np.int64)
-        self.boundary = _owned_read_only(self.boundary, bool)
+        for name, dtype in (("vertices", float), ("faces", np.int64),
+                            ("multiplicity", np.int64), ("boundary", bool)):
+            object.__setattr__(self, name,
+                               _owned_read_only(getattr(self, name), dtype))
         if self.faces.ndim != 2 or self.faces.shape[1] != self.ambient_dim:
             raise ValueError("faces must be (nf, ambient_dim) simplices")
         if np.any(self.multiplicity < 1):
             raise ValueError("multiplicities must be >= 1")
-        if not self._cache:  # not handed its face rows: build them
-            self._cache.update(_face_pass(self.vertices, self.faces))
+        # the face rows handed over, or a face pass when none were
+        rows = dict(self._cache) or _face_pass(self.vertices, self.faces)
+        for row in rows.values():
+            row.setflags(write=False)
+        object.__setattr__(self, "_cache", MappingProxyType(rows))
         _require_positive_measures(self.face_measures())
 
     @property
@@ -124,27 +128,19 @@ class DiscreteVarifold:
         return self._cache["edge_lengths"]
 
     def min_edge_length(self) -> float:
-        if "min_edge" not in self._cache:
-            self._cache["min_edge"] = float(np.min(self._edge_lengths()))
-        return self._cache["min_edge"]
+        return float(np.min(self._edge_lengths()))
 
-    def face_altitudes(self, keep=None) -> np.ndarray:
-        """Smallest altitude per face: 2 area / longest edge (length for n=1),
-        on all faces or on the faces of the boolean mask ``keep``.
+    def face_altitudes(self) -> np.ndarray:
+        """Smallest altitude per face: 2 area / longest edge (length for n=1).
 
         The honest stiffness scale: a sliver with moderate edges but tiny
         height is as stiff as a uniformly tiny triangle.  Not cached: it
         reads the cached measures and edge lengths.
         """
-        m, e = self.face_measures(), self._edge_lengths()
-        if keep is not None:
-            m, e = m[keep], e[keep]
-        return _face_altitudes(m, e)
+        return _face_altitudes(self.face_measures(), self._edge_lengths())
 
     def median_edge_length(self) -> float:
-        if "median_edge" not in self._cache:
-            self._cache["median_edge"] = _median(self._edge_lengths())
-        return self._cache["median_edge"]
+        return _median(self._edge_lengths())
 
     def quad_points(self, quad_order: int, subdiv: int = 0, keep=None):
         """(points (nk, m, d), bary (m, d), weights (m,)) of the rule on the
@@ -170,8 +166,6 @@ class TestField:
 
     value_fn: Callable[[np.ndarray], np.ndarray]
     jacobian_fn: Callable[[np.ndarray], np.ndarray]
-    support_radius: float
-    center: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -185,7 +179,6 @@ class ScalarTest:
     value_fn: Callable
     gradient_fn: Callable
     time_derivative_fn: Callable
-    support_radius: float
 
 
 def weight_measure(v: DiscreteVarifold, phi, quad_order: int = QUAD_ORDER,
@@ -425,44 +418,55 @@ def _gradient_sums(faces: np.ndarray, terms: np.ndarray,
 
 def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
     """Lumped vertex masses: adjacent multiplicity-weighted measure / (n+1).
+    Not cached."""
+    return _lumped_masses(v.faces, v.multiplicity, v.face_measures(),
+                          v.num_vertices)
 
-    Cached on ``v`` and returned read-only.
-    """
-    if "vertex_masses" not in v._cache:
-        m = _lumped_masses(v.faces, v.multiplicity, v.face_measures(),
-                           v.num_vertices)
-        m.setflags(write=False)
-        v._cache["vertex_masses"] = m
-    return v._cache["vertex_masses"]
+
+def _gradient_terms(v: DiscreteVarifold) -> np.ndarray:
+    """The per-corner area-gradient terms (``_corner_terms``) of a mesh,
+    from its cached unit normals or tangents."""
+    units = v._cache["tangents" if v.surface_dim == 1 else "normals"]
+    return _corner_terms(_corner_columns(v.vertices, v.faces),
+                         [units[:, a] for a in range(v.ambient_dim)],
+                         v.multiplicity)
 
 
 def area_gradient(v: DiscreteVarifold) -> np.ndarray:
     """Gradient of total (multiplicity-weighted) mass wrt vertex positions,
-    from the per-corner terms of a face pass.  Not cached."""
-    rows = _face_pass(v.vertices, v.faces, v.multiplicity)
-    return _gradient_sums(v.faces, rows["corner_gradients"], v.num_vertices)
+    from the per-corner terms of the cached rows.  Not cached."""
+    return _gradient_sums(v.faces, _gradient_terms(v), v.num_vertices)
+
+
+def _curvature(gradient: np.ndarray, masses: np.ndarray,
+               boundary: np.ndarray) -> np.ndarray:
+    """h = -area gradient / lumped mass per vertex, 0 on boundary vertices.
+
+    Raises on an interior vertex with no adjacent face (isolated vertex),
+    whose mass would vanish.
+    """
+    if np.any((masses == 0.0) & ~boundary):
+        raise ValueError("isolated vertex")
+    # a boundary vertex with no face divides 0 by 0; its row is reset below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -gradient / masses[:, None]
+    h[boundary] = 0.0
+    return h
 
 
 def mean_curvature(v: DiscreteVarifold) -> np.ndarray:
-    """Generalized mean curvature at vertices: -area gradient / lumped mass.
+    """Generalized mean curvature at vertices (``_curvature``): -area
+    gradient / lumped mass, h = 0 on boundary vertices.
 
-    Boundary vertices get h = 0.  Raises on interior vertices with no
-    adjacent face (isolated vertex), whose mass would vanish.  Given a
-    flow's step workspace (``flow._StepWorkspace``) instead of a mesh, it
-    returns the workspace's h, formed again where the last step moved.
+    Raises on interior vertices with no adjacent face.  Given a flow's step
+    workspace (``flow._StepWorkspace``) instead of a mesh, it returns the
+    workspace's h, formed again where the last step moved.
     """
     if not isinstance(v, DiscreteVarifold):
         return v.mean_curvature()
     if v.ambient_dim not in (2, 3):
         raise ValueError("mean curvature implemented for ambient dim 2 and 3")
-    masses = vertex_masses(v)
-    if np.any((masses == 0.0) & ~v.boundary):
-        raise ValueError("isolated vertex")
-    # a boundary vertex with no face divides 0 by 0; its row is reset below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -area_gradient(v) / masses[:, None]
-    h[v.boundary] = 0.0
-    return h
+    return _curvature(area_gradient(v), vertex_masses(v), v.boundary)
 
 
 def vertex_projectors(v: DiscreteVarifold) -> np.ndarray:

@@ -111,8 +111,6 @@ def test_criterion_06_flow_inequality_tester():
     prof = make_profile(0.3)
 
     class Plateau:
-        support_radius = 3.0
-
         def value_fn(self, p, t):
             return prof.value(np.linalg.norm(p, axis=1) / 3.0)
 

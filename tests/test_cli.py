@@ -105,7 +105,7 @@ class TestGenFixture:
         from holeflow.nucleation import GrowthEnvelope, envelope_check
         v = read_dvar(out)
         ok, _ = envelope_check(v, GrowthEnvelope(alpha=0.51, r0=0.1),
-                               coordinate_plane([0, 1], 3), 0.1)
+                               coordinate_plane([0, 1], 3))
         assert ok
 
     def test_invalid_q_is_usage_error(self, tmp_path):

@@ -10,7 +10,8 @@ from holeflow.fixtures import (circle_mesh, cylinder_tube, icosphere,
 from holeflow import flow
 from holeflow.flow import (DISP_CAP, MIN_EDGE_FLOOR_REL, REMESH_BACKOFF,
                            REMESH_EVERY, REMESH_MIN_RATIO, REST_FLOOR,
-                           DtPolicy, ResolutionExhausted, barrier_monitor,
+                           DtPolicy, FlowTrajectory, ResolutionExhausted,
+                           barrier_monitor,
                            barrier_offset_factor, brakke_inequality_test,
                            evolve, sphere_barrier_from_scale, SphereBarrier)
 from holeflow.geom import coordinate_plane
@@ -51,7 +52,7 @@ def _fresh_mesh_evolve(v0, t_end, snapshot_times):
             active = face_h > 0.0
             dt = t_next - t
             if np.any(active):
-                scales = v.face_altitudes(active)
+                scales = v.face_altitudes()[active]
                 dt = min(float(np.min(np.minimum(
                     DtPolicy().c_stab * scales**2,
                     DISP_CAP * scales / face_h[active]))), dt)
@@ -175,8 +176,7 @@ class TestEvolve:
             return v
 
         def _arrays(v):
-            return [v.vertices, *(a for a in v._cache.values()
-                                  if isinstance(a, np.ndarray))]
+            return [v.vertices, *v._cache.values()]
 
         monkeypatch.setattr(flow._StepWorkspace, "snapshot", spy)
         traj = evolve(_nucleated("flat_stack", 3), 1e-3,
@@ -227,6 +227,18 @@ class TestEvolve:
         with pytest.raises(ValueError):
             traj.snapshot_at(0.123)
 
+    @pytest.mark.parametrize("t1,t2", [(0.25, 1.0), (500.0, 1000.0)])
+    def test_between_widens_both_ends(self, t1, t2):
+        # each end is widened by 1e-12 max(1, |t2|): a time half that far
+        # outside is kept, one 1e-9 max(1, |t2|) outside is dropped
+        slack = 1e-12 * max(1.0, abs(t2))
+        times = [t1 - 1e3 * slack, t1 - 0.5 * slack, 0.5 * (t1 + t2),
+                 t2 + 0.5 * slack, t2 + 1e3 * slack]
+        traj = FlowTrajectory(times=times, snapshots=list("abcde"),
+                              cumulative_dissipation=[0.0] * 5, ledger=[],
+                              policy=DtPolicy())
+        assert traj.between(t1, t2) == list(zip(times[1:4], "bcd"))
+
     def test_ledger_violation_flags_invalid(self, monkeypatch):
         # an impossible tolerance turns any dissipating run invalid
         from holeflow import flow
@@ -256,8 +268,6 @@ class TestBrakkeInequality:
         prof = make_profile(0.3)
 
         class Plateau:
-            support_radius = 3.0
-
             def value_fn(self, p, t):
                 return prof.value(np.linalg.norm(p, axis=1) / 3.0)
 

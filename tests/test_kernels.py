@@ -6,7 +6,8 @@ from holeflow import verify
 from holeflow.geom import coordinate_plane
 from holeflow.kernels import (RHO_SAFETY, HeatKernel, cylindrical_cutoff,
                               cylindrical_cutoff_gradient,
-                              heat_identity_residual, make_profile)
+                              heat_identity_residual, make_profile,
+                              radial_cutoff)
 
 # rho for the default transition width, pinned as a regression value
 # (dense-sampling estimate of |chi'| + 2 max(|chi''|, |chi'|/r), x1.01)
@@ -136,6 +137,15 @@ class TestCylindricalCutoff:
         x_out = np.array([[1.2, 0.0, -3.0]])
         assert cylindrical_cutoff(profile_01, t_plane, 1.0, x_in)[0] == 1.0
         assert cylindrical_cutoff(profile_01, t_plane, 1.0, x_out)[0] == 0.0
+
+    def test_radial_cutoff_at_the_origin(self, profile_01):
+        # chi = 1 and grad chi = 0 exactly where y = 0, beside a point of
+        # the transition band
+        y = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.57, 0.0, 0.76]])
+        s, chi, grad = radial_cutoff(profile_01, y, 1.0)
+        assert s[:2].tolist() == [0.0, 0.0] and 0.9 < s[2] < 1.0
+        assert chi[:2].tolist() == [1.0, 1.0] and 0.0 < chi[2] < 1.0
+        assert np.all(grad[:2] == 0.0) and np.all(grad[2, [0, 2]] < 0.0)
 
     def test_gradient_lies_in_plane(self, t_plane, profile_01, rng):
         pts = rng.uniform(-1.2, 1.2, size=(200, 3))

@@ -77,7 +77,7 @@ class TestEnvelope:
     def test_check_flat_plane(self, t_plane):
         v = make_fixture("flat_stack", 1, 3, radius=0.2)
         e = GrowthEnvelope(alpha=0.51, r0=0.1)
-        ok, excess = envelope_check(v, e, t_plane, 0.1)
+        ok, excess = envelope_check(v, e, t_plane)
         assert ok and excess == 0.0
 
     def test_check_power_sheet_passes(self, t_plane):
@@ -86,7 +86,7 @@ class TestEnvelope:
         s = np.linspace(1e-6, 0.1, 500)
         assert np.all(s ** (4.0 / 3.0) <= envelope_value(e, s))
         v = make_fixture("branched_disk", 2, 4, radius=0.2)
-        ok, excess = envelope_check(v, e, t_plane, 0.1)
+        ok, excess = envelope_check(v, e, t_plane)
         assert ok, excess
 
     def test_check_linear_cone_fails(self, t_plane):
@@ -96,7 +96,7 @@ class TestEnvelope:
         v = DiscreteVarifold(np.column_stack([pts, 0.9 * r]), faces,
                              np.ones(len(faces), dtype=np.int64), rim)
         e = GrowthEnvelope(alpha=0.51, r0=0.1)
-        ok, excess = envelope_check(v, e, t_plane, 0.1)
+        ok, excess = envelope_check(v, e, t_plane)
         assert not ok and excess > 0
 
 

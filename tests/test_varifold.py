@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -316,17 +317,13 @@ def test_median_equals_np_median(values, repeat, cols):
 
 def _assert_cached_geometry_matches(v):
     ref = _direct_geometry(v)
-    # twice: the first call fills the cache, the second reads it
-    for _ in range(2):
-        _assert_same_bits(v.face_measures(), ref["measures"])
-        if ref["normals"] is not None:
-            _assert_same_bits(v.face_normals(), ref["normals"])
-        _assert_same_bits(v.min_edge_length(), ref["min_edge"])
-        _assert_same_bits(v.median_edge_length(), ref["median_edge"])
-        _assert_same_bits(v.face_altitudes(), ref["altitudes"])
-        keep = np.arange(v.num_faces) % 3 == 1
-        _assert_same_bits(v.face_altitudes(keep), ref["altitudes"][keep])
-        _assert_same_bits(vertex_masses(v), ref["masses"])
+    _assert_same_bits(v.face_measures(), ref["measures"])
+    if ref["normals"] is not None:
+        _assert_same_bits(v.face_normals(), ref["normals"])
+    _assert_same_bits(v.min_edge_length(), ref["min_edge"])
+    _assert_same_bits(v.median_edge_length(), ref["median_edge"])
+    _assert_same_bits(v.face_altitudes(), ref["altitudes"])
+    _assert_same_bits(vertex_masses(v), ref["masses"])
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +423,54 @@ def test_with_vertices_recomputes_geometry():
     assert not np.array_equal(vertex_masses(child), vertex_masses(v))
 
 
+@pytest.mark.parametrize("kind", ["sphere", "nucleated"])
+def test_mesh_is_never_written_after_construction(kind):
+    # every public reader leaves the cached rows' keys and bytes as
+    # construction left them; no field can be reassigned and no array
+    # written
+    if kind == "sphere":
+        v = icosphere(2)
+    else:
+        from holeflow.geom import coordinate_plane
+        from holeflow.nucleation import nucleate
+        v = nucleate(make_fixture("flat_stack", 2, 4, radius=0.2),
+                     coordinate_plane([0, 1], 3), 0.05)
+    rows = {key: row.tobytes() for key, row in v._cache.items()}
+    v.total_mass()
+    v.min_edge_length()
+    v.median_edge_length()
+    v.face_altitudes()
+    v.face_projectors()
+    v.quad_points(3, 2)
+    vertex_masses(v)
+    mean_curvature(v)
+    area_gradient(v)
+    assert {key: row.tobytes() for key, row in v._cache.items()} == rows
+    for name in ("vertices", "faces", "multiplicity", "boundary", "_cache"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, name, getattr(v, name))
+    with pytest.raises(TypeError):
+        v._cache["measures"] = v.face_measures()
+    for a in (v.vertices, v.faces, v.multiplicity, v.boundary,
+              *v._cache.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "nucleated"])
+def test_area_gradient_equals_summed_face_pass_terms(kind, nucleated_stack):
+    # the reference is a second face pass with the multiplicities, whose
+    # per-corner terms are summed per vertex in face order
+    v = {"circle": lambda: circle_mesh(4),
+         "sphere": lambda: icosphere(3),
+         "nucleated": lambda: nucleated_stack}[kind]()
+    terms = _face_pass(v.vertices, v.faces,
+                       v.multiplicity)["corner_gradients"]
+    ref = np.column_stack([np.bincount(v.faces.ravel(), row.ravel(),
+                                       v.num_vertices) for row in terms])
+    _assert_same_bits(area_gradient(v), ref)
+
+
 def test_with_vertices_shares_read_only_topology():
     v = icosphere(2)
     child = v.with_vertices(v.vertices + 0.1)
@@ -433,7 +478,7 @@ def test_with_vertices_shares_read_only_topology():
     assert child.multiplicity is v.multiplicity
     assert child.boundary is v.boundary
     for a in (child.vertices, child.faces, child.multiplicity, child.boundary,
-              vertex_masses(child)):
+              *child._cache.values()):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
 
@@ -462,7 +507,7 @@ def _assert_workspace_matches_fresh(ws):
     _assert_same_bits(ws.total_mass(), fresh.total_mass())
     snap = ws.snapshot()
     rows = _face_pass(fresh.vertices, fresh.faces)
-    assert sorted(snap._cache) == sorted([*rows, "vertex_masses"])
+    assert sorted(snap._cache) == sorted(rows)
     for key, row in rows.items():
         _assert_same_bits(snap._cache[key], row)
         assert not np.shares_memory(snap._cache[key], ws.rows[key])
@@ -476,8 +521,7 @@ def _assert_workspace_matches_fresh(ws):
 def _frozen(v):
     """Copies of every array a mesh holds, to check later that none moved."""
     return [a.copy() for a in (v.vertices, v.faces, v.multiplicity,
-                               v.boundary, *v._cache.values())
-            if isinstance(a, np.ndarray)]
+                               v.boundary, *v._cache.values())]
 
 
 def _assert_unchanged(v, frozen):
