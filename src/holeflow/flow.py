@@ -18,19 +18,24 @@ largest corner |h| of active faces only.
 ``evolve`` keeps the state of the flow on the current topology in one
 mutable step workspace (``_StepWorkspace``): the vertices, the face rows
 (measures, normals or tangents, edge lengths) with the per-corner
-area-gradient terms, the lumped vertex masses and area gradient, the
-flow's h with |h| and the largest corner |h| per face, the minimum edge
-length and a vertex -> face incidence.  A step moves the vertices with
-nonzero h and rewrites, in place, the rows of the faces they touch, the
-vertex sums of those faces' vertices W (over every face that touches W,
-in face order, so each sum has the bits of a full ``bincount``), h on W
-and the face maxima of the faces that touch W.  The workspace is built in
-full at the start, after a remesh that changed the mesh and on a step
-that moved more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces.  Either
-way every array is bitwise that of a mesh built fresh at the same
-vertices.  Recorded snapshots and the mesh handed to ``remesh`` are
-``DiscreteVarifold`` meshes holding copies of the workspace's vertices and
-face rows, with no step state; a mesh is never written after it is built.
+area-gradient terms and multiplicity times measure, the lumped vertex
+masses and area gradient, the flow's h with |h|, the largest corner |h|
+per face, the step caps per face, the minimum edge length and a vertex ->
+face incidence.  A step moves the vertices with nonzero h and rewrites, in
+place, the rows of the faces they touch, the vertex sums of those faces'
+vertices W (over every face that touches W, in face order, so each sum has
+the bits of a full ``bincount``), h on W and the face maxima and caps of
+the faces that touch W; its dt is the minimum of the cap row.  A remesh
+pass reports what it changed, and the workspace patches itself from that
+report: the rows of the faces the pass carried and the sums of the
+vertices that kept their faces move through its face and vertex maps, and
+only the vertices of the faces it computed or removed are summed again.
+The workspace is built in full at the start and on a step that moved more
+than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces.  Either way every array
+is bitwise that of a mesh built fresh at the same vertices.  Recorded
+snapshots and the mesh handed to ``remesh`` are ``DiscreteVarifold``
+meshes holding copies of the workspace's vertices and face rows, with no
+step state; a mesh is never written after it is built.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .varifold import (DiscreteVarifold, ScalarTest, _corner_max,
                        _median, _require_positive_measures, _row_max,
                        mean_curvature, weight_measure,
                        weighted_first_variation)
-from .remesh import remesh
+from .remesh import RemeshChange, remesh
 
 # A vertex whose |h| times the initial median edge e0 is at most REST_FLOOR
 # is at rest: its h is set to zero.  |h| e0 is dimensionless.  Its roundoff
@@ -76,12 +81,15 @@ BARRIER_CHECK_SAMPLES = 9   # radii and heights of the barrier coverage check
 # vertices touch, and the vertex sums of those faces' vertices, when at most
 # this share of the faces is dirty, and rebuilds every row and sum
 # otherwise.  Timed on nucleated level-4 and level-5 stacks (2976 and 11904
-# faces; a moved disc of vertices, one update and the h after it, best of
-# 7 x 20 on a 2-core x86-64), patching costs 0.34 / 0.15 of a rebuild at
-# 2.5 % dirty faces, 0.92 / 0.84 at 35 %, 1.03-1.29 / 0.83-1.13 at 40 % and
-# 1.75 / 1.96 at 70 %: the ring of re-summed vertices and the faces around
-# it outgrow the dirty faces.  flow_l5 and reference_l4 dirty 2-5 % of
-# their faces per step, window_l4's perturbed stack 98-100 %.
+# faces; the disc of vertices nearest the axis whose faces are the given
+# share, moved to and fro, one update and the h after it, best of 7 x 20,
+# three runs on a 2-core x86-64), patching costs 0.18-0.23 / 0.07-0.08 of
+# a rebuild at 2.5 % dirty faces, 0.73-0.74 / 0.47-0.79 at 35 %, 0.59-1.08
+# / 0.69-0.79 at 40 % and 1.13-1.41 / 1.09-1.25 at 70 %: the ring of
+# re-summed vertices and the faces around it outgrow the dirty faces, and
+# the two cost the same somewhere between 40 and 70 %.  flow_l5 and
+# reference_l4 dirty 2-5 % of their faces per step, window_l4's perturbed
+# stack 98-100 %.
 FRESH_BUILD_DIRTY_FRACTION = 0.35
 
 
@@ -127,21 +135,30 @@ class FlowTrajectory:
 class _StepWorkspace:
     """The flow's state on one topology, rewritten in place step by step.
 
-    After ``build``, ``refresh`` or ``move`` these equal, bit for bit, what a
-    ``DiscreteVarifold`` built fresh at ``vertices`` gives: ``rows`` (the
-    ``_face_pass`` rows, keyed as a mesh's cache), ``terms`` (the
-    per-corner area-gradient terms, (d, nf, corners)), ``masses`` and
-    ``gradient`` (lumped vertex masses, per-vertex area gradient) and
-    ``min_edge``.  ``mean_curvature()`` then brings ``h`` (the mean
-    curvature with resting vertices zeroed, the rest floor scaled by
-    ``e0``, the flow's initial median edge length), ``hn`` (|h| per
-    vertex) and ``face_h`` (largest corner |h| per face) up to date where
-    the sums changed.  Every array is the workspace's own and is written
-    in place; ``snapshot`` hands out copies.
+    After ``build``, ``refresh``, ``move`` or ``remesh`` these equal, bit
+    for bit, what a ``DiscreteVarifold`` built fresh at ``vertices`` gives:
+    ``rows`` (the ``_face_pass`` rows, keyed as a mesh's cache), ``terms``
+    (the per-corner area-gradient terms, (d, nf, corners)), ``face_mass``
+    (multiplicity times measure per face), ``masses`` and ``gradient``
+    (lumped vertex masses, per-vertex area gradient) and ``min_edge``.
+    ``mean_curvature()`` then brings ``h`` (the mean curvature with resting
+    vertices zeroed, the rest floor scaled by ``e0``, the flow's initial
+    median edge length), ``hn`` (|h| per vertex), ``face_h`` (largest
+    corner |h| per face) and the step caps up to date where the sums
+    changed.  The caps are two face rows, inf on a face at rest (no corner
+    with nonzero h): ``alt``, the smallest altitude, and ``caps``, the dt
+    cap min(c_stab alt^2, DISP_CAP alt / face_h); the step's dt is their
+    minimum, which is exact in any order.  A remesh pass is patched in
+    from its change report: the rows and terms of the faces it carried,
+    and the vertex sums and h of the vertices that kept their faces, move
+    through its face and vertex maps, and only the vertices of the faces it
+    computed or removed are summed again.  Every array is the workspace's
+    own and is written in place; ``snapshot`` hands out copies.
     """
 
-    def __init__(self, v: DiscreteVarifold, e0: float):
-        self.e0 = e0
+    def __init__(self, v: DiscreteVarifold, e0: float,
+                 c_stab: float = DtPolicy.c_stab):
+        self.e0, self.c_stab = e0, c_stab
         self.build(v)
 
     @property
@@ -153,33 +170,37 @@ class _StepWorkspace:
         array in full."""
         self.faces, self.mult, self.boundary = (v.faces, v.multiplicity,
                                                 v.boundary)
-        nv, d = v.vertices.shape
-        nf, n = self.num_faces, self.faces.size
         self.vertices = v.vertices.copy()
-        # vertex -> face incidence: row i lists the faces of vertex i,
-        # padded with nf, the index of a mark slot no face owns.  Sorting
-        # the keys vertex * n + corner position groups each vertex's
-        # corners; a corner's slot is its rank in its group.
-        flat = self.faces.ravel()
-        keys = flat * n
-        keys += np.arange(n)
-        keys.sort()
-        owner, pos = np.divmod(keys, n)
-        counts = np.bincount(flat, minlength=nv)
-        width = counts.max(initial=0)
-        slot = owner * width
-        slot += np.arange(n)
-        slot -= (np.cumsum(counts) - counts)[owner]
-        self._incidence = np.full((nv, width), nf)
-        self._incidence.ravel()[slot] = pos // d
-        self._face_mark = np.zeros(nf + 1, dtype=bool)
-        self._vertex_mark = np.zeros(nv, dtype=bool)
-        self._local = np.full(nv, -1, dtype=np.int64)
+        self._index()
+        nv, d = self.vertices.shape
+        nf = self.num_faces
         self.h, self.hn = np.empty((nv, d)), np.empty(nv)
-        self.face_h = np.empty(nf)
+        self.face_h, self.alt, self.caps = (np.empty(nf), np.empty(nf),
+                                            np.empty(nf))
         self.rows = {key: row.copy() for key, row in v._cache.items()}
         self.terms = _gradient_terms(v)
         self._sum_all()
+
+    def _index(self) -> None:
+        """The vertex -> face incidence of the current faces: row i lists
+        the faces of vertex i in increasing order, padded with nf, the
+        index of a mark slot no face owns.  Sorting the keys vertex * n +
+        corner position groups each vertex's corners in face order."""
+        nv, d = self.vertices.shape
+        n = self.faces.size
+        keys = self.faces.ravel() * n
+        keys += np.arange(n)
+        keys.sort()
+        owner, pos = np.divmod(keys, n)
+        self._incidence = _padded_rows(owner, pos // d, nv, self.num_faces)
+        self._marks()
+
+    def _marks(self) -> None:
+        """Cleared face and vertex marks and local indices for the mesh."""
+        nv, nf = len(self.vertices), self.num_faces
+        self._face_mark = np.zeros(nf + 1, dtype=bool)
+        self._vertex_mark = np.zeros(nv, dtype=bool)
+        self._local = np.zeros(nv, dtype=np.int64)
 
     def move(self, dt: float) -> None:
         """One explicit step, x + dt * h on every vertex, as a fresh mesh
@@ -190,28 +211,38 @@ class _StepWorkspace:
         changed = _row_max(moved.view(np.int64)
                            != self.vertices.view(np.int64))
         self.vertices = moved
-        self.refresh(np.flatnonzero(changed))
+        self.refresh(changed.nonzero()[0])
 
     def mean_curvature(self) -> np.ndarray:
         """The flow's h at the current vertices, formed again on the vertices
-        whose sums changed since the last call, with |h| (``hn``) and the
-        face maxima (``face_h``) of the faces touching them.  Raises on an
-        interior vertex with no face, as ``varifold.mean_curvature`` does.
+        whose sums changed since the last call, with |h| (``hn``), the face
+        maxima (``face_h``) and the step caps of the faces touching them.
+        Raises on an interior vertex with no face, as
+        ``varifold.mean_curvature`` does.
         """
         for ring, touch in self._pending:
-            h = _curvature(self.gradient[ring], self.masses[ring],
+            h = _curvature(_take(self.gradient, ring), self.masses[ring],
                            self.boundary[ring])
             hn = norm_last(h)
             rest = hn * self.e0 <= REST_FLOOR
             h[rest] = 0.0
             hn[rest] = 0.0
             self.h[ring], self.hn[ring] = h, hn
-            self.face_h[touch] = _corner_max(self.hn, self.faces[touch])
+            face_h = _corner_max(self.hn, _take(self.faces, touch))
+            alt = _face_altitudes(self.rows["measures"][touch],
+                                  _take(self.rows["edge_lengths"], touch))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                caps = np.minimum(self.c_stab * alt**2,
+                                  DISP_CAP * alt / face_h)
+            active = face_h > 0.0
+            self.face_h[touch] = face_h
+            self.alt[touch] = np.where(active, alt, np.inf)
+            self.caps[touch] = np.where(active, caps, np.inf)
         self._pending = []
         return self.h
 
     def total_mass(self) -> float:
-        return float(np.sum(self.mult * self.rows["measures"]))
+        return float(self.face_mass.sum())
 
     def snapshot(self) -> DiscreteVarifold:
         """A mesh holding copies of the vertices and face rows, which it
@@ -224,19 +255,67 @@ class _StepWorkspace:
                                  for key, row in self.rows.items()})
 
     def remesh(self) -> float:
-        """One remesh pass on a snapshot; the workspace is built again in
-        full on the mesh it returns, unless the pass changed nothing.
-        Returns the pass's mass change."""
-        out, delta = remesh(self.snapshot())
-        if out.faces is not self.faces:  # a changed mesh has new faces
-            self.build(out)
+        """One remesh pass on a snapshot, patched in from the change it
+        reports (``_patch``) unless it changed nothing.  Returns the pass's
+        mass change."""
+        out, delta, change = remesh(self.snapshot())
+        if change is not None:
+            self._patch(out, change)
         return delta
+
+    def _patch(self, v: DiscreteVarifold, change: RemeshChange) -> None:
+        """Take the mesh v that a remesh pass made of the workspace's mesh.
+
+        A carried face's rows, terms, face maximum and caps, and a vertex's
+        sums, h, |h| and incidence row, are gathered through the change's
+        face and vertex maps.  A vertex keeps its sums when it keeps every
+        face: the faces it keeps are carried in the same order with the
+        same terms.  So only the vertices of faces the pass computed or
+        removed (the ring) are summed again (``_sum_ring``) and get their
+        incidence rows formed again, and ``mean_curvature`` forms h there
+        next.
+        """
+        self.mean_curvature()  # the arrays carried over must be current
+        src, vsrc = change.face_source, change.vertex_source
+        carried, computed = np.flatnonzero(src >= 0), np.flatnonzero(src < 0)
+        # the new index of each face, -1 when removed, and of the padding
+        new_face = np.full(self.num_faces + 1, -1)
+        new_face[src[carried]] = carried
+        new_face[-1] = len(src)
+        kept = np.flatnonzero(vsrc >= 0)
+        new_vertex = np.full(len(self.vertices), -1)
+        new_vertex[vsrc[kept]] = kept
+        left = new_vertex[self.faces.compress(new_face[:-1] < 0, axis=0)]
+        fmap, vmap = np.maximum(src, 0), np.maximum(vsrc, 0)
+        incidence = new_face[self._incidence.take(vmap, axis=0)]
+        self.terms = np.take(self.terms, fmap, axis=1)
+        self.terms[:, computed] = change.terms
+        self.face_h, self.alt, self.caps = (
+            a.take(fmap) for a in (self.face_h, self.alt, self.caps))
+        self.masses, self.hn = self.masses.take(vmap), self.hn.take(vmap)
+        self.gradient = self.gradient.take(vmap, axis=0)
+        self.h = self.h.take(vmap, axis=0)
+        self.faces, self.mult, self.boundary = (v.faces, v.multiplicity,
+                                                v.boundary)
+        self.vertices = v.vertices.copy()
+        self.rows = {key: row.copy() for key, row in v._cache.items()}
+        self.face_mass = self.mult * self.rows["measures"]
+        self.min_edge = _min_edge(self.rows["edge_lengths"])
+        self._marks()
+        mark = self._vertex_mark
+        mark[self.faces.take(computed, axis=0)] = True
+        mark[left[left >= 0]] = True
+        ring = np.flatnonzero(mark)
+        mark[ring] = False
+        self._incidence = _ring_incidence(incidence, ring, vsrc[ring] >= 0,
+                                          self.faces, computed)
+        self._sum_ring(ring, self._faces_at(ring))
 
     def _faces_at(self, idx: np.ndarray) -> np.ndarray:
         """The faces touching the vertices ``idx``, in increasing order."""
         mark = self._face_mark
-        mark[self._incidence[idx]] = True
-        out = np.flatnonzero(mark[:-1])
+        mark[self._incidence.take(idx, axis=0)] = True
+        out = mark[:-1].nonzero()[0]
         mark[out] = False
         return out
 
@@ -255,30 +334,32 @@ class _StepWorkspace:
             self.rows = rows
             self._sum_all()
         elif len(dirty):
-            rows = _face_pass(self.vertices, self.faces[dirty],
-                              self.mult[dirty])
+            faces = self.faces.take(dirty, axis=0)
+            rows = _face_pass(self.vertices, faces, self.mult[dirty])
             _require_positive_measures(rows["measures"])
             edges = self.rows["edge_lengths"]
             # the minimum stays exact: it can rise only if a dirty face held it
-            held = np.min(edges[dirty]) <= self.min_edge
+            held = edges.take(dirty, axis=0).min() <= self.min_edge
             self.terms[:, dirty] = rows.pop("corner_gradients")
             for key, new in rows.items():
                 self.rows[key][dirty] = new
-            self.min_edge = (float(np.min(edges)) if held else
+            self.face_mass[dirty] = self.mult[dirty] * rows["measures"]
+            self.min_edge = (float(edges.min()) if held else
                              min(self.min_edge,
-                                 float(np.min(rows["edge_lengths"]))))
+                                 float(rows["edge_lengths"].min())))
             mark = self._vertex_mark
-            mark[self.faces[dirty]] = True
-            ring = np.flatnonzero(mark)
+            mark[faces] = True
+            ring = mark.nonzero()[0]
             mark[ring] = False
             self._sum_ring(ring, self._faces_at(ring))
 
     def _sum_all(self) -> None:
-        """The minimum edge and the vertex sums of every vertex, from the
-        rows and terms; ``mean_curvature`` forms h everywhere next."""
+        """The face masses, the minimum edge and the vertex sums of every
+        vertex, from the rows and terms; ``mean_curvature`` forms h and
+        the caps everywhere next."""
         nv = len(self.vertices)
-        self.min_edge = (float(np.min(self.rows["edge_lengths"]))
-                         if self.num_faces else 0.0)
+        self.face_mass = self.mult * self.rows["measures"]
+        self.min_edge = _min_edge(self.rows["edge_lengths"])
         self.masses = _lumped_masses(self.faces, self.mult,
                                      self.rows["measures"], nv)
         self.gradient = _gradient_sums(self.faces, self.terms, nv)
@@ -292,26 +373,75 @@ class _StepWorkspace:
 
         One ``bincount`` sums d + 1 rows, the masses and the gradient's
         coordinates, over local vertex indices; corners outside ``ring``
-        add to a discarded slot.  In each row every vertex of ``ring``
-        adds the same terms in the same face order as a full ``bincount``
-        of that row, so it gets the same bits.
+        add to a discarded slot, local index 0.  In each row every vertex
+        of ``ring`` adds the same terms in the same face order as a full
+        ``bincount`` of that row, so it gets the same bits.
         """
         d, nr = self.vertices.shape[1], len(ring)
         local = self._local
-        local[ring] = np.arange(nr)
-        idx = local[self.faces[touch]]
-        local[ring] = -1
-        idx[idx < 0] = nr
+        local[ring] = np.arange(1, nr + 1)
+        idx = local[self.faces.take(touch, axis=0)]
+        local[ring] = 0
         terms = np.empty((d + 1, len(touch), d))
-        terms[0] = (self.mult[touch] * self.rows["measures"][touch]
-                    / d)[:, None]
+        terms[0] = (self.face_mass[touch] / d)[:, None]
         np.take(self.terms, touch, axis=1, out=terms[1:])
         idx = idx + ((nr + 1) * np.arange(d + 1))[:, None, None]
         sums = np.bincount(idx.ravel(), terms.ravel(),
                            (d + 1) * (nr + 1)).reshape(d + 1, nr + 1)
-        self.masses[ring] = sums[0, :nr]
-        self.gradient[ring] = sums[1:, :nr].T
+        self.masses[ring] = sums[0, 1:]
+        self.gradient[ring] = sums[1:, 1:].T
         self._pending.append((ring, touch))
+
+
+def _take(a: np.ndarray, idx) -> np.ndarray:
+    """``a[idx]`` for an index array or a slice (``mean_curvature``'s ring
+    after a full build): an index takes rows with ``take``, several times
+    faster than fancy indexing on the step's small 2-D gathers."""
+    return a[idx] if isinstance(idx, slice) else a.take(idx, axis=0)
+
+
+def _padded_rows(owner: np.ndarray, values: np.ndarray, n: int, fill: int,
+                 width: int = 0) -> np.ndarray:
+    """(n, w) rows: row i lists the ``values`` whose ``owner`` (sorted) is
+    i, in order, padded with ``fill``; w is the longest row's length or
+    ``width``, whichever is larger."""
+    counts = np.bincount(owner, minlength=n)
+    width = max(width, int(counts.max(initial=0)))
+    slot = owner * width
+    slot += np.arange(len(owner))
+    slot -= (np.cumsum(counts) - counts)[owner]
+    rows = np.full((n, width), fill)
+    rows.ravel()[slot] = values
+    return rows
+
+
+def _ring_incidence(incidence: np.ndarray, ring: np.ndarray,
+                    carried: np.ndarray, faces: np.ndarray,
+                    computed: np.ndarray) -> np.ndarray:
+    """``incidence`` with the rows of the vertices ``ring`` formed again:
+    a row keeps the faces it lists if its vertex is ``carried`` (-1 marks a
+    removed face) and gains the ``computed`` faces at its vertex."""
+    nf, width = len(faces), incidence.shape[1]
+    rows = incidence.take(ring, axis=0)
+    rows[~carried[:, None] | (rows < 0)] = nf
+    keys = np.concatenate([
+        (np.arange(len(ring)) * (nf + 1))[:, None] + rows,
+        np.searchsorted(ring, faces.take(computed, axis=0)) * (nf + 1)
+        + computed[:, None]], axis=None)
+    keys.sort()
+    owner, face = np.divmod(keys, nf + 1)
+    listed = face < nf
+    rows = _padded_rows(owner[listed], face[listed], len(ring), nf, width)
+    if rows.shape[1] > width:
+        incidence = np.hstack([incidence, np.full(
+            (len(incidence), rows.shape[1] - width), nf)])
+    incidence[ring] = rows
+    return incidence
+
+
+def _min_edge(edge_lengths: np.ndarray) -> float:
+    """The smallest edge length, 0.0 with no face."""
+    return float(np.min(edge_lengths)) if len(edge_lengths) else 0.0
 
 
 def evolve(v0: DiscreteVarifold, t_end: float,
@@ -333,7 +463,7 @@ def evolve(v0: DiscreteVarifold, t_end: float,
 
     traj = FlowTrajectory(times=[], snapshots=[], cumulative_dissipation=[],
                           ledger=[], policy=policy)
-    ws = _StepWorkspace(v0, initial_median)
+    ws = _StepWorkspace(v0, initial_median, policy.c_stab)
     t = 0.0
     cum_diss = 0.0
     steps = 0
@@ -359,30 +489,24 @@ def evolve(v0: DiscreteVarifold, t_end: float,
             if need_remesh:
                 delta = ws.remesh()
                 steps_since_remesh = 0
-            if ws.num_faces == 0 or not _median_holds(
-                    ws.rows["edge_lengths"], lambda e: e >= floor):
+            # no median lies below the minimum edge
+            if ws.num_faces == 0 or (
+                    ws.min_edge < floor and not _median_holds(
+                        ws.rows["edge_lengths"], lambda e: e >= floor)):
                 raise ResolutionExhausted(
                     f"resolution exhausted at t={t:.6g}: surface collapsed "
                     "below the policy floor", traj)
             mean_curvature(ws)  # h on the moved ring; one call per step
-            active = np.flatnonzero(ws.face_h > 0.0)
-            if len(active):
-                # stability and displacement caps from faces with moving
-                # corners only; static slivers must not throttle the step
-                scales = _face_altitudes(ws.rows["measures"][active],
-                                         ws.rows["edge_lengths"][active])
-                if np.min(scales) < floor:
-                    raise ResolutionExhausted(
-                        f"resolution exhausted at t={t:.6g} "
-                        f"(moving-region edge {np.min(scales):.3e} "
-                        f"< {floor:.3e})", traj)
-                dt = float(np.min(np.minimum(
-                    policy.c_stab * scales**2,
-                    DISP_CAP * scales / ws.face_h[active])))
-                dt = min(dt, t_next - t)
-            else:
-                dt = t_next - t
-            diss = dt * float(np.sum(ws.masses * ws.hn * ws.hn))
+            # stability and displacement caps from faces with moving corners
+            # only (inf on the rest); static slivers must not throttle the
+            # step, and with nothing moving it reaches t_next
+            alt = float(ws.alt.min())
+            if alt < floor:
+                raise ResolutionExhausted(
+                    f"resolution exhausted at t={t:.6g} "
+                    f"(moving-region edge {alt:.3e} < {floor:.3e})", traj)
+            dt = min(float(ws.caps.min()), t_next - t)
+            diss = dt * float((ws.masses * ws.hn * ws.hn).sum())
             ws.move(dt)
             t += dt
             cum_diss += diss

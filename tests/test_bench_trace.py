@@ -7,6 +7,7 @@ test enters the same recorder on a small mesh.
 """
 
 import importlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -70,3 +71,33 @@ def test_trace_counts_one_curvature_call_per_flow_step(monkeypatch):
     assert got["flow.steps"] == len(traj.ledger)
     assert got["varifold.mean_curvature_calls"] == len(traj.ledger)
     assert got["flow.face_steps"] == len(traj.ledger) * v0.num_faces
+
+
+def test_trace_records_one_remesh_span_per_pass(monkeypatch):
+    """``remesh.*`` is read from the ``remesh.remesh`` spans, so each remesh
+    pass of ``evolve`` must call the traced function once, and the spans'
+    values (the passes' mass changes) must add up to the ledger's."""
+    from holeflow import flow
+    from holeflow.fixtures import make_fixture
+    from holeflow.geom import coordinate_plane
+    from holeflow.nucleation import nucleate
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    v0 = nucleate(make_fixture("flat_stack", 2, 3, radius=0.2),
+                  coordinate_plane([0, 1], 3), 0.05)
+    passes, real = [], flow._StepWorkspace.remesh
+
+    def counted(ws):
+        passes.append(ws.num_faces)
+        return real(ws)
+
+    monkeypatch.setattr(flow._StepWorkspace, "remesh", counted)
+    recorder = tracing.SpanRecorder()
+    with recorder.patched():
+        traj = flow.evolve(v0, 1e-3, snapshot_times=[0.0, 1e-3])
+    got = tracing.layer_metrics(recorder.spans)
+    assert got["remesh.calls"] == len(passes) >= 2
+    assert got["remesh.mass_delta"] == math.fsum(row["remesh_delta"]
+                                                 for row in traj.ledger)
+    assert got["remesh.mass_delta"] != 0.0

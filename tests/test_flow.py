@@ -16,6 +16,7 @@ from holeflow.flow import (DISP_CAP, MIN_EDGE_FLOOR_REL, REMESH_BACKOFF,
                            evolve, sphere_barrier_from_scale, SphereBarrier)
 from holeflow.geom import coordinate_plane
 from holeflow.nucleation import nucleate
+from holeflow import remesh as remesh_module
 from holeflow.remesh import DEGENERATE_REL, _edges_of, _unique_pairs, remesh
 from holeflow.testfunctions import bump_scalar_test, random_scalar_test
 from holeflow.varifold import (_face_pass, mean_curvature, vertex_masses,
@@ -40,7 +41,7 @@ def _fresh_mesh_evolve(v0, t_end, snapshot_times):
             if since >= REMESH_EVERY or (
                     since >= REMESH_BACKOFF and v.min_edge_length()
                     < REMESH_MIN_RATIO * v.median_edge_length()):
-                v, delta = remesh(v)
+                v, delta, _ = remesh(v)
                 since = 0
             assert v.median_edge_length() >= MIN_EDGE_FLOOR_REL * e0
             h = mean_curvature(v)
@@ -133,24 +134,44 @@ class TestEvolve:
         for v in traj.snapshots:
             assert np.array_equal(v.vertices, sheet.vertices)
 
-    @pytest.mark.parametrize("case", ["rim", "perturbed", "circle",
+    @pytest.mark.parametrize("case", ["rim", "stack", "perturbed", "circle",
                                       "tube"])
-    def test_equals_fresh_mesh_per_step(self, case):
-        # the step workspace, patched where the rim moves (with periodic and
-        # adaptive remeshes), rebuilt every step when nearly every face moves
-        # (a perturbed stack), on segments and with a fixed boundary, steps
-        # bit for bit as a fresh mesh per step does
+    def test_equals_fresh_mesh_per_step(self, case, monkeypatch):
+        # the step workspace, patched where the rim moves and patched from
+        # each remesh pass's change (on level-3 and level-4 nucleated
+        # stacks, whose passes split and collapse), rebuilt every step when
+        # nearly every face moves (a perturbed stack), on segments and with
+        # a fixed boundary, steps bit for bit as a fresh mesh per step does
         v0, t_end = {"rim": lambda: (_nucleated("flat_stack", 3), 1e-3),
+                     "stack": lambda: (_nucleated("flat_stack", 4), 4e-4),
                      "perturbed": lambda: (_nucleated("perturbed_stack", 2),
                                            5e-3),
                      "circle": lambda: (circle_mesh(5), 0.01),
                      "tube": lambda: (cylinder_tube(3), 0.1)}[case]()
+        passes = []  # per pass of the flow: (split, collapsed)
+
+        def spy(name):
+            real = getattr(remesh_module, name)
+
+            def wrapper(*args):
+                out = real(*args)
+                if name == "_split_pass":
+                    passes.append([out is not None])
+                elif len(passes[-1]) == 1:
+                    passes[-1].append(out is not None)
+                return out
+            return wrapper
+
+        for name in ("_split_pass", "_collapse_pass"):
+            monkeypatch.setattr(remesh_module, name, spy(name))
         times = np.linspace(0.0, t_end, 4)
         traj = evolve(v0, t_end, snapshot_times=times)
+        monkeypatch.undo()  # count the flow's passes only
         ledger, snapshots = _fresh_mesh_evolve(v0, t_end, times)
         assert len(ledger) > REMESH_EVERY
-        if case == "rim":
+        if case in ("rim", "stack"):
             assert sum(row["remesh_delta"] != 0.0 for row in ledger) >= 2
+            assert [True, True] in passes
         assert [{k: float(x).hex() for k, x in row.items()}
                 for row in traj.ledger] == [
                     {k: float(x).hex() for k, x in row.items()}
@@ -352,7 +373,7 @@ class TestRemesh:
         v = DiscreteVarifold(np.asarray(verts), np.asarray(faces),
                              np.ones(5, dtype=np.int64),
                              np.zeros(len(verts), dtype=bool))
-        out, delta = remesh(v)
+        out, delta, _ = remesh(v)
         assert out.num_faces > v.num_faces
         assert out.total_mass() == pytest.approx(v.total_mass() + delta)
         assert abs(delta) <= 1e-12  # planar splits preserve area exactly
@@ -367,20 +388,20 @@ class TestRemesh:
         other = [k for k in j if k != i][0]
         verts[i] = verts[other] + 1e-4
         v = sq.with_vertices(verts)
-        out, delta = remesh(v)
+        out, delta, _ = remesh(v)
         assert out.num_vertices < v.num_vertices
 
     def test_boundary_preserved(self):
         tube = cylinder_tube(3)
         squeezed = tube.with_vertices(tube.vertices * [1.0, 1.0, 0.2])
-        out, _ = remesh(squeezed)
+        out, _, _ = remesh(squeezed)
         before = {tuple(x) for x in squeezed.vertices[squeezed.boundary]}
         after = {tuple(x) for x in out.vertices[out.boundary]}
         assert before == after
 
     def test_noop_on_uniform_mesh(self):
         s = icosphere(3)
-        out, delta = remesh(s)
+        out, delta, _ = remesh(s)
         assert out is s and delta == 0.0
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -388,16 +409,20 @@ class TestRemesh:
            st.sampled_from([2, 3]))
     def test_edges_of_match_row_sort(self, seed, nf, nv, d):
         # segments and triangles: each pair's minimum and maximum are the
-        # row sort's, in the order of the edge-length columns 0-1, 1-2, 2-0
+        # row sort's, in the order of the edge-length columns 0-1, 1-2, 2-0,
+        # for every edge and for the edges a random mask selects
         rng = np.random.default_rng(seed)
         faces = np.array([rng.choice(nv, d, replace=False)
                           for _ in range(nf)], dtype=np.int64)
-        pairs, owners = _edges_of(faces)
         corners = [[0, 1]] if d == 2 else [[0, 1], [1, 2], [2, 0]]
         want = np.sort(np.concatenate([faces[:, c] for c in corners]), axis=1)
-        assert pairs.dtype == want.dtype and pairs.flags.c_contiguous
-        assert np.array_equal(pairs, want)
-        assert np.array_equal(owners, np.tile(np.arange(nf), len(corners)))
+        owners = np.tile(np.arange(nf), len(corners))
+        for keep in (np.ones((nf, len(corners)), dtype=bool),
+                     rng.random((nf, len(corners))) < 0.5):
+            pairs, got = _edges_of(faces, keep)
+            assert pairs.dtype == want.dtype and pairs.flags.c_contiguous
+            assert np.array_equal(pairs, want[keep.T.ravel()])
+            assert np.array_equal(got, owners[keep.T.ravel()])
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(3, 40),
@@ -406,7 +431,7 @@ class TestRemesh:
         rng = np.random.default_rng(seed)
         faces = np.array([rng.choice(nv, d, replace=False)
                           for _ in range(nf)], dtype=np.int64)
-        pairs, _ = _edges_of(faces)
+        pairs, _ = _edges_of(faces, np.ones((nf, 1 if d == 2 else 3), bool))
         got, first = _unique_pairs(pairs, nv)
         want, want_first = np.unique(pairs, axis=0, return_index=True)
         assert got.dtype == want.dtype
@@ -443,7 +468,7 @@ class TestRemeshProperties:
     @given(**REMESH_CASES)
     def test_boundary_vertices_bitwise_fixed(self, seed, level, amp):
         v = _jittered_sheet(seed, level, amp)
-        out, _ = remesh(v)
+        out, _, _ = remesh(v)
         assert (out.vertices[out.boundary].tobytes()
                 == v.vertices[v.boundary].tobytes())
 
@@ -451,7 +476,7 @@ class TestRemeshProperties:
     @given(**REMESH_CASES)
     def test_no_face_at_degenerate_floor(self, seed, level, amp):
         v = _jittered_sheet(seed, level, amp)
-        out, _ = remesh(v)
+        out, _, _ = remesh(v)
         floor = DEGENERATE_REL * v.median_edge_length() ** 2
         assert np.all(out.face_measures() > floor)
 
@@ -459,7 +484,7 @@ class TestRemeshProperties:
     @given(**REMESH_CASES)
     def test_no_interior_vertex_without_face(self, seed, level, amp):
         v = _jittered_sheet(seed, level, amp)
-        out, _ = remesh(v)
+        out, _, _ = remesh(v)
         used = np.zeros(out.num_vertices, dtype=bool)
         used[out.faces.ravel()] = True
         assert np.all(used | out.boundary)
@@ -471,7 +496,7 @@ class TestRemeshProperties:
         # the rebuilt mesh, and contiguous like them; it hands over no
         # gradient terms, which only the flow's step workspace holds
         v = _jittered_sheet(seed, level, amp)
-        out, _ = remesh(v)
+        out, _, _ = remesh(v)
         assume(out is not v)
         fresh = _face_pass(out.vertices, out.faces)
         assert sorted(out._cache) == sorted(fresh)
@@ -482,7 +507,35 @@ class TestRemeshProperties:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(**REMESH_CASES)
+    def test_change_carries_face_pass(self, seed, level, amp):
+        # a carried face has its source's corners and multiplicity, and its
+        # source's rows are bitwise a face pass on the rebuilt mesh; the
+        # reported terms are that pass's terms of the computed faces
+        v = _jittered_sheet(seed, level, amp)
+        out, _, change = remesh(v)
+        assume(change is not None)
+        src, vsrc = change.face_source, change.vertex_source
+        carried = src >= 0
+        fresh = _face_pass(out.vertices, out.faces, out.multiplicity)
+        terms = fresh.pop("corner_gradients")
+        for key, row in fresh.items():
+            assert v._cache[key][src[carried]].tobytes() == \
+                row[carried].tobytes(), key
+        assert change.terms.tobytes() == \
+            np.ascontiguousarray(terms[:, ~carried]).tobytes()
+        assert (out.vertices[out.faces[carried]].tobytes()
+                == v.vertices[v.faces[src[carried]]].tobytes())
+        assert np.array_equal(out.multiplicity[carried],
+                              v.multiplicity[src[carried]])
+        # the vertex map: kept vertices in order, then split midpoints
+        kept = vsrc >= 0
+        assert np.all(np.diff(vsrc[kept]) > 0) and np.all(kept[:kept.sum()])
+        assert np.array_equal(out.boundary[kept], v.boundary[vsrc[kept]])
+        assert not np.any(out.boundary[~kept])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**REMESH_CASES)
     def test_delta_is_mass_change(self, seed, level, amp):
         v = _jittered_sheet(seed, level, amp)
-        out, delta = remesh(v)
+        out, delta, _ = remesh(v)
         assert delta == out.total_mass() - v.total_mass()

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from holeflow.fixtures import (circle_mesh, cylinder_tube, disk_triangulation,
                                icosphere, make_fixture, square_sheet)
 from holeflow.remesh import remesh
-from holeflow.flow import (FRESH_BUILD_DIRTY_FRACTION, REST_FLOOR,
-                           _median_holds, _StepWorkspace)
-from holeflow.varifold import (DiscreteVarifold, _face_pass, _median,
+from holeflow.flow import (DISP_CAP, FRESH_BUILD_DIRTY_FRACTION,
+                           REST_FLOOR, _median_holds, _StepWorkspace)
+from holeflow import varifold
+from holeflow.varifold import (DiscreteVarifold, _column_face_pass,
+                               _face_pass, _median, _stacked_face_pass,
                                area_gradient,
                                density_ratio,
                                first_variation, interpolate_vertex_field,
@@ -413,6 +415,60 @@ def test_gradient_terms_equal_direct_formula(kind, patched, nucleated_stack):
                                  child.multiplicity)["corner_gradients"], ref)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), nf=st.integers(1, 40),
+       nv=st.integers(3, 12))
+def test_stacked_face_pass_equals_column_pass(seed, nf, nv):
+    # the two forms of the face pass give the same bits: coordinates drawn
+    # from a few values with both signed zeros, so edges, normals and terms
+    # hit -0.0 and +0.0 and repeated corners give degenerate faces
+    rng = np.random.default_rng(seed)
+    verts = rng.choice([-0.0, 0.0, 0.5, -1.25, 3.0], size=(nv, 3))
+    faces = np.array([rng.choice(nv, 3, replace=bool(k % 5 == 0))
+                      for k in range(nf)], dtype=np.int64)
+    mult = rng.integers(1, 4, nf)
+    stacked = _stacked_face_pass(verts, faces, mult)
+    column = _column_face_pass(verts, faces, mult)
+    assert sorted(stacked) == sorted(column)
+    for key, row in column.items():
+        assert stacked[key].flags.c_contiguous, key
+        _assert_same_bits(stacked[key], row)
+
+
+def test_stacked_face_pass_keeps_signed_zeros(nucleated_stack):
+    # the flat sheets of a nucleated stack give -0.0 terms and normal
+    # components, which both forms keep
+    v = nucleated_stack
+    stacked, column = (form(v.vertices, v.faces, v.multiplicity)
+                       for form in (_stacked_face_pass, _column_face_pass))
+    for key in ("normals", "corner_gradients"):
+        assert np.any((column[key] == 0.0) & np.signbit(column[key])), key
+    for key, row in column.items():
+        _assert_same_bits(stacked[key], row)
+
+
+def test_face_pass_form_follows_face_count(monkeypatch):
+    # the stacked form takes at most STACKED_PASS_FACES triangles, the
+    # column form every other pass; the rows are the same either way
+    v = icosphere(2)
+    calls = []
+    real = varifold._stacked_face_pass
+    monkeypatch.setattr(varifold, "_stacked_face_pass",
+                        lambda *a: calls.append(len(a[1])) or real(*a))
+    for limit in (v.num_faces, v.num_faces - 1):
+        monkeypatch.setattr(varifold, "STACKED_PASS_FACES", limit)
+        rows = _face_pass(v.vertices, v.faces, v.multiplicity)
+        _assert_same_bits(rows["normals"], v.face_normals())
+    assert calls == [v.num_faces]
+
+
+def test_meshes_compare_by_identity():
+    v = icosphere(1)
+    twin = DiscreteVarifold(v.vertices, v.faces, v.multiplicity, v.boundary)
+    assert v == v and v != twin
+    assert len({v, twin, v}) == 2
+
+
 def test_with_vertices_recomputes_geometry():
     v = icosphere(2)
     _assert_cached_geometry_matches(v)
@@ -485,8 +541,11 @@ def test_with_vertices_shares_read_only_topology():
 
 def _assert_workspace_matches_fresh(ws):
     """Every array of the step workspace, and of a snapshot of it, is
-    bitwise that of a mesh built fresh at its vertices; h, |h| and the face
-    maxima follow the flow's rest rule from the fresh mean curvature."""
+    bitwise that of a mesh built fresh at its vertices; h, |h|, the face
+    maxima and the step caps follow the flow's rest rule from the fresh
+    mean curvature.  Every array is C-contiguous and equals that of a
+    workspace built in full on the fresh mesh, whose incidence rows list
+    the same faces."""
     fresh = DiscreteVarifold(ws.vertices.copy(), ws.faces, ws.mult,
                              ws.boundary)
     h = mean_curvature(ws)
@@ -499,12 +558,34 @@ def _assert_workspace_matches_fresh(ws):
     _assert_same_bits(h, ref_h)
     _assert_same_bits(ws.hn, ref_hn)
     if fresh.num_faces:
-        _assert_same_bits(ws.face_h, np.max(ref_hn[fresh.faces], axis=1))
+        face_h = np.max(ref_hn[fresh.faces], axis=1)
+        _assert_same_bits(ws.face_h, face_h)
         _assert_same_bits(ws.min_edge, fresh.min_edge_length())
+        alt, active = fresh.face_altitudes(), face_h > 0.0
+        with np.errstate(divide="ignore"):
+            caps = np.minimum(ws.c_stab * alt**2, DISP_CAP * alt / face_h)
+        _assert_same_bits(ws.alt, np.where(active, alt, np.inf))
+        _assert_same_bits(ws.caps, np.where(active, caps, np.inf))
     _assert_same_bits(ws.masses, vertex_masses(fresh))
     _assert_same_bits(ws.gradient, area_gradient(fresh))
     _assert_same_bits(ws.terms, _direct_gradient_terms(fresh))
+    _assert_same_bits(ws.face_mass,
+                      fresh.multiplicity * fresh.face_measures())
     _assert_same_bits(ws.total_mass(), fresh.total_mass())
+    built = _StepWorkspace(fresh, ws.e0, ws.c_stab)
+    mean_curvature(built)
+    arrays = {key: getattr(ws, key) for key in _WORKSPACE_ARRAYS}
+    arrays.update({"row " + key: row for key, row in ws.rows.items()})
+    assert sorted(ws.rows) == sorted(built.rows)
+    for key, a in arrays.items():
+        assert a.flags.c_contiguous, key
+        ref = (built.rows[key[4:]] if key.startswith("row ")
+               else getattr(built, key))
+        _assert_same_bits(a, ref)
+    assert ws._incidence.flags.c_contiguous
+    for got, want in zip(ws._incidence, built._incidence, strict=True):
+        _assert_same_bits(got[got < ws.num_faces],
+                          want[want < ws.num_faces])
     snap = ws.snapshot()
     rows = _face_pass(fresh.vertices, fresh.faces)
     assert sorted(snap._cache) == sorted(rows)
@@ -516,6 +597,11 @@ def _assert_workspace_matches_fresh(ws):
     _assert_same_bits(snap.median_edge_length(), fresh.median_edge_length())
     _assert_same_bits(snap.face_altitudes(), fresh.face_altitudes())
     return snap
+
+
+# the step workspace's arrays (its face rows aside)
+_WORKSPACE_ARRAYS = ("vertices", "terms", "face_mass", "masses", "gradient",
+                     "h", "hn", "face_h", "alt", "caps")
 
 
 def _frozen(v):
@@ -552,10 +638,14 @@ def test_incremental_geometry_equals_fresh_build(kind, seed, frac, masks,
         if mask == "remesh":
             faces = ws.faces
             snap = ws.snapshot()
-            out, delta = remesh(snap)
+            out, delta, _ = remesh(snap)
             _assert_same_bits(ws.remesh(), delta)
             assert (ws.faces is faces) == (out is snap)
             assert (ws.terms is terms) == (out is snap)
+            # patched onto the mesh the pass returns; the check below
+            # compares it with a workspace built on that mesh
+            _assert_same_bits(ws.vertices, out.vertices)
+            _assert_same_bits(ws.faces, out.faces)
         else:
             nv = len(ws.vertices)
             moved = rng.random(nv) < (0.0 if mask == "empty" else frac)
@@ -603,6 +693,27 @@ def test_workspace_chain_through_remesh(kind):
             assert ws.faces is faces and ws.terms is terms
         ws.move(1e-3 * ws.e0**2)
         _assert_workspace_matches_fresh(ws)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), amp=st.floats(0.4, 0.8))
+def test_workspace_patch_on_jittered_sheets(seed, amp):
+    # a sheet whose interior vertices move by up to amp grid spacings: the
+    # pass collapses next to the rim and drops near-degenerate faces, some
+    # of which it carried, so their corners lose a face and gain none
+    sheet = square_sheet(2.0, 3)
+    rng = np.random.default_rng(seed)
+    verts = sheet.vertices.copy()
+    inner = ~sheet.boundary
+    verts[inner] += 0.25 * amp * rng.uniform(-1.0, 1.0, (inner.sum(), 3)) \
+        * [1.0, 1.0, 0.3]
+    try:
+        v = sheet.with_vertices(verts)
+    except ValueError:  # a jittered face came out degenerate
+        return
+    ws = _StepWorkspace(v, v.median_edge_length())
+    ws.remesh()
+    _assert_workspace_matches_fresh(ws)
 
 
 def test_move_refreshes_signed_zeros_at_rest():
