@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Check that a revision and the working tree compute the same certified
-numbers and write the same CLI output, bit for bit.
+numbers, count the same traced work and write the same CLI output, bit for
+bit.
 
 Run from anywhere inside a checkout:
 
@@ -11,14 +12,18 @@ It exports REV's committed files (``git archive``) into
 for every benchmark workload on seeds 0 and 1, once in that copy and once
 in the working tree.  For each pair of dumps that differ it prints the
 first key whose value differs (``ledger[12].mass``, say) with both values.
-It then runs each command of ``CLI_RUNS`` as ``python -m holeflow.cli``
-on each tree's ``src/``, in a fresh directory per tree, and compares the
-two directories' files byte for byte; for each pair that differs it
-prints the first file that does.  It exits 1 if any dump or output tree
-differs by a byte and 0 when all are identical; the exported copy is
-removed either way.  The copy is an export rather than a ``git
-worktree``: nothing is registered in ``.git``, so an interrupted run
-leaves only an ignored directory behind.
+It then makes one traced call of each workload of ``TRACED`` on seed 0 in
+each tree, with that tree's ``perfbench/tracing.py`` recorder, and
+compares the tracer's exact counters (``tracing.EXACT_COUNTERS``: the step,
+face-step, remesh and quadrature counts and the remesh mass change); it
+prints each counter that differs.  Last it runs each command of
+``CLI_RUNS`` as ``python -m holeflow.cli`` on each tree's ``src/``, in a
+fresh directory per tree, and compares the two directories' files byte for
+byte; for each pair that differs it prints the first file that does.  It
+exits 1 if any dump, counter or output tree differs and 0 when all are
+identical; the exported copy is removed either way.  The copy is an export
+rather than a ``git worktree``: nothing is registered in ``.git``, so an
+interrupted run leaves only an ignored directory behind.
 """
 
 from __future__ import annotations
@@ -37,6 +42,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("flow_l5", "reference_l4", "window_l4", "series")
 SEEDS = (0, 1)
+# workloads whose exact trace counters are compared, on seed 0
+TRACED = ("flow_l5", "reference_l4")
+# one traced call of a workload in the tree it runs in, printing its exact
+# counters as JSON; the recorder also wraps the names the workloads module
+# imported, as perfbench/run.py has it do
+TRACE_CALL = """
+import json, sys
+sys.path[:0] = ["src", "perfbench"]
+import tracing, workloads
+wl = workloads.WORKLOADS[sys.argv[1]]
+inputs = wl.setup(int(sys.argv[2]))
+recorder = tracing.SpanRecorder()
+with recorder.patched(extra_modules=[workloads]):
+    wl.call(inputs)
+got = tracing.layer_metrics(recorder.spans)
+print(json.dumps({k: got[k] for k in tracing.EXACT_COUNTERS}))
+"""
 # CLI runs whose output trees are compared: a name and the commands that
 # run in order in one directory, which holds what they write.
 CLI_RUNS = (
@@ -76,6 +98,16 @@ def dump(tree: Path, workload: str, seed: int) -> bytes:
         raise SystemExit(f"{tree}: dump_certified.py {workload} {seed} "
                          f"failed:\n{out.stderr.decode()}")
     return out.stdout
+
+
+def counters(tree: Path, workload: str, seed: int) -> dict:
+    """The tracer's exact counters of one traced call in ``tree``."""
+    out = subprocess.run([sys.executable, "-c", TRACE_CALL, workload,
+                          str(seed)], cwd=tree, capture_output=True)
+    if out.returncode:
+        raise SystemExit(f"{tree}: traced {workload} {seed} failed:\n"
+                         f"{out.stderr.decode()}")
+    return json.loads(out.stdout)
 
 
 def cli_tree(tree: Path, commands) -> dict:
@@ -138,6 +170,20 @@ def main(argv=None) -> int:
                 where = ("bytes only (same JSON values)" if found is None
                          else f"{found[0]}: {found[1]!r} -> {found[2]!r}")
                 print(f"DIFFERS {workload} seed {seed}: {where}")
+        counters_differ = 0
+        for workload in TRACED:
+            old, new = counters(base, workload, 0), counters(ROOT, workload,
+                                                             0)
+            changed = sorted(k for k in old.keys() | new.keys()
+                             if old.get(k) != new.get(k))
+            if not changed:
+                print(f"same    counters {workload} seed 0: "
+                      + ", ".join(f"{k} {x!r}" for k, x in new.items()))
+                continue
+            counters_differ += 1
+            for k in changed:
+                print(f"DIFFERS counters {workload} seed 0: {k}: "
+                      f"{old.get(k)!r} -> {new.get(k)!r}")
         trees_differ = 0
         for name, commands in CLI_RUNS:
             old, new = cli_tree(base, commands), cli_tree(ROOT, commands)
@@ -150,10 +196,11 @@ def main(argv=None) -> int:
             print(f"DIFFERS cli {name}: {path}")
     finally:
         shutil.rmtree(base, ignore_errors=True)
-    print(f"{differ} of {len(WORKLOADS) * len(SEEDS)} dumps and "
+    print(f"{differ} of {len(WORKLOADS) * len(SEEDS)} dumps, "
+          f"{counters_differ} of {len(TRACED)} counter sets and "
           f"{trees_differ} of {len(CLI_RUNS)} CLI trees differ from "
           f"{args.rev}")
-    return 1 if differ or trees_differ else 0
+    return 1 if differ or counters_differ or trees_differ else 0
 
 
 if __name__ == "__main__":

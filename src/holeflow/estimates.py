@@ -18,8 +18,8 @@ import numpy as np
 
 from .geom import UNIT_BALL_VOLUME, Plane, dot_last, norm_last
 from .kernels import CutoffProfile, cylindrical_cutoff, radial_cutoff
-from .varifold import (DiscreteVarifold, _corner_max, _normal_part,
-                       _quad_sums, _row_max,
+from .varifold import (DiscreteVarifold, _corner_max, _faces_reaching,
+                       _normal_part, _quad_sums,
                        ball_mass, interpolate_vertex_field, mean_curvature,
                        weight_measure, MEASUREMENT_SUBDIV, QUAD_ORDER)
 from .flow import FlowTrajectory
@@ -29,7 +29,6 @@ TOL_DISC_REL = 0.1
 TOL_DISC_ABS = 1e-8
 HEIGHT_BOUND_CONST = 50.0         # calibrated c(n,k) for the L^2 height bound
 MU_FLOOR = 1e-30
-CULL_SLACK = 1e-9                 # relative margin on culling radii
 DENSITY_RADII = 12                # radii of the gaussian_density_sup sweep
 
 
@@ -126,7 +125,10 @@ def slab_mass(v: DiscreteVarifold, profile: CutoffProfile, t_plane: Plane,
         slab = t_plane.normal_norm(p) <= rhat * (1.0 + 1e-12)
         return chi ** 2 * slab
 
-    return weight_measure(v, integrand, subdiv=subdiv)
+    # chi is +0.0 where |T x| >= R
+    return weight_measure(v, integrand, subdiv=subdiv,
+                          reach=_faces_reaching(
+                              v, t_plane.tangential_norm(v.vertices), big_r))
 
 
 def slab_weighted_mass(v: DiscreteVarifold, cfg: ExpandingHolesConfig,
@@ -134,21 +136,6 @@ def slab_weighted_mass(v: DiscreteVarifold, cfg: ExpandingHolesConfig,
     """||V||(chi_{R(t)}^2 restricted to {|T_perp| <= Rhat1})."""
     return slab_mass(v, cfg.profile, cfg.t_plane, cfg.radius_at(t),
                      cfg.rhat1, cfg.subdiv)
-
-
-def _faces_reaching(v: DiscreteVarifold, vertex_dist: np.ndarray,
-                    radius: float) -> np.ndarray:
-    """Mask of the faces whose closed simplex may reach dist < radius.
-
-    vertex_dist is a 1-Lipschitz function (|T x| or |x|) at the vertices.
-    On a face it stays above its smallest corner value minus the longest
-    edge, so a face whose bound reaches radius holds no such point and
-    contributes exactly zero to an integrand supported in {dist < radius}.
-    The slack keeps roundoff in the quadrature points from breaking that.
-    """
-    longest = _row_max(v._edge_lengths())
-    lower = np.min(vertex_dist[v.faces], axis=1) - longest
-    return lower < radius * (1.0 + CULL_SLACK)
 
 
 def _window_pass(v: DiscreteVarifold, cfg: ExpandingHolesConfig, t: float,

@@ -17,25 +17,36 @@ largest corner |h| of active faces only.
 
 ``evolve`` keeps the state of the flow on the current topology in one
 mutable step workspace (``_StepWorkspace``): the vertices, the face rows
-(measures, normals or tangents, edge lengths) with the per-corner
-area-gradient terms and multiplicity times measure, the lumped vertex
-masses and area gradient, the flow's h with |h|, the largest corner |h|
-per face, the step caps per face, the minimum edge length and a vertex ->
-face incidence.  A step moves the vertices with nonzero h and rewrites, in
-place, the rows of the faces they touch, the vertex sums of those faces'
-vertices W (over every face that touches W, in face order, so each sum has
-the bits of a full ``bincount``), h on W and the face maxima and caps of
-the faces that touch W; its dt is the minimum of the cap row.  A remesh
-pass reports what it changed, and the workspace patches itself from that
-report: the rows of the faces the pass carried and the sums of the
-vertices that kept their faces move through its face and vertex maps, and
-only the vertices of the faces it computed or removed are summed again.
-The workspace is built in full at the start and on a step that moved more
-than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces.  Either way every array
-is bitwise that of a mesh built fresh at the same vertices.  Recorded
-snapshots and the mesh handed to ``remesh`` are ``DiscreteVarifold``
-meshes holding copies of the workspace's vertices and face rows, with no
-step state; a mesh is never written after it is built.
+(measures, normals or tangents, edge lengths) with the face-major
+per-corner area-gradient terms, multiplicity times measure and the
+shortest edge per face, the lumped vertex masses and area gradient, the
+flow's h with |h| and masses |h|^2, the step caps per face, the minimum
+edge length and a vertex -> face incidence.  A step adds dt h to the moving set only, the vertices whose h
+is nonzero now or was at the last step: any other vertex was stepped once
+since it came to rest, so x + dt * 0.0 would keep its bits.  It rewrites,
+in place, the rows of the faces that the vertices whose bits changed
+touch, the vertex sums of those faces' vertices W (over every face that
+touches W, in face order, so each sum has the bits of a full
+``bincount``), h, |h| and masses |h|^2 on W and the caps of the faces
+that touch W; its dt is the minimum of the cap row.  The
+minimum edge comes from the kept shortest edge per face.  Two sums stay
+full sums, because their bits are pinned: the ledger's mass (the face
+mass row's sum) and the dissipation (the masses |h|^2 row's sum).  The
+remesh trigger's test of the median edge length is settled, while few
+edges have been rewritten since, from two order statistics taken once per
+topology, and counted otherwise.  A remesh pass reports what it changed,
+and the workspace patches itself from that report: it takes the pass's
+face rows, the terms and face rows of the faces the pass carried and the
+sums of the vertices that kept their faces move through its face and
+vertex maps, and only the vertices of the faces it computed or removed
+are summed again.  The workspace is built in full at the start and on a
+step that moved more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces.
+Either way every array is bitwise that of a mesh built fresh at the same
+vertices.  Recorded snapshots and the mesh handed to ``remesh`` are
+``DiscreteVarifold`` meshes holding a copy of the workspace's vertices and
+its face rows, with no step state.  A mesh freezes the rows it holds, and
+the workspace copies a frozen row before it writes it, so a mesh is never
+written after it is built and no two meshes share a row.
 """
 
 from __future__ import annotations
@@ -49,8 +60,9 @@ import numpy as np
 from .geom import Plane, norm_last
 from .varifold import (DiscreteVarifold, ScalarTest, _corner_max,
                        _curvature, _face_altitudes, _face_pass,
-                       _gradient_sums, _gradient_terms, _lumped_masses,
-                       _median, _require_positive_measures, _row_max,
+                       _gradient_keys, _gradient_sums, _gradient_terms,
+                       _lumped_masses, _median, _require_positive_measures,
+                       _row_max,
                        mean_curvature, weight_measure,
                        weighted_first_variation)
 from .remesh import RemeshChange, remesh
@@ -91,6 +103,24 @@ BARRIER_CHECK_SAMPLES = 9   # radii and heights of the barrier coverage check
 # reference_l4 dirty 2-5 % of their faces per step, window_l4's perturbed
 # stack 98-100 %.
 FRESH_BUILD_DIRTY_FRACTION = 0.35
+
+# The share of the edge-length entries that may be rewritten after the
+# partition that bounds the median (``_StepWorkspace.median_edge_holds``)
+# before the bound lapses.  Between two remesh passes a flow_l5 step
+# rewrites the entries of 2-5 % of the faces, mostly the same rim faces.
+# With B = n/32, n/16, n/8 and n/4 the bound settled 989, 1463, 1413 and
+# 1281 of flow_l5 seed 0's 1488 trigger tests (n about 35 700), and 199,
+# 409, 540 and 502 of reference_l4's 559 (n about 9 000); the rest are
+# counted.
+MEDIAN_BOUND_SHARE = 1 / 16
+
+# ``move`` adds dt h to the moving set alone when it holds at most this
+# share of the vertices, and to every vertex otherwise.  Timed on random
+# sets (best of 9 x 2000 on a 2-core x86-64), gathering, adding to and
+# scattering the set cost 0.40 / 0.57 / 0.82 / 1.20 of the full add at 2 /
+# 5 / 10 / 20 % of 5000 vertices, and 0.71 / 0.78 / 0.72 / 2.2 of it on
+# 1600 vertices.  flow_l5 moves 1-2 % of its vertices per step.
+MOVING_SET_SHARE = 0.1
 
 
 @dataclass
@@ -138,22 +168,33 @@ class _StepWorkspace:
     After ``build``, ``refresh``, ``move`` or ``remesh`` these equal, bit
     for bit, what a ``DiscreteVarifold`` built fresh at ``vertices`` gives:
     ``rows`` (the ``_face_pass`` rows, keyed as a mesh's cache), ``terms``
-    (the per-corner area-gradient terms, (d, nf, corners)), ``face_mass``
-    (multiplicity times measure per face), ``masses`` and ``gradient``
-    (lumped vertex masses, per-vertex area gradient) and ``min_edge``.
-    ``mean_curvature()`` then brings ``h`` (the mean curvature with resting
-    vertices zeroed, the rest floor scaled by ``e0``, the flow's initial
-    median edge length), ``hn`` (|h| per vertex), ``face_h`` (largest
-    corner |h| per face) and the step caps up to date where the sums
-    changed.  The caps are two face rows, inf on a face at rest (no corner
-    with nonzero h): ``alt``, the smallest altitude, and ``caps``, the dt
-    cap min(c_stab alt^2, DISP_CAP alt / face_h); the step's dt is their
-    minimum, which is exact in any order.  A remesh pass is patched in
-    from its change report: the rows and terms of the faces it carried,
-    and the vertex sums and h of the vertices that kept their faces, move
-    through its face and vertex maps, and only the vertices of the faces it
-    computed or removed are summed again.  Every array is the workspace's
-    own and is written in place; ``snapshot`` hands out copies.
+    (the per-corner area-gradient terms, face-major (nf, d, corners), so
+    that the terms of a set of faces are a row gather), ``face_mass``
+    (multiplicity times measure per face), ``face_min`` (the shortest edge
+    per face, formed on first use after a full build) and the minimum
+    ``min_edge``, and ``masses`` and ``gradient`` (lumped vertex masses,
+    per-vertex area gradient).  ``mean_curvature()`` then brings ``h`` (the
+    mean curvature with resting vertices zeroed, the rest floor scaled by
+    ``e0``, the flow's initial median edge length), ``hn`` (|h| per
+    vertex), ``mass_h2`` (masses |h|^2 per vertex, the dissipation's
+    terms) and the step caps up to date where the sums changed.  The caps
+    are two face rows, inf on a face at rest (no corner with nonzero h):
+    ``alt``, the smallest altitude, and ``caps``, the dt cap min(c_stab
+    alt^2, DISP_CAP alt / face_h), face_h the face's largest corner |h|;
+    the step's dt is their minimum, which is exact in any order.
+
+    ``move`` adds to the moving set only (the vertices with nonzero h now
+    or at the last step), and a step that changes the same vertices as the
+    last one reuses its index sets (``_StepPlan``).  ``total_mass()`` and
+    the sum of ``mass_h2`` are the two full sums a step makes; the mass is
+    kept until a face mass changes.  ``median_edge_holds`` settles the
+    tests of the median edge length from two order statistics taken once
+    per topology while few edge lengths have been rewritten since.  A
+    remesh pass is patched in from its change report (``_patch``).  Every
+    array but the face rows is the workspace's own and is written in
+    place.  A face row may be held by a mesh (``snapshot``, a remesh
+    pass's output, the mesh the workspace was built on), which froze it;
+    ``refresh`` copies such a row before it writes it.
     """
 
     def __init__(self, v: DiscreteVarifold, e0: float,
@@ -174,10 +215,10 @@ class _StepWorkspace:
         self._index()
         nv, d = self.vertices.shape
         nf = self.num_faces
-        self.h, self.hn = np.empty((nv, d)), np.empty(nv)
-        self.face_h, self.alt, self.caps = (np.empty(nf), np.empty(nf),
-                                            np.empty(nf))
-        self.rows = {key: row.copy() for key, row in v._cache.items()}
+        self.h, self.hn, self.mass_h2 = (np.empty((nv, d)), np.empty(nv),
+                                         np.empty(nv))
+        self.alt, self.caps = np.empty(nf), np.empty(nf)
+        self.rows = dict(v._cache)  # v's frozen rows, copied when written
         self.terms = _gradient_terms(v)
         self._sum_all()
 
@@ -196,69 +237,131 @@ class _StepWorkspace:
         self._marks()
 
     def _marks(self) -> None:
-        """Cleared face and vertex marks and local indices for the mesh."""
+        """Cleared face and vertex marks and local indices for the mesh, and
+        the state that the first step on a mesh starts from: no last step
+        (``move`` adds to every vertex) and no median bound."""
         nv, nf = len(self.vertices), self.num_faces
         self._face_mark = np.zeros(nf + 1, dtype=bool)
         self._vertex_mark = np.zeros(nv, dtype=bool)
         self._local = np.zeros(nv, dtype=np.int64)
+        self._was_moving, self._was_count = None, 0
+        self._plan = self._keys = None
+        self._bound = None
+        self._rewritten_face = np.zeros(nf, dtype=bool)
+        self._rewritten = 0
 
     def move(self, dt: float) -> None:
-        """One explicit step, x + dt * h on every vertex, as a fresh mesh
-        would take it; then what the vertices whose bits changed touch is
-        refreshed."""
-        moved = self.vertices + dt * self.mean_curvature()
-        # bit patterns, not values: x + dt * 0.0 turns -0.0 into +0.0
-        changed = _row_max(moved.view(np.int64)
-                           != self.vertices.view(np.int64))
-        self.vertices = moved
-        self.refresh(changed.nonzero()[0])
+        """One explicit step, x + dt * h, as a fresh mesh would take it; then
+        what the vertices whose bits changed touch is refreshed.
+
+        When it holds at most ``MOVING_SET_SHARE`` of the vertices, only
+        the moving set is added to: the vertices whose h is nonzero now or
+        was at the last step.  Any other vertex has h = +0.0 and was stepped
+        once since it came to rest, which turned its -0.0 coordinates into
+        +0.0 (x + dt * 0.0 does that), so adding to it would not change its
+        bits.  The first step on a mesh (after ``build`` or a patched
+        remesh) adds to every vertex.
+        """
+        h = self.mean_curvature()
+        was, limit = self._was_moving, MOVING_SET_SHARE * len(h)
+        count = np.count_nonzero(self.hn)
+        # the two counts bound the moving set's size from above; a set over
+        # the limit is not kept, so the next step adds to every vertex
+        moving = self.hn > 0.0 if count <= limit else None
+        if was is not None and count + self._was_count <= limit:
+            idx = np.flatnonzero(moving | was)
+            x = self.vertices.take(idx, axis=0)
+            moved = x + dt * h.take(idx, axis=0)
+            changed = idx[_row_max(moved.view(np.int64) != x.view(np.int64))]
+            self.vertices[idx] = moved
+        else:
+            moved = self.vertices + dt * h
+            # bit patterns, not values: x + dt * 0.0 turns -0.0 into +0.0
+            changed = _row_max(moved.view(np.int64)
+                               != self.vertices.view(np.int64)).nonzero()[0]
+            self.vertices = moved
+        self._was_moving, self._was_count = moving, count
+        self.refresh(changed)
 
     def mean_curvature(self) -> np.ndarray:
         """The flow's h at the current vertices, formed again on the vertices
-        whose sums changed since the last call, with |h| (``hn``), the face
-        maxima (``face_h``) and the step caps of the faces touching them.
+        whose sums changed since the last call, with |h| (``hn``), masses
+        |h|^2 (``mass_h2``) and the step caps of the faces touching them.
         Raises on an interior vertex with no face, as
         ``varifold.mean_curvature`` does.
         """
-        for ring, touch in self._pending:
-            h = _curvature(_take(self.gradient, ring), self.masses[ring],
-                           self.boundary[ring])
+        for r in self._pending:
+            ring, touch = r.ring, r.touch
+            masses = self.masses[ring]
+            h = _curvature(_take(self.gradient, ring), masses, r.boundary)
             hn = norm_last(h)
             rest = hn * self.e0 <= REST_FLOOR
             h[rest] = 0.0
             hn[rest] = 0.0
             self.h[ring], self.hn[ring] = h, hn
-            face_h = _corner_max(self.hn, _take(self.faces, touch))
+            self.mass_h2[ring] = masses * hn * hn
+            face_h = _corner_max(self.hn, r.faces)
             alt = _face_altitudes(self.rows["measures"][touch],
                                   _take(self.rows["edge_lengths"], touch))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                caps = np.minimum(self.c_stab * alt**2,
-                                  DISP_CAP * alt / face_h)
             active = face_h > 0.0
-            self.face_h[touch] = face_h
+            # a face at rest divides by inf, and its cap is set to inf below
+            caps = np.minimum(self.c_stab * alt**2, DISP_CAP * alt
+                              / np.where(active, face_h, np.inf))
             self.alt[touch] = np.where(active, alt, np.inf)
             self.caps[touch] = np.where(active, caps, np.inf)
         self._pending = []
         return self.h
 
     def total_mass(self) -> float:
-        return float(self.face_mass.sum())
+        """The sum of ``face_mass``, kept until a face mass changes."""
+        if self._mass is None:
+            self._mass = float(self.face_mass.sum())
+        return self._mass
+
+    def median_edge_holds(self, pred) -> bool:
+        """``pred(median edge length)`` for a monotone test ``pred`` (see
+        ``_median_holds``), settled from two order statistics when they
+        can settle it and counted otherwise.
+
+        The first test on a topology partitions the edge lengths once for
+        s_(k-B) and s_(k+B) (``_median_bounds``; s the sorted entries, k
+        = n // 2, B = n * ``MEDIAN_BOUND_SHARE``).  While fewer than B
+        entries have been rewritten since, the median lies between the
+        two: at most k - B + r < k entries lie below s_(k-B) and at least
+        k + B + 1 - r > k + 1 at or below s_(k+B), so s_(k-1) and s_k, and
+        their mean, lie between them.  pred(s_(k-B)) then makes the test
+        pass and not pred(s_(k+B)) makes it fail.
+        """
+        edges = self.rows["edge_lengths"]
+        if self._bound is None:
+            self._slack = int(edges.size * MEDIAN_BOUND_SHARE)
+            self._bound = _median_bounds(edges, self._slack)
+            self._rewritten = 0
+        settled = _median_shortcut(self._bound, self._rewritten, self._slack,
+                                   pred)
+        return _median_holds(edges, pred) if settled is None else settled
 
     def snapshot(self) -> DiscreteVarifold:
-        """A mesh holding copies of the vertices and face rows, which it
-        freezes; no vertex sum or other step state goes with them."""
+        """A mesh holding a copy of the vertices and the face rows, which it
+        freezes.  A row that only the workspace holds (a writeable one) is
+        handed over, not copied: ``refresh`` copies a frozen row before it
+        writes it, and a full build or a remesh pass replaces the rows.  So
+        no two meshes share a row.  No vertex sum or other step state goes
+        with them."""
         vertices = self.vertices.copy()
         vertices.setflags(write=False)
         return DiscreteVarifold(vertices, self.faces, self.mult,
                                 self.boundary,
-                                {key: row.copy()
+                                {key: row if row.flags.writeable
+                                 else row.copy()
                                  for key, row in self.rows.items()})
 
     def remesh(self) -> float:
-        """One remesh pass on a snapshot, patched in from the change it
-        reports (``_patch``) unless it changed nothing.  Returns the pass's
-        mass change."""
-        out, delta, change = remesh(self.snapshot())
+        """One remesh pass on a snapshot, which reads the workspace's mass
+        instead of summing it again, patched in from the change it reports
+        (``_patch``) unless it changed nothing.  Returns the pass's mass
+        change."""
+        out, delta, change = remesh(self.snapshot(), self.total_mass())
         if change is not None:
             self._patch(out, change)
         return delta
@@ -266,50 +369,64 @@ class _StepWorkspace:
     def _patch(self, v: DiscreteVarifold, change: RemeshChange) -> None:
         """Take the mesh v that a remesh pass made of the workspace's mesh.
 
-        A carried face's rows, terms, face maximum and caps, and a vertex's
-        sums, h, |h| and incidence row, are gathered through the change's
-        face and vertex maps.  A vertex keeps its sums when it keeps every
-        face: the faces it keeps are carried in the same order with the
-        same terms.  So only the vertices of faces the pass computed or
-        removed (the ring) are summed again (``_sum_ring``) and get their
-        incidence rows formed again, and ``mean_curvature`` forms h there
-        next.
+        A carried face's terms, shortest edge and caps, and a vertex's
+        sums, h, |h|, masses |h|^2 and incidence row, are gathered
+        through the change's face and vertex maps, one ``take`` each; the
+        vertices are a copy of v's and the face rows v's own, frozen (see
+        ``snapshot``).  A vertex keeps its sums when it keeps every face:
+        the faces it keeps are carried in the same order with the same
+        terms.  So only the vertices of faces the pass computed or removed
+        (the ring) are summed again (``_sum_ring``) and get their incidence
+        rows formed again.  ``mean_curvature`` forms h next on the ring and
+        on the vertices whose h the last step left to form.
         """
-        self.mean_curvature()  # the arrays carried over must be current
+        if any(isinstance(r.ring, slice) for r in self._pending):
+            self.mean_curvature()  # after a full build: h everywhere first
         src, vsrc = change.face_source, change.vertex_source
-        carried, computed = np.flatnonzero(src >= 0), np.flatnonzero(src < 0)
-        # the new index of each face, -1 when removed, and of the padding
-        new_face = np.full(self.num_faces + 1, -1)
-        new_face[src[carried]] = carried
+        computed = (src < 0).nonzero()[0]
+        # the new index of each face, -1 when removed, and of the padding;
+        # the computed faces (source -1) write the padding slot, set last
+        new_face = np.full(self.num_faces + 1, -1, dtype=np.int32)
+        new_face[src] = np.arange(len(src))
         new_face[-1] = len(src)
-        kept = np.flatnonzero(vsrc >= 0)
-        new_vertex = np.full(len(self.vertices), -1)
-        new_vertex[vsrc[kept]] = kept
-        left = new_vertex[self.faces.compress(new_face[:-1] < 0, axis=0)]
+        # and of each vertex, the split midpoints writing a spare last slot
+        new_vertex = np.full(len(self.vertices) + 1, -1)
+        new_vertex[vsrc] = np.arange(len(vsrc))
+        left = new_vertex.take(self.faces.take(
+            np.flatnonzero(new_face[:-1] < 0), axis=0))
+        pending = [new_vertex.take(r.ring) for r in self._pending]
         fmap, vmap = np.maximum(src, 0), np.maximum(vsrc, 0)
-        incidence = new_face[self._incidence.take(vmap, axis=0)]
-        self.terms = np.take(self.terms, fmap, axis=1)
-        self.terms[:, computed] = change.terms
-        self.face_h, self.alt, self.caps = (
-            a.take(fmap) for a in (self.face_h, self.alt, self.caps))
-        self.masses, self.hn = self.masses.take(vmap), self.hn.take(vmap)
+        incidence = new_face.take(self._incidence.take(vmap, axis=0))
+        self.terms = self.terms.take(fmap, axis=0)
+        self.terms[computed] = change.terms
+        self.alt, self.caps, self.face_min = (
+            a.take(fmap) for a in (self.alt, self.caps, self._shortest()))
+        self.masses, self.hn, self.mass_h2 = (
+            a.take(vmap) for a in (self.masses, self.hn, self.mass_h2))
         self.gradient = self.gradient.take(vmap, axis=0)
         self.h = self.h.take(vmap, axis=0)
         self.faces, self.mult, self.boundary = (v.faces, v.multiplicity,
                                                 v.boundary)
         self.vertices = v.vertices.copy()
-        self.rows = {key: row.copy() for key, row in v._cache.items()}
+        self.rows = dict(v._cache)
         self.face_mass = self.mult * self.rows["measures"]
-        self.min_edge = _min_edge(self.rows["edge_lengths"])
+        self._mass = None
+        self.face_min[computed] = _row_max(
+            self.rows["edge_lengths"].take(computed, axis=0), np.minimum)
+        self.min_edge = _min_edge(self.face_min)
         self._marks()
         mark = self._vertex_mark
         mark[self.faces.take(computed, axis=0)] = True
         mark[left[left >= 0]] = True
         ring = np.flatnonzero(mark)
-        mark[ring] = False
         self._incidence = _ring_incidence(incidence, ring, vsrc[ring] >= 0,
                                           self.faces, computed)
-        self._sum_ring(ring, self._faces_at(ring))
+        for p in pending:
+            mark[p[p >= 0]] = True
+        ring = np.flatnonzero(mark)
+        mark[ring] = False
+        self._pending = []
+        self._sum_ring(_Ring(self, ring))
 
     def _faces_at(self, idx: np.ndarray) -> np.ndarray:
         """The faces touching the vertices ``idx``, in increasing order."""
@@ -325,72 +442,139 @@ class _StepWorkspace:
         changed): the rows of the faces touching them are recomputed in
         place, or all rows when they are more than
         ``FRESH_BUILD_DIRTY_FRACTION`` of the faces, and the vertex sums of
-        those faces' vertices follow."""
-        dirty = self._faces_at(idx)
-        if len(dirty) > FRESH_BUILD_DIRTY_FRACTION * self.num_faces:
-            rows = _face_pass(self.vertices, self.faces, self.mult)
-            _require_positive_measures(rows["measures"])
-            self.terms = rows.pop("corner_gradients")
-            self.rows = rows
-            self._sum_all()
-        elif len(dirty):
-            faces = self.faces.take(dirty, axis=0)
-            rows = _face_pass(self.vertices, faces, self.mult[dirty])
-            _require_positive_measures(rows["measures"])
-            edges = self.rows["edge_lengths"]
-            # the minimum stays exact: it can rise only if a dirty face held it
-            held = edges.take(dirty, axis=0).min() <= self.min_edge
-            self.terms[:, dirty] = rows.pop("corner_gradients")
-            for key, new in rows.items():
-                self.rows[key][dirty] = new
-            self.face_mass[dirty] = self.mult[dirty] * rows["measures"]
-            self.min_edge = (float(edges.min()) if held else
-                             min(self.min_edge,
-                                 float(rows["edge_lengths"].min())))
-            mark = self._vertex_mark
-            mark[faces] = True
-            ring = mark.nonzero()[0]
-            mark[ring] = False
-            self._sum_ring(ring, self._faces_at(ring))
+        those faces' vertices follow.
+
+        The index sets of a patched step (``_StepPlan``) depend only on the
+        topology and ``idx``; a step that changes the same vertices as the
+        last one, as most steps of a moving rim do, reuses them."""
+        plan = self._plan
+        if plan is None or not np.array_equal(plan.changed, idx):
+            dirty = self._faces_at(idx)
+            if len(dirty) > FRESH_BUILD_DIRTY_FRACTION * self.num_faces:
+                rows = _face_pass(self.vertices, self.faces, self.mult)
+                _require_positive_measures(rows["measures"])
+                self.terms = rows.pop("corner_gradients")
+                self.rows = rows
+                self._rewritten = rows["edge_lengths"].size  # bound lapses
+                self._sum_all()
+                return
+            if not len(dirty):
+                return
+            plan = self._plan = _StepPlan(self, idx, dirty)
+        dirty = plan.dirty
+        self._shortest()  # of the rows before this step's
+        rows = _face_pass(self.vertices, plan.faces, plan.mult)
+        _require_positive_measures(rows["measures"])
+        self.terms[dirty] = rows.pop("corner_gradients")
+        for key, new in rows.items():
+            row = self.rows[key]
+            if not row.flags.writeable:  # a handed-out mesh holds it
+                row = self.rows[key] = row.copy()
+            row[dirty] = new
+        self.face_mass[dirty] = plan.mult * rows["measures"]
+        self._mass = None
+        shortest = _row_max(rows["edge_lengths"], np.minimum)
+        # the minimum stays exact: it can rise only if a dirty face held it
+        held = self.face_min.take(dirty).min() <= self.min_edge
+        self.face_min[dirty] = shortest
+        self.min_edge = (float(self.face_min.min()) if held else
+                         min(self.min_edge, float(shortest.min())))
+        if self._bound is not None and self._rewritten < self._slack:
+            fresh = dirty[~self._rewritten_face.take(dirty)]
+            self._rewritten_face[fresh] = True
+            self._rewritten += fresh.size * rows["edge_lengths"].shape[1]
+        self._sum_ring(plan.ring)
+
+    def _shortest(self) -> np.ndarray:
+        """``face_min``, the shortest edge per face, formed from the rows on
+        its first use after a full build: a step that rebuilds every row
+        reads the minimum edge off the rows themselves."""
+        if self.face_min is None:
+            self.face_min = _row_max(self.rows["edge_lengths"], np.minimum)
+        return self.face_min
 
     def _sum_all(self) -> None:
         """The face masses, the minimum edge and the vertex sums of every
-        vertex, from the rows and terms; ``mean_curvature`` forms h and
-        the caps everywhere next."""
+        vertex, from the rows and terms; ``mean_curvature`` forms h and the
+        caps everywhere next."""
         nv = len(self.vertices)
         self.face_mass = self.mult * self.rows["measures"]
+        self._mass = None
+        self.face_min = None  # formed on first use (``_shortest``)
         self.min_edge = _min_edge(self.rows["edge_lengths"])
         self.masses = _lumped_masses(self.faces, self.mult,
                                      self.rows["measures"], nv)
-        self.gradient = _gradient_sums(self.faces, self.terms, nv)
-        everything = slice(None)
-        self._pending = [(everything, everything)]
+        if self._keys is None:
+            self._keys = _gradient_keys(self.faces)
+        self.gradient = _gradient_sums(self.faces, self.terms, nv,
+                                       self._keys)
+        self._pending = [_Ring(self)]
 
-    def _sum_ring(self, ring: np.ndarray, touch: np.ndarray) -> None:
-        """Sum the vertex masses and area gradient of the vertices ``ring``
-        again over the faces ``touch`` that touch them; ``mean_curvature``
-        forms h on ``ring`` next.
+    def _sum_ring(self, r: "_Ring") -> None:
+        """Sum the vertex masses and area gradient of the ring's vertices
+        again over the faces that touch them; ``mean_curvature`` forms h on
+        them next.
 
-        One ``bincount`` sums d + 1 rows, the masses and the gradient's
-        coordinates, over local vertex indices; corners outside ``ring``
-        add to a discarded slot, local index 0.  In each row every vertex
-        of ``ring`` adds the same terms in the same face order as a full
-        ``bincount`` of that row, so it gets the same bits.
+        Two ``bincount`` calls sum over local vertex indices, in which
+        corners outside the ring add to a discarded slot, local index 0:
+        the masses over each corner's index, and the gradient over the
+        index times d plus the coordinate, on the face-major terms as they
+        are gathered.  Every vertex of the ring adds the same terms in the
+        same face order as a full ``bincount`` of that row, so it gets the
+        same bits.
         """
-        d, nr = self.vertices.shape[1], len(ring)
-        local = self._local
+        d, nr = self.vertices.shape[1], len(r.ring)
+        masses = np.bincount(r.local, np.repeat(
+            self.face_mass.take(r.touch) / d, d), nr + 1)
+        terms = self.terms.take(r.touch, axis=0)
+        gradient = np.bincount(r.keys, terms.ravel(), (nr + 1) * d)
+        self.masses[r.ring] = masses[1:]
+        self.gradient[r.ring] = gradient.reshape(nr + 1, d)[1:]
+        self._pending.append(r)
+
+
+class _Ring:
+    """Vertices whose sums are formed again (``ring``) and the faces that
+    touch them (``touch``), with what ``_sum_ring`` and ``mean_curvature``
+    index by them: the vertices' boundary flags, the faces' corners, and
+    the ring sum's ``bincount`` keys: ``local``, each corner's local vertex
+    index (1 + its position in ``ring``, 0 outside it), and ``keys``, that
+    index times d plus the coordinate, (faces, d, corners) flattened as
+    the terms are.  With no ``ring`` it stands for every vertex and face,
+    which ``mean_curvature`` takes as slices.
+    """
+
+    def __init__(self, ws: _StepWorkspace, ring=None):
+        if ring is None:
+            self.ring = self.touch = slice(None)
+            self.boundary, self.faces = ws.boundary, ws.faces
+            return
+        nr = len(ring)
+        self.ring, self.touch = ring, ws._faces_at(ring)
+        self.boundary = ws.boundary[ring]
+        self.faces = ws.faces.take(self.touch, axis=0)
+        local = ws._local
         local[ring] = np.arange(1, nr + 1)
-        idx = local[self.faces.take(touch, axis=0)]
+        idx = local.take(self.faces)
         local[ring] = 0
-        terms = np.empty((d + 1, len(touch), d))
-        terms[0] = (self.face_mass[touch] / d)[:, None]
-        np.take(self.terms, touch, axis=1, out=terms[1:])
-        idx = idx + ((nr + 1) * np.arange(d + 1))[:, None, None]
-        sums = np.bincount(idx.ravel(), terms.ravel(),
-                           (d + 1) * (nr + 1)).reshape(d + 1, nr + 1)
-        self.masses[ring] = sums[0, 1:]
-        self.gradient[ring] = sums[1:, 1:].T
-        self._pending.append((ring, touch))
+        self.local = idx.ravel()
+        self.keys = _gradient_keys(idx)
+
+
+class _StepPlan:
+    """The index sets of a patched step that changes the vertices
+    ``changed``: the dirty faces (those touching them) with their corners
+    and multiplicities, and the ring of the dirty faces' vertices."""
+
+    def __init__(self, ws: _StepWorkspace, changed, dirty: np.ndarray):
+        self.changed, self.dirty = changed, dirty
+        self.faces = ws.faces.take(dirty, axis=0)
+        self.mult = ws.mult.take(dirty)
+        mark = ws._vertex_mark
+        mark[self.faces] = True
+        ring = mark.nonzero()[0]
+        mark[ring] = False
+        self.ring = _Ring(ws, ring)
 
 
 def _take(a: np.ndarray, idx) -> np.ndarray:
@@ -410,7 +594,7 @@ def _padded_rows(owner: np.ndarray, values: np.ndarray, n: int, fill: int,
     slot = owner * width
     slot += np.arange(len(owner))
     slot -= (np.cumsum(counts) - counts)[owner]
-    rows = np.full((n, width), fill)
+    rows = np.full((n, width), fill, dtype=np.int32)
     rows.ravel()[slot] = values
     return rows
 
@@ -434,14 +618,50 @@ def _ring_incidence(incidence: np.ndarray, ring: np.ndarray,
     rows = _padded_rows(owner[listed], face[listed], len(ring), nf, width)
     if rows.shape[1] > width:
         incidence = np.hstack([incidence, np.full(
-            (len(incidence), rows.shape[1] - width), nf)])
+            (len(incidence), rows.shape[1] - width), nf, dtype=np.int32)])
     incidence[ring] = rows
     return incidence
 
 
-def _min_edge(edge_lengths: np.ndarray) -> float:
-    """The smallest edge length, 0.0 with no face."""
-    return float(np.min(edge_lengths)) if len(edge_lengths) else 0.0
+def _min_edge(lengths: np.ndarray) -> float:
+    """The smallest of the edge lengths (all of them, or the shortest per
+    face), 0.0 with no face."""
+    return float(lengths.min()) if len(lengths) else 0.0
+
+
+def _median_shortcut(bound, rewritten: int, slack: int, pred):
+    """``pred(median)`` for a monotone ``pred`` (see ``_median_holds``) from
+    ``bound``, the entries s_(k - slack) and s_(k + slack) of the sorted
+    edge lengths taken before ``rewritten`` of them were rewritten
+    (``_median_bounds``): True when pred holds at the lower bound, False
+    when it fails at the upper; None when the two do not settle it or
+    ``rewritten`` is not below ``slack``, so that the bound may have
+    lapsed."""
+    if rewritten < slack:
+        lo, hi = bound
+        if pred(lo):
+            return True
+        if not pred(hi):
+            return False
+    return None
+
+
+def _median_bounds(a: np.ndarray, slack: int):
+    """(s_(k - slack), s_(k + slack)) of the sorted entries s of a, k = n //
+    2, the indices clamped to the entries; (-inf, inf) with no entry.  Two
+    single-kth partitions, the second on the first's lower part: one
+    partition with both kths takes about twice as long."""
+    flat = a.ravel()
+    n = flat.size
+    if n == 0:
+        return -np.inf, np.inf
+    k = n // 2
+    lo, hi = max(k - slack, 0), min(k + slack, n - 1)
+    part = np.partition(flat, hi)
+    below = part[:hi]
+    if lo < hi:
+        below.partition(lo)
+    return float(below[lo] if lo < hi else part[hi]), float(part[hi])
 
 
 def evolve(v0: DiscreteVarifold, t_end: float,
@@ -483,16 +703,15 @@ def evolve(v0: DiscreteVarifold, t_end: float,
             need_remesh = (steps_since_remesh >= REMESH_EVERY)
             # the median edge length is read only through these two tests
             if not need_remesh and steps_since_remesh >= REMESH_BACKOFF:
-                need_remesh = _median_holds(
-                    ws.rows["edge_lengths"],
+                need_remesh = ws.median_edge_holds(
                     lambda e: ws.min_edge < REMESH_MIN_RATIO * e)
             if need_remesh:
                 delta = ws.remesh()
                 steps_since_remesh = 0
             # no median lies below the minimum edge
             if ws.num_faces == 0 or (
-                    ws.min_edge < floor and not _median_holds(
-                        ws.rows["edge_lengths"], lambda e: e >= floor)):
+                    ws.min_edge < floor and not ws.median_edge_holds(
+                        lambda e: e >= floor)):
                 raise ResolutionExhausted(
                     f"resolution exhausted at t={t:.6g}: surface collapsed "
                     "below the policy floor", traj)
@@ -506,7 +725,7 @@ def evolve(v0: DiscreteVarifold, t_end: float,
                     f"resolution exhausted at t={t:.6g} "
                     f"(moving-region edge {alt:.3e} < {floor:.3e})", traj)
             dt = min(float(ws.caps.min()), t_next - t)
-            diss = dt * float((ws.masses * ws.hn * ws.hn).sum())
+            diss = dt * float(ws.mass_h2.sum())
             ws.move(dt)
             t += dt
             cum_diss += diss

@@ -21,8 +21,11 @@ def column_norm(x: list) -> np.ndarray:
     """Euclidean norm from a list of 2 or 3 coordinate columns: the squares
     added in the order ``np.linalg.norm``'s ``np.add.reduce`` adds them over
     a last axis, so bitwise that norm."""
-    s = x[0] * x[0] + x[1] * x[1]
-    return np.sqrt(s if len(x) == 2 else s + x[2] * x[2])
+    s = x[0] * x[0]
+    s += x[1] * x[1]
+    if len(x) == 3:
+        s += x[2] * x[2]
+    return np.sqrt(s)
 
 
 def norm_last(a) -> np.ndarray:

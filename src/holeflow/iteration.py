@@ -63,8 +63,9 @@ def series_term(q, alpha: float, n: int, log_base: float = math.e):
     lb = math.log(log_base)
     lq = np.log(q_arr) / lb
     inner = ((q_arr - 1.0) * 0.5 * LN2 - np.log(lq)) / lb
-    first = lq ** (n + 2) * inner ** (-2.0 * alpha)
-    second = lq ** (n + 2) * np.exp(-((lq - 1.0) ** 2) / 8.0)
+    power = lq ** (n + 2)
+    first = power * inner ** (-2.0 * alpha)
+    second = power * np.exp(-((lq - 1.0) ** 2) / 8.0)
     out = first + second
     return out if out.ndim else float(out)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geom import UNIT_BALL_VOLUME, Plane, norm_last
 from .varifold import (MEASUREMENT_SUBDIV, DiscreteVarifold, _corner_max,
-                       ball_mass, compact, weight_measure)
+                       _faces_reaching, ball_mass, compact, weight_measure)
 
 HEIGHT_BOUND_FRACTION = 1.0 / 20.0  # admissible height inside U_2 at unit scale
 MERGE_TOL = 1e-9  # coincidence tolerance, relative to eps
@@ -241,9 +241,13 @@ def verify_nucleation(v_before: DiscreteVarifold, v_after: DiscreteVarifold,
         in_cyl = t_plane.tangential_norm(p) < eps
         return (in_ball & in_cyl).astype(float)
 
-    mass5 = weight_measure(v_after, hole_ind, subdiv=MEASUREMENT_SUBDIV)
-    mass5_before = weight_measure(v_before, hole_ind,
-                                  subdiv=MEASUREMENT_SUBDIV)
+    def hole_mass(v):
+        # hole_ind is +0.0 outside U_2eps
+        return weight_measure(v, hole_ind, subdiv=MEASUREMENT_SUBDIV,
+                              reach=_faces_reaching(v, norm_last(v.vertices),
+                                                    2.0 * eps))
+
+    mass5, mass5_before = hole_mass(v_after), hole_mass(v_before)
     bound5 = omega * eps ** n
 
     return {

@@ -4,9 +4,11 @@ Used periodically during evolution so that advancing free rims do not
 exhaust the time-step policy.  Boundary vertices are never moved, merged
 away, or deleted; the net mass change of each pass is returned so the flow
 ledger can account for it.  Candidate detection is vectorized; only the
-accepted edges are touched in Python.
+candidate edges are walked in Python.
 
-A pass also reports what it changed (``RemeshChange``).  A face's rows and
+A pass decides everything on its input's rows first, then forms the face
+map and the vertex map of its output once and moves each array through
+them once.  It also reports the maps (``RemeshChange``).  A face's rows and
 per-corner area-gradient terms depend only on its corners' coordinates, in
 stored order, and its multiplicity, so a face that the pass leaves whole
 carries its input rows, bit for bit, and only the faces the pass computes
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .varifold import (DiscreteVarifold, _corner_max, _face_altitudes,
-                       _face_pass, _used_vertices, compact)
+                       _face_pass, _used_vertices)
 
 SPLIT_FACTOR = 2.0
 COLLAPSE_FACTOR = 0.5
@@ -33,25 +35,25 @@ def _edges_of(faces: np.ndarray, keep: np.ndarray):
     """Sorted vertex-pair edges with owning face ids (duplicates kept) of
     the edges that ``keep``, an (nf, edges per face) boolean mask, selects,
     in the order of a mesh's ``_edge_lengths().ravel(order="F")``."""
-    owners, column = _selected(keep)
+    # np.nonzero(keep), several times faster on a 2-D mask
+    owners, column = np.divmod(np.flatnonzero(keep), keep.shape[1])
     order = np.argsort(column, kind="stable")
     owners, column = owners[order], column[order]
     return _edge_pairs(faces, owners, column), owners
-
-
-def _selected(keep: np.ndarray):
-    """(faces, columns) of the True entries of an (nf, k) mask, face by
-    face: ``np.nonzero(keep)``, which is several times slower on 2-D."""
-    return np.divmod(np.flatnonzero(keep), keep.shape[1])
 
 
 def _edge_pairs(faces: np.ndarray, owners: np.ndarray,
                 column: np.ndarray) -> np.ndarray:
     """The edge in ``column`` (0-1, 1-2 or 2-0, as the edge-length columns)
     of each face of ``owners``, as the minimum and maximum of its ends."""
-    a = faces[owners, column]
-    b = faces[owners, (column + 1) % faces.shape[1]]
-    return np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
+    w = faces.shape[1]
+    first = owners * w
+    a = faces.take(first + column)
+    b = faces.take(first + (column + 1) % w)
+    pairs = np.empty((len(a), 2), dtype=np.int64)
+    np.minimum(a, b, out=pairs[:, 0])
+    np.maximum(a, b, out=pairs[:, 1])
+    return pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +68,7 @@ class RemeshChange:
     vertex_source : (nv,) the input vertex each vertex was, -1 for a split
                     midpoint; a collapse may have moved it, and then every
                     face of it was computed
-    terms         : (d, computed faces, corners) per-corner area-gradient
+    terms         : (computed faces, d, corners) per-corner area-gradient
                     terms of the computed faces, in face order
     """
 
@@ -121,88 +123,58 @@ def _split_pass(verts, faces, mult, boundary, median, lengths):
     return verts, faces, mult, boundary, source
 
 
-def _thin_face_edges(faces, rows, median):
-    """Shortest edges of faces (``rows``: their ``_face_pass``) whose
-    altitude is far below the median.
-
-    Caps (nearly collinear triangles with moderate edges) are invisible to
-    pure edge-length criteria but make the stiffness scale collapse; their
-    shortest edge is offered as a collapse candidate.
-    """
-    if faces.shape[1] == 2 or len(faces) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    alt = _face_altitudes(rows["measures"], rows["edge_lengths"])
-    thin = alt < COLLAPSE_FACTOR * median
-    if not np.any(thin):
-        return np.zeros((0, 2), dtype=np.int64)
-    thin = np.flatnonzero(thin)
-    return _edge_pairs(faces, thin,
-                       np.argmin(rows["edge_lengths"].take(thin, axis=0),
-                                 axis=1))
-
-
-def _unique_pairs(pairs: np.ndarray, nv: int):
-    """``np.unique(pairs, axis=0, return_index=True)``, pairs a < b < nv.
-
-    Sorts the 1-D keys a * nv + b, which order the pairs lexicographically,
-    instead of the rows themselves.
-    """
-    key, first = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_index=True)
-    return np.stack([key // nv, key % nv], axis=1), first
+def _collapse_candidates(faces, boundary, lengths, measures, cut):
+    """The edges a collapse tries, in order, as (vertex pair, boundary flags
+    of its ends): the edges shorter than ``cut``, each once, shortest first
+    (ties by vertex pair), then the shortest edge of each face whose
+    altitude is below ``cut``, in face order.  Caps (nearly collinear
+    triangles with moderate edges) are invisible to pure edge-length
+    criteria but make the stiffness scale collapse."""
+    short = (lengths < cut).ravel().nonzero()[0]
+    owners, column = np.divmod(short, lengths.shape[1])
+    short = lengths.take(short).tolist()
+    if faces.shape[1] == 3:
+        thin = (_face_altitudes(measures, lengths) < cut).nonzero()[0]
+        owners = np.concatenate([owners, thin])
+        column = np.concatenate([column, lengths.take(thin, axis=0)
+                                 .argmin(axis=1)])
+    pairs = _edge_pairs(faces, owners, column)
+    ends = list(zip(map(tuple, pairs.tolist()),
+                    map(tuple, boundary.take(pairs).tolist())))
+    # an edge's length is the same, bit for bit, in every face that has it
+    return [end for _, end in sorted(set(zip(short, ends)))] \
+        + ends[len(short):]
 
 
-def _collapse_pass(verts, faces, mult, boundary, median, rows, source):
-    """Collapse short edges and the shortest edges of thin faces, given the
-    faces' ``_face_pass`` ``rows`` and each face's ``source`` (see
-    ``RemeshChange``): (vertices, faces, multiplicities, source), the faces
-    at an end of a collapsed edge marked -1 in ``source``; None when
-    nothing collapses."""
-    lengths = rows["edge_lengths"]
-    # an edge's length is the same, bit for bit, in every face that has it,
-    # so the short edges are found before the pairs are made unique, and
-    # only they are sorted, by the length of any of their occurrences
-    short = lengths < COLLAPSE_FACTOR * median
-    pairs, first = _unique_pairs(_edge_pairs(faces, *_selected(short)),
-                                 len(verts))
-    cand = pairs[np.argsort(lengths[short][first], kind="stable")]
-    thin = _thin_face_edges(faces, rows, median)
-    if len(thin):
-        cand = np.vstack([cand, thin])
-    if len(cand) == 0:
-        return None
-    locked = np.zeros(len(verts), dtype=bool)
-    remap = np.arange(len(verts), dtype=np.int64)
-    for a, b in cand.tolist():
-        if locked[a] or locked[b]:
+def _collapse_pass(verts, faces, boundary, median, lengths, measures):
+    """Collapse the candidate edges (``_collapse_candidates``, given the
+    faces' edge ``lengths`` and ``measures``) that share no end with an
+    edge collapsed before them: (touched, corners, moved), the faces at an
+    end of a collapsed edge with their corners after it, and the (survivor,
+    merged) pairs whose survivor moves to their midpoint; None when nothing
+    collapses."""
+    locked, moved, gone = set(), [], {}
+    for (a, b), (ba, bb) in _collapse_candidates(
+            faces, boundary, lengths, measures, COLLAPSE_FACTOR * median):
+        if a in locked or b in locked or (ba and bb):
             continue
-        if boundary[a] and boundary[b]:
-            continue
-        if boundary[b]:
+        if bb:
             a, b = b, a
-        remap[b] = a  # a survives
-        locked[a] = locked[b] = True
-    if not locked.any():
+        gone[b] = a  # a survives
+        if not (ba or bb):  # interior-interior pairs meet at the midpoint
+            moved.append((a, b))
+        locked.update((a, b))
+    if not gone:
         return None
-    # interior-interior pairs meet at the midpoint
-    merged = (remap != np.arange(len(verts))).nonzero()[0]
-    merged = merged[~boundary[remap[merged]]]
-    verts = verts.copy()
-    verts[remap[merged]] = 0.5 * (verts[remap[merged]] + verts[merged])
+    remap = np.arange(len(verts), dtype=np.int64)
+    remap[list(gone)] = list(gone.values())
+    is_locked = np.zeros(len(verts), dtype=bool)
+    is_locked[list(locked)] = True
     # both ends of a collapsed edge are locked: b is remapped, a kept or
     # moved; only the faces at them change
-    touched = np.flatnonzero(_corner_max(locked, faces))
-    source = source.copy()
-    source[touched] = -1
-    new = remap[faces.take(touched, axis=0)]
-    faces = faces.copy()
-    faces[touched] = new
-    ok = np.ones(len(faces), dtype=bool)
-    if faces.shape[1] == 2:
-        ok[touched] = new[:, 0] != new[:, 1]
-    else:
-        ok[touched] = ((new[:, 0] != new[:, 1]) & (new[:, 1] != new[:, 2])
-                       & (new[:, 2] != new[:, 0]))
-    return verts, faces.compress(ok, axis=0), mult[ok], source[ok]
+    touched = _corner_max(is_locked, faces).nonzero()[0]
+    return (touched, remap.take(faces.take(touched, axis=0)),
+            np.array(moved, dtype=np.int64).reshape(-1, 2))
 
 
 def _carried_rows(rows, source, verts, faces, mult=None):
@@ -210,7 +182,7 @@ def _carried_rows(rows, source, verts, faces, mult=None):
     that face's row of the input ``rows``, and the others (``source`` -1)
     get a face pass, with their terms when ``mult`` is given: (rows, terms
     or None)."""
-    computed = np.flatnonzero(source < 0)
+    computed = (source < 0).nonzero()[0]
     new = _face_pass(verts, faces.take(computed, axis=0),
                      None if mult is None else mult[computed])
     terms = new.pop("corner_gradients", None)
@@ -222,38 +194,79 @@ def _carried_rows(rows, source, verts, faces, mult=None):
     return out, terms
 
 
-def _drop_degenerate(faces, mult, source, rows, terms, median):
-    """The non-degenerate faces: their faces, multiplicities, sources, rows
-    and the terms of those among them with no source."""
-    ok = rows["measures"] > DEGENERATE_REL * median ** (faces.shape[1] - 1)
-    if ok.all():
-        return faces, mult, source, rows, terms
-    return (faces.compress(ok, axis=0), mult[ok], source[ok],
-            {key: row.compress(ok, axis=0) for key, row in rows.items()},
-            terms.compress(ok[source < 0], axis=1))
+def _compacted(verts, faces, boundary):
+    """The vertices that some face uses or that are flagged boundary,
+    renumbered in their order: (vertices, faces, boundary, new index of
+    each old vertex, used mask)."""
+    used = _used_vertices(faces, boundary)
+    rank = used.cumsum()
+    rank -= 1
+    return (verts.compress(used, axis=0), rank.take(faces),
+            boundary.compress(used), rank, used)
 
 
-def remesh(v: DiscreteVarifold):
+def remesh(v: DiscreteVarifold, mass=None):
     """One equalization pass: (new varifold, mass delta, change), the change
-    a ``RemeshChange``; (v, 0.0, None) when the pass changes nothing."""
+    a ``RemeshChange``; (v, 0.0, None) when the pass changes nothing.
+    ``mass`` is v's total mass when the caller holds it (bitwise
+    ``v.total_mass()``), which is then not summed again.
+
+    The decisions (split, collapse, degenerate faces, unused vertices) are
+    made on v's rows; then the face map and the vertex map are formed once
+    and each array moves through them with one ``take`` or ``compress``.
+    Only the computed faces get a face pass.  No array of v is written.
+    """
     median = v.median_edge_length()
-    # no pass writes its inputs: each returns new arrays or v's own
     verts, faces, mult, bnd = v.vertices, v.faces, v.multiplicity, v.boundary
-    source, rows = np.arange(v.num_faces), v._cache
-    split = _split_pass(verts, faces, mult, bnd, median, v._edge_lengths())
+    lengths, measures = v._edge_lengths(), v.face_measures()
+    source = None  # each face's input face, -1 for a child; None: itself
+    split = _split_pass(verts, faces, mult, bnd, median, lengths)
     if split is not None:
         verts, faces, mult, bnd, source = split
-        rows, _ = _carried_rows(v._cache, source, verts, faces)
-    collapse = _collapse_pass(verts, faces, mult, bnd, median, rows, source)
+        # the collapse reads only lengths and measures; every row is
+        # carried from v once, below
+        rows, _ = _carried_rows({key: v._cache[key] for key in
+                                 ("measures", "edge_lengths")},
+                                source, verts, faces)
+        lengths, measures = rows["edge_lengths"], rows["measures"]
+    collapse = _collapse_pass(verts, faces, bnd, median, lengths, measures)
     if collapse is None and split is None:
         return v, 0.0, None
+    keep = np.ones(len(faces), dtype=bool)
     if collapse is not None:
-        verts, faces, mult, source = collapse
-    rows, terms = _carried_rows(v._cache, source, verts, faces, mult)
-    faces, mult, source, rows, terms = _drop_degenerate(
-        faces, mult, source, rows, terms, median)
-    out = compact(verts, faces, mult, bnd, rows)
-    kept = np.flatnonzero(_used_vertices(faces, bnd))
-    kept[kept >= v.num_vertices] = -1  # the split midpoints
-    change = RemeshChange(source, kept, terms)
-    return out, out.total_mass() - v.total_mass(), change
+        touched, corners, moved = collapse
+        whole = corners[:, 0] != corners[:, -1]
+        for k in range(1, faces.shape[1]):
+            whole &= corners[:, k - 1] != corners[:, k]
+        keep[touched[~whole]] = False
+        touched, corners = touched[whole], corners[whole]
+    kept = keep.nonzero()[0]
+    faces, mult = faces.take(kept, axis=0), mult.take(kept)
+    source = kept if source is None else source.take(kept)
+    if collapse is not None:
+        at = np.searchsorted(kept, touched)
+        faces[at] = corners
+        source[at] = -1
+    out_verts, faces, out_bnd, rank, used = _compacted(verts, faces, bnd)
+    vsrc = used.nonzero()[0]
+    if collapse is not None:
+        a, b = moved[used.take(moved[:, 0])].T
+        out_verts[rank.take(a)] = 0.5 * (verts.take(a, axis=0)
+                                         + verts.take(b, axis=0))
+    rows, terms = _carried_rows(v._cache, source, out_verts, faces, mult)
+    ok = rows["measures"] > DEGENERATE_REL * median ** (faces.shape[1] - 1)
+    if not ok.all():  # the degenerate faces go, and maybe some vertices
+        terms = terms.compress(ok[source < 0], axis=0)
+        faces, mult, source = faces[ok], mult[ok], source[ok]
+        rows = {key: row.compress(ok, axis=0) for key, row in rows.items()}
+        out_verts, faces, out_bnd, _, used = _compacted(out_verts, faces,
+                                                        out_bnd)
+        vsrc = vsrc[used]
+    if split is not None:
+        vsrc[vsrc >= v.num_vertices] = -1  # the split midpoints
+    for a in (out_verts, faces, mult, out_bnd):
+        a.setflags(write=False)  # fresh: hand them over uncopied
+    out = DiscreteVarifold(out_verts, faces, mult, out_bnd, rows)
+    if mass is None:
+        mass = v.total_mass()
+    return out, out.total_mass() - mass, RemeshChange(source, vsrc, terms)

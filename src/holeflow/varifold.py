@@ -30,6 +30,8 @@ MEASUREMENT_SUBDIV = 2
 # 17k / 97k / 103k / 105k page faults: past 2^13 each block refaults pages.
 QUAD_BLOCK_POINTS = 2 ** 13
 
+CULL_SLACK = 1e-9  # relative margin on the radius of ``_faces_reaching``
+
 # Most triangles ``_face_pass`` takes on stacked coordinate rows
 # (``_stacked_face_pass``) rather than on coordinate columns.  Timed with
 # the multiplicities on faces drawn from a level-5 icosphere (best of 7 x
@@ -82,7 +84,7 @@ class DiscreteVarifold:
                                _owned_read_only(getattr(self, name), dtype))
         if self.faces.ndim != 2 or self.faces.shape[1] != self.ambient_dim:
             raise ValueError("faces must be (nf, ambient_dim) simplices")
-        if np.any(self.multiplicity < 1):
+        if (self.multiplicity < 1).any():
             raise ValueError("multiplicities must be >= 1")
         # the face rows handed over, or a face pass when none were
         rows = dict(self._cache) or _face_pass(self.vertices, self.faces)
@@ -194,27 +196,33 @@ class ScalarTest:
 
 
 def weight_measure(v: DiscreteVarifold, phi, quad_order: int = QUAD_ORDER,
-                   subdiv: int = 0) -> float:
+                   subdiv: int = 0, reach=None) -> float:
     """Integral of phi against the weight measure of v.
 
     phi maps an (m, d) array of points to (m,) values; exact for face-wise
-    polynomials of degree <= quad_order.
+    polynomials of degree <= quad_order.  ``reach`` (``_faces_reaching``)
+    marks the faces that can meet phi's support, where phi is not +0.0;
+    a block of faces that holds none of them is not evaluated
+    (``_quad_sums``), which leaves the sum's bits as they are.
     """
     def integrand(pts, bary, sel):
         return [phi(pts.reshape(-1, v.ambient_dim)).reshape(pts.shape[:2])]
 
-    return _quad_sums(v, quad_order, subdiv, integrand)[0]
+    return _quad_sums(v, quad_order, subdiv, integrand, reach=reach)[0]
 
 
 def ball_mass(v: DiscreteVarifold, center, r: float,
               subdiv: int = MEASUREMENT_SUBDIV) -> float:
-    """||V||(U_r(center)), clipped at quadrature points; 0.0: the origin."""
+    """||V||(U_r(center)), clipped at quadrature points; 0.0: the origin.
+    Blocks of faces that cannot reach the ball are skipped."""
     center = np.asarray(center, dtype=float)
 
     def indicator(p):
         return (norm_last(p - center) < r).astype(float)
 
-    return weight_measure(v, indicator, subdiv=subdiv)
+    return weight_measure(v, indicator, subdiv=subdiv,
+                          reach=_faces_reaching(
+                              v, norm_last(v.vertices - center), r))
 
 
 def density_ratio(v: DiscreteVarifold, center, r: float,
@@ -237,7 +245,7 @@ def first_variation(v: DiscreteVarifold, g: TestField) -> float:
 
 
 def _quad_sums(v: DiscreteVarifold, quad_order: int, subdiv: int, integrand,
-               keep=None) -> list:
+               keep=None, reach=None) -> list:
     """Face-weighted quadrature sums of k integrands on the faces of the
     boolean mask ``keep`` (all faces when None), one block of faces at a
     time: ``integrand(points (b, m, d), bary (m, d), sel)``, ``sel`` the
@@ -250,26 +258,56 @@ def _quad_sums(v: DiscreteVarifold, quad_order: int, subdiv: int, integrand,
     kernel of ``vals @ w`` sums rows in fours in another order than the
     rows left over, and one row takes yet another path.  So each face gets
     the bits of one product over all faces, whatever the block size.
+
+    ``reach``, a boolean face mask, marks the faces on which an integrand
+    may be other than +0.0 at a point.  A block after the first with none
+    of them gets +0.0 per face, the value its product would give, without
+    being evaluated; the cuts do not move, so every other block keeps its
+    bits.
     """
     idx = np.arange(v.num_faces) if keep is None else np.flatnonzero(keep)
     m = len(simplex_rule(v.surface_dim, quad_order, subdiv)[1])
     step = 4 * max(1, QUAD_BLOCK_POINTS // (4 * m))
     cuts = [0, *range(step, len(idx) - 1, step), len(idx)]
-    sums = []
+    reached = None if reach is None else reach[idx]
+    per = None  # (k, faces): sum_i w_i vals_j[f, i]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if (per is not None and reached is not None
+                and not reached[lo:hi].any()):
+            continue
         sel = slice(lo, hi) if keep is None else idx[lo:hi]
         pts, bary, w = v.quad_points(quad_order, subdiv, sel)
-        sums.append([vals @ w for vals in integrand(pts, bary, sel)])
+        sums = [vals @ w for vals in integrand(pts, bary, sel)]
+        if per is None:
+            per = np.zeros((len(sums), len(idx)))
+        per[:, lo:hi] = sums
     fw = (v.multiplicity * v.face_measures())[idx]
-    return [float(np.sum(fw * per)) for per in np.concatenate(sums, axis=1)]
+    return [float(np.sum(fw * row)) for row in per]
+
+
+def _faces_reaching(v: DiscreteVarifold, vertex_dist: np.ndarray,
+                    radius: float) -> np.ndarray:
+    """Mask of the faces whose closed simplex may reach dist < radius.
+
+    vertex_dist is a 1-Lipschitz function (|T x| or |x|) at the vertices.
+    On a face it stays above its smallest corner value minus the longest
+    edge, so a face whose bound reaches radius holds no such point and
+    contributes exactly zero to an integrand supported in {dist < radius}.
+    The slack keeps roundoff in the quadrature points from breaking that.
+    """
+    longest = _row_max(v._edge_lengths())
+    lower = np.min(vertex_dist[v.faces], axis=1) - longest
+    return lower < radius * (1.0 + CULL_SLACK)
 
 
 def compact(vertices: np.ndarray, faces: np.ndarray, multiplicity: np.ndarray,
-            boundary: np.ndarray, rows=None) -> DiscreteVarifold:
+            boundary: np.ndarray, rows=None, used=None) -> DiscreteVarifold:
     """The mesh on the vertices that some face uses or that are flagged
-    boundary, renumbered in their order (the others are dropped), holding
-    ``rows``, the faces' ``_face_pass``, which renumbering leaves as is."""
-    used = _used_vertices(faces, boundary)
+    boundary (``used``, formed here when None), renumbered in their order
+    (the others are dropped), holding ``rows``, the faces' ``_face_pass``,
+    which renumbering leaves as is."""
+    if used is None:
+        used = _used_vertices(faces, boundary)
     remap = np.cumsum(used) - 1  # new index of each used vertex
     fresh = vertices.compress(used, axis=0), remap[faces], boundary[used]
     for a in fresh:
@@ -293,8 +331,9 @@ def _scatter_add(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 def _median(a: np.ndarray) -> float:
     """``np.median`` of all entries of a (none NaN), bit for bit: one
     single-kth partition instead of three, and for an even count the
-    largest entry below the kth and the same two-element mean.  The mean
-    of one entry adds it to +0.0, which turns -0.0 into 0.0."""
+    largest entry below the kth and the mean of the two, (a + b) / 2 as
+    ``np.mean`` forms it.  The mean of one entry adds it to +0.0, which
+    turns -0.0 into 0.0."""
     flat = a.ravel()
     if flat.size == 0:
         return float(np.median(flat))
@@ -302,7 +341,7 @@ def _median(a: np.ndarray) -> float:
     part = np.partition(flat, k)
     if flat.size % 2:
         return float(part[k] + 0.0)
-    return float(np.mean([np.max(part[:k]), part[k]]))
+    return float((part[:k].max() + part[k]) / 2)
 
 
 def _corner_max(values: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -315,13 +354,14 @@ def _corner_max(values: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
+def _row_max(a: np.ndarray, op=np.maximum) -> np.ndarray:
     """Largest entry of each row of an (m, k) array with few columns, k - 1
-    column-wise ``np.maximum`` calls: the values of ``np.max(a, axis=1)``
-    (``np.any`` for booleans), several times faster."""
+    column-wise ``op`` calls: the values of ``np.max(a, axis=1)`` (``np.any``
+    for booleans; ``np.min`` with ``op=np.minimum``), several times
+    faster."""
     out = a[:, 0].copy()
     for k in range(1, a.shape[1]):
-        np.maximum(out, a[:, k], out=out)
+        op(out, a[:, k], out=out)
     return out
 
 
@@ -379,7 +419,8 @@ def _column_face_pass(vertices: np.ndarray, faces: np.ndarray,
                 "edge_lengths": np.stack([column_norm(e01), column_norm(e12),
                                           column_norm(e02)], 1)}
     if mult is not None:
-        rows["corner_gradients"] = _corner_terms(x, units, mult)
+        rows["corner_gradients"] = _corner_terms(
+            x, units, mult, None if len(x) == 2 else [e12, e02])
     return rows
 
 
@@ -419,9 +460,9 @@ def _stacked_face_pass(vertices: np.ndarray, faces: np.ndarray,
         edge = e[2:5]
         g = edge[:, 1:4] * units[2:5]
         g -= edge[:, 2:5] * units[1:4]
-        terms = np.empty((3, n, 3))
+        terms = np.empty((n, 3, 3))
         np.multiply(mult * 0.5, g.transpose(1, 0, 2),
-                    out=terms.transpose(0, 2, 1))
+                    out=terms.transpose(1, 2, 0))
         rows["corner_gradients"] = terms
     return rows
 
@@ -434,22 +475,27 @@ def _row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
-def _corner_terms(x: list, units: list, mult: np.ndarray) -> np.ndarray:
-    """Per-corner area-gradient terms (d, nf, corners), coordinate-major,
-    from the corner columns ``x`` (``_corner_columns``) and the columns of
-    the faces' unit normals or tangents: 0.5 m (c_a - c_b) x normal at the
-    corner opposite edge a-b (c1 - c2, c2 - c0 and c0 - c1, each formed
-    directly), -m t and m t on a segment."""
+def _corner_terms(x: list, units: list, mult: np.ndarray,
+                  edges=None) -> np.ndarray:
+    """Per-corner area-gradient terms (nf, d, corners), face-major, so that
+    the terms of a set of faces are a row gather, from the corner columns
+    ``x`` (``_corner_columns``) and the columns of the faces' unit normals
+    or tangents: 0.5 m (c_a - c_b) x normal at the corner opposite edge
+    a-b (c1 - c2, c2 - c0 and c0 - c1, each formed directly; ``edges``
+    holds the first two when the caller has them), -m t and m t on a
+    segment."""
     d, m = len(x), mult.astype(float)
-    g = np.empty((d, len(m), d))
+    g = np.empty((len(m), d, d))
     if d == 2:
         for a in range(d):
-            g[a, :, 0], g[a, :, 1] = -m * units[a], m * units[a]
+            g[:, a, 0], g[:, a, 1] = -m * units[a], m * units[a]
         return g
     half_m = 0.5 * m
-    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        for a, ga in enumerate(_cross(_edge(x, i, j), units)):
-            np.multiply(half_m, ga, out=g[a, :, k])
+    if edges is None:
+        edges = [_edge(x, 1, 2), _edge(x, 2, 0)]
+    for k, edge in enumerate([*edges, _edge(x, 0, 1)]):
+        for a, ga in enumerate(_cross(edge, units)):
+            np.multiply(half_m, ga, out=g[:, a, k])
     return g
 
 
@@ -490,13 +536,25 @@ def _lumped_masses(faces: np.ndarray, mult: np.ndarray,
     return _scatter_add(faces.ravel(), np.repeat(contrib, faces.shape[1]), nv)
 
 
-def _gradient_sums(faces: np.ndarray, terms: np.ndarray,
-                   nv: int) -> np.ndarray:
-    """(nv, d) sums of the per-corner area-gradient terms (d, nf, corners),
-    one coordinate row at a time, each vertex's terms in face order."""
-    idx = faces.ravel()
-    return np.column_stack([_scatter_add(idx, row.ravel(), nv)
-                            for row in terms])
+def _gradient_keys(faces: np.ndarray) -> np.ndarray:
+    """The ``bincount`` keys of the terms (nf, d, corners) of ``faces``,
+    flattened: each corner's vertex times d plus the coordinate."""
+    d = faces.shape[1]
+    keys = np.tile(d * faces, d)  # each face's corners once per coordinate
+    keys += np.repeat(np.arange(d), d)
+    return keys.ravel()
+
+
+def _gradient_sums(faces: np.ndarray, terms: np.ndarray, nv: int,
+                   keys=None) -> np.ndarray:
+    """(nv, d) sums of the per-corner area-gradient terms (nf, d, corners),
+    each vertex's terms in face order: one ``bincount`` on the keys
+    (``_gradient_keys`` of ``faces``, formed here when None), which meets
+    the terms of one key in the order of a per-coordinate ``bincount``."""
+    if keys is None:
+        keys = _gradient_keys(faces)
+    d = faces.shape[1]
+    return _scatter_add(keys, terms.ravel(), nv * d).reshape(nv, d)
 
 
 def vertex_masses(v: DiscreteVarifold) -> np.ndarray:
@@ -528,11 +586,15 @@ def _curvature(gradient: np.ndarray, masses: np.ndarray,
     Raises on an interior vertex with no adjacent face (isolated vertex),
     whose mass would vanish.
     """
-    if ((masses == 0.0) & ~boundary).any():
-        raise ValueError("isolated vertex")
-    # a boundary vertex with no face divides 0 by 0; its row is reset below
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if masses.all():
         h = -gradient / masses[:, None]
+    else:
+        if ((masses == 0.0) & ~boundary).any():
+            raise ValueError("isolated vertex")
+        # a boundary vertex with no face divides 0 by 0; its row is reset
+        # below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -gradient / masses[:, None]
     h[boundary] = 0.0
     return h
 

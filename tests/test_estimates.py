@@ -10,7 +10,7 @@ from holeflow.estimates import (ExpandingHolesConfig, _faces_reaching,
                                 dissipation_check, expanding_holes_run,
                                 gaussian_density_sup, height_excess_sq,
                                 curvature_l2_sq, l2_height_bound_check,
-                                slab_weighted_mass)
+                                slab_mass, slab_weighted_mass)
 from holeflow.fixtures import icosphere, make_fixture, square_sheet
 from holeflow.flow import DtPolicy, FlowTrajectory, evolve
 from holeflow.geom import coordinate_plane, random_plane
@@ -333,6 +333,58 @@ class TestCulledPasses:
                     slab_weighted_mass(v, cfg, cfg.t1)) <= 1e-12
         assert _rel(rep.mass_ratio_end * cfg.r2**2,
                     slab_weighted_mass(v, cfg, cfg.t2)) <= 1e-12
+
+    @pytest.mark.parametrize("subdiv", [2, 3])
+    def test_skipped_blocks_keep_the_bits(self, t_plane, profile_01, subdiv,
+                                          monkeypatch):
+        # weight_measure skips the blocks of faces that cannot reach the
+        # support of its integrand.  On a level-4 stack the edge of the
+        # support falls inside blocks that also hold faces out of reach, and
+        # other blocks are skipped whole; the sums of ball_mass, slab_mass
+        # and a weight given the mask equal those of the pass that
+        # evaluates every block, bit for bit
+        v = make_fixture("flat_stack", 2, 4, radius=4 * EPS)
+        centre, radius = np.array([0.03, -0.02, 0.0]), 2 * EPS
+        reach = _faces_reaching(v, np.linalg.norm(v.vertices - centre,
+                                                  axis=1), radius)
+        m = len(simplex_rule(2, QUAD_ORDER, subdiv)[1])
+        step = 4 * max(1, varifold.QUAD_BLOCK_POINTS // (4 * m))
+        blocks = [reach[lo:lo + step] for lo in range(0, v.num_faces, step)]
+        assert any(b.any() and not b.all() for b in blocks)
+        assert any(not b.any() for b in blocks[1:])
+
+        def inside(p):
+            return np.linalg.norm(p - centre, axis=1) < radius
+
+        def weight(p):
+            return np.cos(np.linalg.norm(p, axis=1)) * inside(p)
+
+        def slab(p):
+            return (cylindrical_cutoff(profile_01, t_plane, radius, p) ** 2
+                    * (t_plane.normal_norm(p) <= 1.0 + 1e-12))
+
+        placed = []
+        real = DiscreteVarifold.quad_points
+
+        def counted(mesh, *args, **kwargs):
+            placed.append(1)
+            return real(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteVarifold, "quad_points", counted)
+        got = {"weight": weight_measure(v, weight, subdiv=subdiv,
+                                        reach=reach),
+               "ball": varifold.ball_mass(v, centre, radius, subdiv),
+               "slab": slab_mass(v, profile_01, t_plane, radius,
+                                          1.0, subdiv)}
+        skipped = len(placed)
+        want = {"weight": weight_measure(v, weight, subdiv=subdiv),
+                "ball": weight_measure(v, lambda p: inside(p).astype(float),
+                                       subdiv=subdiv),
+                "slab": weight_measure(v, slab, subdiv=subdiv)}
+        assert skipped < len(placed) - skipped
+        for key, x in want.items():
+            assert got[key] > 0.0
+            assert float(got[key]).hex() == float(x).hex(), key
 
     def test_cull_reads_the_cached_longest_edges(self, nucleated):
         # the cull's longest edge per face, against the corner-difference

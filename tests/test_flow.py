@@ -17,11 +17,13 @@ from holeflow.flow import (DISP_CAP, MIN_EDGE_FLOOR_REL, REMESH_BACKOFF,
 from holeflow.geom import coordinate_plane
 from holeflow.nucleation import nucleate
 from holeflow import remesh as remesh_module
-from holeflow.remesh import DEGENERATE_REL, _edges_of, _unique_pairs, remesh
+from holeflow.remesh import (DEGENERATE_REL, _collapse_candidates, _edges_of,
+                             remesh)
 from holeflow.testfunctions import bump_scalar_test, random_scalar_test
 from holeflow.varifold import (_face_pass, mean_curvature, vertex_masses,
                                weight_measure)
 from holeflow.kernels import make_profile
+from test_varifold import _assert_workspace_matches_fresh
 
 
 def advance(v, dt):
@@ -164,6 +166,15 @@ class TestEvolve:
 
         for name in ("_split_pass", "_collapse_pass"):
             monkeypatch.setattr(remesh_module, name, spy(name))
+        real_pass = flow._StepWorkspace.remesh
+
+        def checked_pass(ws):
+            # every array of the workspace is a fresh build's after a pass
+            delta = real_pass(ws)
+            _assert_workspace_matches_fresh(ws)
+            return delta
+
+        monkeypatch.setattr(flow._StepWorkspace, "remesh", checked_pass)
         times = np.linspace(0.0, t_end, 4)
         traj = evolve(v0, t_end, snapshot_times=times)
         monkeypatch.undo()  # count the flow's passes only
@@ -425,18 +436,30 @@ class TestRemesh:
             assert np.array_equal(got, owners[keep.T.ravel()])
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(3, 40),
-           st.sampled_from([2, 3]))
-    def test_unique_pairs_match_row_unique(self, seed, nf, nv, d):
-        rng = np.random.default_rng(seed)
-        faces = np.array([rng.choice(nv, d, replace=False)
-                          for _ in range(nf)], dtype=np.int64)
-        pairs, _ = _edges_of(faces, np.ones((nf, 1 if d == 2 else 3), bool))
-        got, first = _unique_pairs(pairs, nv)
-        want, want_first = np.unique(pairs, axis=0, return_index=True)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        assert np.array_equal(first, want_first)
+    @given(seed=st.integers(0, 2**31 - 1), level=st.integers(2, 3),
+           amp=st.floats(0.0, 0.8), share=st.floats(0.3, 1.5))
+    def test_collapse_candidates_match_row_unique(self, seed, level, amp,
+                                                  share):
+        # the short edges once each, ordered by length and then by vertex
+        # pair as np.unique and a stable sort order them (a grid, amp = 0,
+        # has ties), then each thin face's shortest edge in face order
+        v = _jittered_sheet(seed, level, amp)
+        lengths, measures = v._edge_lengths(), v.face_measures()
+        cut = share * v.median_edge_length()
+        edges = [[0, 1], [1, 2], [2, 0]]
+        short = np.flatnonzero(lengths < cut)
+        pairs = np.sort(v.faces[:, edges], axis=2).reshape(-1, 2)[short]
+        unique, first = np.unique(pairs, axis=0, return_index=True)
+        want = unique[np.argsort(lengths.ravel()[short][first],
+                                 kind="stable")].tolist()
+        thin = np.flatnonzero(2.0 * measures / np.max(lengths, axis=1) < cut)
+        want += [sorted(v.faces[f, edges[c]].tolist()) for f, c in
+                 zip(thin, np.argmin(lengths[thin], axis=1))]
+        got = _collapse_candidates(v.faces, v.boundary, lengths, measures,
+                                   cut)
+        assert [list(pair) for pair, _ in got] == want
+        flags = v.boundary[np.array(want, dtype=np.int64).reshape(-1, 2)]
+        assert [list(ends) for _, ends in got] == flags.tolist()
 
 
 def _jittered_sheet(seed, level, amp):
@@ -521,8 +544,7 @@ class TestRemeshProperties:
         for key, row in fresh.items():
             assert v._cache[key][src[carried]].tobytes() == \
                 row[carried].tobytes(), key
-        assert change.terms.tobytes() == \
-            np.ascontiguousarray(terms[:, ~carried]).tobytes()
+        assert change.terms.tobytes() == terms[~carried].tobytes()
         assert (out.vertices[out.faces[carried]].tobytes()
                 == v.vertices[v.faces[src[carried]]].tobytes())
         assert np.array_equal(out.multiplicity[carried],

@@ -9,8 +9,9 @@ from holeflow.fixtures import (circle_mesh, cylinder_tube, disk_triangulation,
                                icosphere, make_fixture, square_sheet)
 from holeflow.remesh import remesh
 from holeflow.flow import (DISP_CAP, FRESH_BUILD_DIRTY_FRACTION,
-                           REST_FLOOR, _median_holds, _StepWorkspace)
-from holeflow import varifold
+                           MOVING_SET_SHARE, REST_FLOOR, _median_bounds,
+                           _median_holds, _median_shortcut, _StepWorkspace)
+from holeflow import flow, varifold
 from holeflow.varifold import (DiscreteVarifold, _column_face_pass,
                                _face_pass, _median, _stacked_face_pass,
                                area_gradient,
@@ -60,6 +61,36 @@ def test_weight_measure_additive_and_linear():
                              v.boundary)
     assert (weight_measure(part1, one) + weight_measure(part2, one)
             == weight_measure(v, one))
+
+
+_STACKS = {}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(level=st.integers(2, 4), subdiv=st.integers(0, 2),
+       x=st.floats(-0.25, 0.25), y=st.floats(-0.25, 0.25),
+       radius=st.floats(0.005, 0.3), kind=st.sampled_from(["cos", "ball"]))
+def test_reach_mask_keeps_the_bits(level, subdiv, x, y, radius, kind):
+    # an integrand that is +0.0 off a ball: the sum that skips the blocks
+    # of faces out of reach equals the sum over every block, bit for bit
+    if level not in _STACKS:
+        _STACKS[level] = make_fixture("flat_stack", 2, level, radius=0.2)
+    v = _STACKS[level]
+    centre = np.array([x, y, 0.0])
+
+    def phi(p):
+        d = np.linalg.norm(p - centre, axis=1)
+        return np.where(d < radius, np.cos(d) if kind == "cos" else 1.0,
+                        0.0)
+
+    reach = varifold._faces_reaching(
+        v, np.linalg.norm(v.vertices - centre, axis=1), radius)
+    want = weight_measure(v, phi, subdiv=subdiv)
+    _assert_same_bits(weight_measure(v, phi, subdiv=subdiv, reach=reach),
+                      want)
+    if kind == "ball":
+        _assert_same_bits(varifold.ball_mass(v, centre, radius, subdiv),
+                          want)
 
 
 def test_degenerate_face_rejected():
@@ -367,7 +398,7 @@ def test_face_pass_equals_independent_formulas(kind, nucleated_stack):
 
 
 def _direct_gradient_terms(v):
-    """(d, nf, corners) per-corner area-gradient terms from the direct
+    """(nf, d, corners) per-corner area-gradient terms from the direct
     formulas: 0.5 m (c_a - c_b) x normal for (a, b) in (1, 2), (2, 0),
     (0, 1) on triangles, -m t and m t on segments."""
     c = v.vertices[v.faces]
@@ -381,7 +412,7 @@ def _direct_gradient_terms(v):
         nu = n / np.linalg.norm(n, axis=1, keepdims=True)
         per_corner = np.stack([0.5 * m * np.cross(c[:, a] - c[:, b], nu)
                                for a, b in [(1, 2), (2, 0), (0, 1)]], axis=1)
-    return np.ascontiguousarray(per_corner.transpose(2, 0, 1))
+    return np.ascontiguousarray(per_corner.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("kind", ["circle", "sphere", "nucleated"])
@@ -480,7 +511,7 @@ def test_with_vertices_recomputes_geometry():
 
 
 @pytest.mark.parametrize("kind", ["sphere", "nucleated"])
-def test_mesh_is_never_written_after_construction(kind):
+def test_mesh_is_never_written_after_construction(kind, monkeypatch):
     # every public reader leaves the cached rows' keys and bytes as
     # construction left them; no field can be reassigned and no array
     # written
@@ -512,6 +543,44 @@ def test_mesh_is_never_written_after_construction(kind):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
 
+    # nor is a mesh that the flow's step workspace hands out: a snapshot
+    # taken before a remesh pass and the mesh the pass returns keep their
+    # bytes across the updates that follow, which write the workspace's
+    # rows in place (a pulled vertex) or rebuild them (the steps)
+    returned, real = [], flow.remesh
+
+    def spy(*args):
+        out = real(*args)
+        returned.append((out[0], _frozen(out[0])))
+        return out
+
+    monkeypatch.setattr(flow, "remesh", spy)
+    ws = _StepWorkspace(v, v.median_edge_length())
+    _pull_vertex(ws, v)
+    before = ws.snapshot()
+    frozen = _frozen(before)
+    assert ws.remesh() != 0.0
+    [(out, out_frozen)] = returned
+    _pull_vertex(ws, out)
+    for _ in range(3):
+        ws.move(1e-3 * ws.e0**2)
+    for mesh, bytes_ in ((before, frozen), (out, out_frozen)):
+        _assert_unchanged(mesh, bytes_)
+        for a in (mesh.vertices, *mesh._cache.values()):
+            assert not a.flags.writeable
+
+
+def _pull_vertex(ws, v):
+    """Move an interior vertex of the workspace's mesh v most of the way to
+    a neighbour, so that the next remesh pass collapses the short edge;
+    returns the vertex."""
+    i = int(np.flatnonzero(~v.boundary)[v.num_vertices // 3])
+    j = next(int(k) for k in v.faces[np.any(v.faces == i, axis=1)][0]
+             if k != i)
+    ws.vertices[i] = 0.2 * v.vertices[i] + 0.8 * v.vertices[j]
+    ws.refresh(np.array([i]))
+    return i
+
 
 @pytest.mark.parametrize("kind", ["circle", "sphere", "nucleated"])
 def test_area_gradient_equals_summed_face_pass_terms(kind, nucleated_stack):
@@ -523,7 +592,8 @@ def test_area_gradient_equals_summed_face_pass_terms(kind, nucleated_stack):
     terms = _face_pass(v.vertices, v.faces,
                        v.multiplicity)["corner_gradients"]
     ref = np.column_stack([np.bincount(v.faces.ravel(), row.ravel(),
-                                       v.num_vertices) for row in terms])
+                                       v.num_vertices)
+                           for row in terms.transpose(1, 0, 2)])
     _assert_same_bits(area_gradient(v), ref)
 
 
@@ -541,11 +611,11 @@ def test_with_vertices_shares_read_only_topology():
 
 def _assert_workspace_matches_fresh(ws):
     """Every array of the step workspace, and of a snapshot of it, is
-    bitwise that of a mesh built fresh at its vertices; h, |h|, the face
-    maxima and the step caps follow the flow's rest rule from the fresh
-    mean curvature.  Every array is C-contiguous and equals that of a
-    workspace built in full on the fresh mesh, whose incidence rows list
-    the same faces."""
+    bitwise that of a mesh built fresh at its vertices; h, |h| and the step
+    caps follow the flow's rest rule from the fresh mean curvature.  Every
+    array is C-contiguous and equals that of a workspace built in full on
+    the fresh mesh, whose incidence rows list the same faces.  A row the
+    snapshot holds is read-only in the workspace as well."""
     fresh = DiscreteVarifold(ws.vertices.copy(), ws.faces, ws.mult,
                              ws.boundary)
     h = mean_curvature(ws)
@@ -559,14 +629,24 @@ def _assert_workspace_matches_fresh(ws):
     _assert_same_bits(ws.hn, ref_hn)
     if fresh.num_faces:
         face_h = np.max(ref_hn[fresh.faces], axis=1)
-        _assert_same_bits(ws.face_h, face_h)
         _assert_same_bits(ws.min_edge, fresh.min_edge_length())
+        _assert_same_bits(ws._shortest(),
+                          np.min(fresh._edge_lengths(), axis=1))
+        # the median tests, settled from the kept bounds or counted, at
+        # thresholds on and next to the median and the bounds
+        edges = fresh._edge_lengths()
+        mid = _median(edges)
+        for x in (mid, np.nextafter(mid, 0.0), np.nextafter(mid, np.inf),
+                  *_median_bounds(edges, edges.size // 16)):
+            for pred in (lambda e: e >= x, lambda e: x < e):
+                assert ws.median_edge_holds(pred) == _median_holds(edges, pred)
         alt, active = fresh.face_altitudes(), face_h > 0.0
         with np.errstate(divide="ignore"):
             caps = np.minimum(ws.c_stab * alt**2, DISP_CAP * alt / face_h)
         _assert_same_bits(ws.alt, np.where(active, alt, np.inf))
         _assert_same_bits(ws.caps, np.where(active, caps, np.inf))
     _assert_same_bits(ws.masses, vertex_masses(fresh))
+    _assert_same_bits(ws.mass_h2, vertex_masses(fresh) * ref_hn * ref_hn)
     _assert_same_bits(ws.gradient, area_gradient(fresh))
     _assert_same_bits(ws.terms, _direct_gradient_terms(fresh))
     _assert_same_bits(ws.face_mass,
@@ -591,7 +671,10 @@ def _assert_workspace_matches_fresh(ws):
     assert sorted(snap._cache) == sorted(rows)
     for key, row in rows.items():
         _assert_same_bits(snap._cache[key], row)
-        assert not np.shares_memory(snap._cache[key], ws.rows[key])
+        # the workspace copies a row a mesh holds before it writes it
+        assert (not np.shares_memory(snap._cache[key], ws.rows[key])
+                or not ws.rows[key].flags.writeable)
+    assert not np.shares_memory(snap.vertices, ws.vertices)
     _assert_same_bits(snap.vertices, fresh.vertices)
     _assert_same_bits(vertex_masses(snap), vertex_masses(fresh))
     _assert_same_bits(snap.median_edge_length(), fresh.median_edge_length())
@@ -601,7 +684,7 @@ def _assert_workspace_matches_fresh(ws):
 
 # the step workspace's arrays (its face rows aside)
 _WORKSPACE_ARRAYS = ("vertices", "terms", "face_mass", "masses", "gradient",
-                     "h", "hn", "face_h", "alt", "caps")
+                     "h", "hn", "mass_h2", "alt", "caps")
 
 
 def _frozen(v):
@@ -675,11 +758,7 @@ def test_workspace_chain_through_remesh(kind):
     # kept.  Every step, before and after, is bitwise a fresh build.
     v = circle_mesh(4) if kind == "circle" else icosphere(2)
     ws = _StepWorkspace(v, v.median_edge_length())
-    i = int(np.flatnonzero(~v.boundary)[v.num_vertices // 3])
-    j = next(int(k) for k in v.faces[np.any(v.faces == i, axis=1)][0]
-             if k != i)
-    ws.vertices[i] = 0.2 * v.vertices[i] + 0.8 * v.vertices[j]
-    ws.refresh(np.array([i]))
+    _pull_vertex(ws, v)
     _assert_workspace_matches_fresh(ws)
     faces = ws.faces
     assert ws.remesh() != 0.0
@@ -730,6 +809,153 @@ def test_move_refreshes_signed_zeros_at_rest():
     ws.move(1e-3)
     assert not np.any(np.signbit(ws.vertices[:, 2]))
     _assert_workspace_matches_fresh(ws)
+
+    # a vertex that keeps a -0.0 coordinate while it moves (its h is -0.0
+    # there) and then comes to rest is stepped once more, which turns it
+    # into +0.0, although ``move`` adds only to the moving set: every step
+    # leaves the vertices a full add x + dt * h gives
+    sheet = square_sheet(2.0, 4)
+    verts = sheet.vertices.copy()
+    verts[verts == 0.0] = -0.0
+    centre = int(np.argmin(np.linalg.norm(verts, axis=1)))
+    verts[centre, 2] = 0.05
+    v = DiscreteVarifold(verts, sheet.faces, sheet.multiplicity,
+                         sheet.boundary)
+    ws = _StepWorkspace(v, v.median_edge_length())
+    h = mean_curvature(ws)
+    active = np.flatnonzero(ws.hn)
+    kept = [(j, k) for j in active if j != centre for k in range(3)
+            if ws.vertices[j, k] == 0.0 and np.signbit(ws.vertices[j, k])
+            and h[j, k] == 0.0 and np.signbit(h[j, k])]
+    assert kept
+    # small enough a set for ``move`` to add to it alone
+    assert 2 * len(active) <= MOVING_SET_SHARE * len(ws.vertices)
+
+    def step():
+        want = ws.vertices + 1e-4 * mean_curvature(ws)
+        ws.move(1e-4)
+        _assert_same_bits(ws.vertices, want)
+        _assert_workspace_matches_fresh(ws)
+
+    step()  # the first step on a mesh adds to every vertex
+    j, k = kept[0]
+    assert np.signbit(ws.vertices[j, k])
+    # the sheet, flattened but for that -0.0, comes to rest
+    lifted = np.flatnonzero(ws.vertices[:, 2] != 0.0)
+    ws.vertices[lifted, 2] = 0.0
+    ws.refresh(lifted)
+    assert not np.any(mean_curvature(ws))
+    step()  # adds to the vertices that moved at the last step
+    assert not np.signbit(ws.vertices[j, k])
+    step()  # adds to none
+
+
+def test_first_step_after_patched_remesh_adds_to_every_vertex():
+    # the moving set is kept in the numbering of the mesh it was taken on,
+    # so the first step after a remesh pass that changed the mesh, as the
+    # first after a build, adds to every vertex: a resting vertex holding
+    # -0.0 turns into +0.0 there, as in a full add x + dt * 0.0
+    sheet = square_sheet(2.0, 5)
+    verts = sheet.vertices.copy()
+    centre = int(np.argmin(np.linalg.norm(verts, axis=1)))
+    verts[centre, 2] = 0.05
+    v = DiscreteVarifold(verts, sheet.faces, sheet.multiplicity,
+                         sheet.boundary)
+    ws = _StepWorkspace(v, v.median_edge_length())
+    for _ in range(2):
+        ws.move(1e-4)
+    # small enough a set for ``move`` to add to it alone
+    assert 2 * np.count_nonzero(ws.hn) <= MOVING_SET_SHARE * len(ws.hn)
+    # far from the centre and from the pulled vertex
+    far = np.flatnonzero(~ws.boundary & (ws.hn == 0.0)
+                         & (ws.vertices[:, 0] < -0.5)
+                         & (ws.vertices[:, 1] > 0.5))
+    ws.vertices[far, 2] = -0.0
+    ws.refresh(far)
+    faces = ws.faces
+    _pull_vertex(ws, v)
+    ws.remesh()
+    assert ws.faces is not faces
+    h = mean_curvature(ws)
+    assert np.any(np.signbit(ws.vertices[:, 2]) & (ws.hn == 0.0))
+    want = ws.vertices + 1e-4 * h
+    ws.move(1e-4)
+    _assert_same_bits(ws.vertices, want)
+    assert not np.any(np.signbit(ws.vertices[:, 2]) & (ws.hn == 0.0))
+    _assert_workspace_matches_fresh(ws)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(1e-3, 1.0), min_size=8, max_size=60,
+                       unique=True),
+       share=st.integers(4, 16), shift=st.sampled_from(["up", "down",
+                                                        "random"]),
+       seed=st.integers(0, 2**31 - 1), pick=st.integers(0, 10**6),
+       strict=st.booleans())
+def test_median_shortcut_equals_count_across_rewrites(values, share, shift,
+                                                      seed, pick, strict):
+    # the bounds taken before r entries are rewritten settle the test of
+    # the median, when they settle it, as counting does afterwards, while
+    # r < B; at r = B and B + 1 the shortcut must not answer.  The largest
+    # entries rewritten to tiny values, or the smallest to huge ones, move
+    # the median by r ranks, the most that r rewrites can
+    a = np.asarray(values)
+    slack = max(1, len(a) // share)
+    bound = _median_bounds(a, slack)
+    rng = np.random.default_rng(seed)
+    for r in (slack - 1, slack, slack + 1):
+        new = a.copy()
+        order = np.argsort(a)
+        if shift == "up":
+            new[order[:r]] = 2.0 + rng.random(r)
+        elif shift == "down":
+            new[order[len(a) - r:]] = 1e-4 * rng.random(r)
+        else:
+            new[rng.choice(len(a), r, replace=False)] = rng.random(r)
+        cands = np.concatenate([a, new, bound, [_median(a), _median(new)]])
+        x = float(cands[pick % len(cands)])
+        pred = (lambda e: e >= x) if strict else (lambda e: x < e)
+        got = _median_shortcut(bound, r, slack, pred)
+        if r >= slack:
+            assert got is None
+            continue
+        # below B the bounds hold the median, whatever was rewritten
+        assert bound[0] <= _median(new) <= bound[1]
+        if got is not None:
+            assert got == _median_holds(new, pred)
+
+
+def test_workspace_median_bound_lapses_after_rewrites():
+    # the bounds taken on the first test hold the median only while fewer
+    # than B edge lengths are rewritten: lifting the sheet's interior
+    # vertices up and down in turn, a few per step, lengthens most edges
+    # and moves the median above the upper bound, and the workspace must
+    # then count instead of answering from the stale bound
+    sheet = square_sheet(2.0, 4)
+    ws = _StepWorkspace(sheet, sheet.median_edge_length())
+    assert ws.median_edge_holds(lambda e: e >= 0.0)
+    lo, hi = ws._bound
+    inner = np.flatnonzero(~sheet.boundary)
+    for chunk in np.array_split(inner, 20):
+        ws.vertices[chunk, 2] = np.where(chunk % 2, 0.1, -0.1)
+        ws.refresh(chunk)
+    edges = ws.rows["edge_lengths"]
+    mid = _median(edges)
+    assert mid > hi
+    x = 0.5 * (mid + hi)
+    for pred in (lambda e: e >= x, lambda e: x < e):
+        assert ws.median_edge_holds(pred)
+        assert _median_holds(edges, pred)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 80), seed=st.integers(0, 2**31 - 1),
+       slack=st.integers(0, 50))
+def test_median_bounds_are_order_statistics(n, seed, slack):
+    a = np.random.default_rng(seed).random(n)
+    s, k = np.sort(a), n // 2
+    lo, hi = _median_bounds(a.reshape(-1, 1), slack)
+    assert lo == s[max(k - slack, 0)] and hi == s[min(k + slack, n - 1)]
 
 
 def test_workspace_keeps_the_mesh_checks():
