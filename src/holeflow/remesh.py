@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .varifold import (DiscreteVarifold, _corner_max, _face_altitudes,
-                       _face_pass, _used_vertices)
+from .varifold import (DiscreteVarifold, _compacted, _corner_max,
+                       _face_altitudes, _face_pass)
 
 SPLIT_FACTOR = 2.0
 COLLAPSE_FACTOR = 0.5
@@ -192,17 +192,6 @@ def _carried_rows(rows, source, verts, faces, mult=None):
         out[key] = row.take(gather, axis=0)
         out[key][computed] = new[key]
     return out, terms
-
-
-def _compacted(verts, faces, boundary):
-    """The vertices that some face uses or that are flagged boundary,
-    renumbered in their order: (vertices, faces, boundary, new index of
-    each old vertex, used mask)."""
-    used = _used_vertices(faces, boundary)
-    rank = used.cumsum()
-    rank -= 1
-    return (verts.compress(used, axis=0), rank.take(faces),
-            boundary.compress(used), rank, used)
 
 
 def remesh(v: DiscreteVarifold, mass=None):

@@ -301,27 +301,25 @@ def _faces_reaching(v: DiscreteVarifold, vertex_dist: np.ndarray,
 
 
 def compact(vertices: np.ndarray, faces: np.ndarray, multiplicity: np.ndarray,
-            boundary: np.ndarray, rows=None, used=None) -> DiscreteVarifold:
+            boundary: np.ndarray) -> DiscreteVarifold:
     """The mesh on the vertices that some face uses or that are flagged
-    boundary (``used``, formed here when None), renumbered in their order
-    (the others are dropped), holding ``rows``, the faces' ``_face_pass``,
-    which renumbering leaves as is."""
-    if used is None:
-        used = _used_vertices(faces, boundary)
-    remap = np.cumsum(used) - 1  # new index of each used vertex
-    fresh = vertices.compress(used, axis=0), remap[faces], boundary[used]
+    boundary, renumbered in their order (the others are dropped)."""
+    fresh = _compacted(vertices, faces, boundary)[:3]
     for a in fresh:
         a.setflags(write=False)  # fresh: hand them over uncopied
-    vertices, faces, boundary = fresh
-    return DiscreteVarifold(vertices, faces, multiplicity, boundary,
-                            rows or {})
+    return DiscreteVarifold(fresh[0], fresh[1], multiplicity, fresh[2])
 
 
-def _used_vertices(faces: np.ndarray, boundary: np.ndarray) -> np.ndarray:
-    """The vertices that ``compact`` keeps: used by a face or boundary."""
+def _compacted(vertices: np.ndarray, faces: np.ndarray,
+               boundary: np.ndarray):
+    """``compact``'s arrays: (vertices, faces, boundary, the new index of
+    each old vertex, the used mask)."""
     used = boundary.copy()
     used[faces.ravel()] = True
-    return used
+    rank = used.cumsum()
+    rank -= 1
+    return (vertices.compress(used, axis=0), rank.take(faces),
+            boundary.compress(used), rank, used)
 
 
 def _scatter_add(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
