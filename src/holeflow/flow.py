@@ -21,16 +21,16 @@ mutable step workspace (``_StepWorkspace``): the vertices, the face rows
 per-corner area-gradient terms, multiplicity times measure and the
 shortest edge per face, the lumped vertex masses and area gradient, the
 flow's h with |h| and masses |h|^2, the step caps per face, the minimum
-edge length and a vertex -> face incidence.  A step adds dt h to the moving set only, the vertices whose h
-is nonzero now or was at the last step: any other vertex was stepped once
-since it came to rest, so x + dt * 0.0 would keep its bits.  It rewrites,
-in place, the rows of the faces that the vertices whose bits changed
-touch, the vertex sums of those faces' vertices W (over every face that
-touches W, in face order, so each sum has the bits of a full
-``bincount``), h, |h| and masses |h|^2 on W and the caps of the faces
-that touch W; its dt is the minimum of the cap row.  The
-minimum edge comes from the kept shortest edge per face.  Two sums stay
-full sums, because their bits are pinned: the ledger's mass (the face
+edge length and a vertex -> face incidence.  A step adds dt h to the
+moving set only, the vertices whose h is nonzero now or was at the last
+step: any other vertex was stepped once since it came to rest, so
+x + dt * 0.0 would keep its bits.  It rewrites, in place, the rows of the
+faces that the vertices whose bits changed touch, the vertex sums of those
+faces' vertices W (over every face that touches W, in face order, so each
+sum has the bits of a full ``bincount``), h, |h| and masses |h|^2 on W and
+the caps of the faces that touch W; its dt is the minimum of the cap row.
+The minimum edge comes from the kept shortest edge per face.  Two sums
+stay full sums, because their bits are pinned: the ledger's mass (the face
 mass row's sum) and the dissipation (the masses |h|^2 row's sum).  The
 remesh trigger's test of the median edge length is settled, while few
 edges have been rewritten since, from two order statistics taken once per
@@ -38,10 +38,10 @@ topology, and counted otherwise.  A remesh pass reports what it changed,
 and the workspace patches itself from that report: it takes the pass's
 face rows, the terms and face rows of the faces the pass carried and the
 sums of the vertices that kept their faces move through its face and
-vertex maps, and only the vertices of the faces it computed or removed
-are summed again.  The workspace is built in full at the start and on a
-step that moved more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces.
-Either way every array is bitwise that of a mesh built fresh at the same
+vertex maps, and only the vertices of the faces it computed or removed are
+summed again.  The workspace is built in full at the start and on a step
+that moved more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces.  Either
+way every array is bitwise that of a mesh built fresh at the same
 vertices.  Recorded snapshots and the mesh handed to ``remesh`` are
 ``DiscreteVarifold`` meshes holding a copy of the workspace's vertices and
 its face rows, with no step state.  A mesh freezes the rows it holds, and
