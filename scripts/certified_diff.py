@@ -76,12 +76,13 @@ CLI_RUNS = (
 )
 
 
-def export(rev: str) -> Path:
-    """REV's committed files in a fresh directory under ``.bench_build``."""
+def export(rev: str, prefix: str = "certified") -> Path:
+    """REV's committed files in a fresh directory under ``.bench_build``,
+    ``<prefix>-<sha>``."""
     sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
                          cwd=ROOT, check=True, capture_output=True,
                          text=True).stdout.strip()
-    dest = ROOT / ".bench_build" / f"certified-{sha}"
+    dest = ROOT / ".bench_build" / f"{prefix}-{sha}"
     shutil.rmtree(dest, ignore_errors=True)
     dest.mkdir(parents=True)
     tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,

@@ -18,30 +18,30 @@ largest corner |h| of active faces only.
 ``evolve`` keeps the state of the flow on the current topology in one
 mutable step workspace (``_StepWorkspace``): the vertices, the face rows
 (measures, normals or tangents, edge lengths) with the face-major
-per-corner area-gradient terms, multiplicity times measure and the
-shortest edge per face, the lumped vertex masses and area gradient, the
-flow's h with |h| and masses |h|^2, the step caps per face, the minimum
-edge length and a vertex -> face incidence.  A step adds dt h to the
-moving set only, the vertices whose h is nonzero now or was at the last
-step: any other vertex was stepped once since it came to rest, so
+per-corner area-gradient terms and multiplicity times measure, the lumped
+vertex masses and area gradient, the flow's h with |h| and masses |h|^2,
+the step caps per face and the minimum edge length.  A step adds dt h to
+the moving set only, the vertices whose h is nonzero now or was at the
+last step: any other vertex was stepped once since it came to rest, so
 x + dt * 0.0 would keep its bits.  It rewrites, in place, the rows of the
 faces that the vertices whose bits changed touch, the vertex sums of those
 faces' vertices W (over every face that touches W, in face order, so each
 sum has the bits of a full ``bincount``), h, |h| and masses |h|^2 on W and
 the caps of the faces that touch W; its dt is the minimum of the cap row.
-The minimum edge comes from the kept shortest edge per face.  Two sums
-stay full sums, because their bits are pinned: the ledger's mass (the face
-mass row's sum) and the dissipation (the masses |h|^2 row's sum).  The
-remesh trigger's test of the median edge length is settled, while few
-edges have been rewritten since, from two order statistics taken once per
-topology, and counted otherwise.  A remesh pass reports what it changed,
-and the workspace patches itself from that report: it takes the pass's
-face rows, the terms and face rows of the faces the pass carried and the
-sums of the vertices that kept their faces move through its face and
-vertex maps, and only the vertices of the faces it computed or removed are
-summed again.  The workspace is built in full at the start and on a step
-that moved more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces.  Either
-way every array is bitwise that of a mesh built fresh at the same
+A whole-mesh reduction costs microseconds (5.7 us for the minimum of the
+35 712 edge lengths of flow_l5's mesh on a 2-core x86-64), less than
+keeping a structure up to date to avoid it: the minimum edge, the ledger's
+mass (the face mass row's sum), the dissipation (the masses |h|^2 row's
+sum) and the two tests of the median edge length (a count) read every
+entry, and the faces touching a set of vertices are found by marking the
+set and testing every face's corners.  A remesh pass reports what it
+changed, and the workspace patches itself from that report: it takes the
+pass's face rows, the terms and face rows of the faces the pass carried
+and the sums of the vertices that kept their faces move through its face
+and vertex maps, and only the vertices of the faces it computed or removed
+are summed again.  The workspace is built in full at the start and on a
+step that moved more than ``FRESH_BUILD_DIRTY_FRACTION`` of the faces.
+Either way every array is bitwise that of a mesh built fresh at the same
 vertices.  Recorded snapshots and the mesh handed to ``remesh`` are
 ``DiscreteVarifold`` meshes holding a copy of the workspace's vertices and
 its face rows, with no step state.  A mesh freezes the rows it holds, and
@@ -104,16 +104,6 @@ BARRIER_CHECK_SAMPLES = 9   # radii and heights of the barrier coverage check
 # stack 98-100 %.
 FRESH_BUILD_DIRTY_FRACTION = 0.35
 
-# The share of the edge-length entries that may be rewritten after the
-# partition that bounds the median (``_StepWorkspace.median_edge_holds``)
-# before the bound lapses.  Between two remesh passes a flow_l5 step
-# rewrites the entries of 2-5 % of the faces, mostly the same rim faces.
-# With B = n/32, n/16, n/8 and n/4 the bound settled 989, 1463, 1413 and
-# 1281 of flow_l5 seed 0's 1488 trigger tests (n about 35 700), and 199,
-# 409, 540 and 502 of reference_l4's 559 (n about 9 000); the rest are
-# counted.
-MEDIAN_BOUND_SHARE = 1 / 16
-
 # ``move`` adds dt h to the moving set alone when it holds at most this
 # share of the vertices, and to every vertex otherwise.  Timed on random
 # sets (best of 9 x 2000 on a 2-core x86-64), gathering, adding to and
@@ -170,9 +160,8 @@ class _StepWorkspace:
     ``rows`` (the ``_face_pass`` rows, keyed as a mesh's cache), ``terms``
     (the per-corner area-gradient terms, face-major (nf, d, corners), so
     that the terms of a set of faces are a row gather), ``face_mass``
-    (multiplicity times measure per face), ``face_min`` (the shortest edge
-    per face, formed on first use after a full build) and the minimum
-    ``min_edge``, and ``masses`` and ``gradient`` (lumped vertex masses,
+    (multiplicity times measure per face), ``min_edge`` (the minimum edge
+    length), and ``masses`` and ``gradient`` (lumped vertex masses,
     per-vertex area gradient).  ``mean_curvature()`` then brings ``h`` (the
     mean curvature with resting vertices zeroed, the rest floor scaled by
     ``e0``, the flow's initial median edge length), ``hn`` (|h| per
@@ -185,16 +174,15 @@ class _StepWorkspace:
 
     ``move`` adds to the moving set only (the vertices with nonzero h now
     or at the last step), and a step that changes the same vertices as the
-    last one reuses its index sets (``_StepPlan``).  ``total_mass()`` and
-    the sum of ``mass_h2`` are the two full sums a step makes; the mass is
-    kept until a face mass changes.  ``median_edge_holds`` settles the
-    tests of the median edge length from two order statistics taken once
-    per topology while few edge lengths have been rewritten since.  A
-    remesh pass is patched in from its change report (``_patch``).  Every
-    array but the face rows is the workspace's own and is written in
-    place.  A face row may be held by a mesh (``snapshot``, a remesh
-    pass's output, the mesh the workspace was built on), which froze it;
-    ``refresh`` copies such a row before it writes it.
+    last one reuses its index sets (``_StepPlan``).  ``min_edge``,
+    ``total_mass()`` and the sum of ``mass_h2`` are full reductions; the
+    mass is kept until a face mass changes.  ``_faces_at`` finds the faces
+    touching a set of vertices by testing every face's corners.  A remesh
+    pass is patched in from its change report (``_patch``).  Every array
+    but the face rows is the workspace's own and is written in place.  A
+    face row may be held by a mesh (``snapshot``, a remesh pass's output,
+    the mesh the workspace was built on), which froze it; ``refresh``
+    copies such a row before it writes it.
     """
 
     def __init__(self, v: DiscreteVarifold, e0: float,
@@ -212,7 +200,7 @@ class _StepWorkspace:
         self.faces, self.mult, self.boundary = (v.faces, v.multiplicity,
                                                 v.boundary)
         self.vertices = v.vertices.copy()
-        self._index()
+        self._marks()
         nv, d = self.vertices.shape
         nf = self.num_faces
         self.h, self.hn, self.mass_h2 = (np.empty((nv, d)), np.empty(nv),
@@ -222,33 +210,15 @@ class _StepWorkspace:
         self.terms = _gradient_terms(v)
         self._sum_all()
 
-    def _index(self) -> None:
-        """The vertex -> face incidence of the current faces: row i lists
-        the faces of vertex i in increasing order, padded with nf, the
-        index of a mark slot no face owns.  Sorting the keys vertex * n +
-        corner position groups each vertex's corners in face order."""
-        nv, d = self.vertices.shape
-        n = self.faces.size
-        keys = self.faces.ravel() * n
-        keys += np.arange(n)
-        keys.sort()
-        owner, pos = np.divmod(keys, n)
-        self._incidence = _padded_rows(owner, pos // d, nv, self.num_faces)
-        self._marks()
-
     def _marks(self) -> None:
-        """Cleared face and vertex marks and local indices for the mesh, and
-        the state that the first step on a mesh starts from: no last step
-        (``move`` adds to every vertex) and no median bound."""
-        nv, nf = len(self.vertices), self.num_faces
-        self._face_mark = np.zeros(nf + 1, dtype=bool)
+        """A cleared vertex mark and local indices for the mesh, and the
+        state that the first step on a mesh starts from: no last step
+        (``move`` adds to every vertex)."""
+        nv = len(self.vertices)
         self._vertex_mark = np.zeros(nv, dtype=bool)
         self._local = np.zeros(nv, dtype=np.int64)
         self._was_moving, self._was_count = None, 0
         self._plan = self._keys = None
-        self._bound = None
-        self._rewritten_face = np.zeros(nf, dtype=bool)
-        self._rewritten = 0
 
     def move(self, dt: float) -> None:
         """One explicit step, x + dt * h, as a fresh mesh would take it; then
@@ -318,29 +288,6 @@ class _StepWorkspace:
             self._mass = float(self.face_mass.sum())
         return self._mass
 
-    def median_edge_holds(self, pred) -> bool:
-        """``pred(median edge length)`` for a monotone test ``pred`` (see
-        ``_median_holds``), settled from two order statistics when they
-        can settle it and counted otherwise.
-
-        The first test on a topology partitions the edge lengths once for
-        s_(k-B) and s_(k+B) (``_median_bounds``; s the sorted entries, k
-        = n // 2, B = n * ``MEDIAN_BOUND_SHARE``).  While fewer than B
-        entries have been rewritten since, the median lies between the
-        two: at most k - B + r < k entries lie below s_(k-B) and at least
-        k + B + 1 - r > k + 1 at or below s_(k+B), so s_(k-1) and s_k, and
-        their mean, lie between them.  pred(s_(k-B)) then makes the test
-        pass and not pred(s_(k+B)) makes it fail.
-        """
-        edges = self.rows["edge_lengths"]
-        if self._bound is None:
-            self._slack = int(edges.size * MEDIAN_BOUND_SHARE)
-            self._bound = _median_bounds(edges, self._slack)
-            self._rewritten = 0
-        settled = _median_shortcut(self._bound, self._rewritten, self._slack,
-                                   pred)
-        return _median_holds(edges, pred) if settled is None else settled
-
     def snapshot(self) -> DiscreteVarifold:
         """A mesh holding a copy of the vertices and the face rows, which it
         freezes.  A row that only the workspace holds (a writeable one) is
@@ -369,38 +316,34 @@ class _StepWorkspace:
     def _patch(self, v: DiscreteVarifold, change: RemeshChange) -> None:
         """Take the mesh v that a remesh pass made of the workspace's mesh.
 
-        A carried face's terms, shortest edge and caps, and a vertex's
-        sums, h, |h|, masses |h|^2 and incidence row, are gathered
-        through the change's face and vertex maps, one ``take`` each; the
-        vertices are a copy of v's and the face rows v's own, frozen (see
-        ``snapshot``).  A vertex keeps its sums when it keeps every face:
-        the faces it keeps are carried in the same order with the same
-        terms.  So only the vertices of faces the pass computed or removed
-        (the ring) are summed again (``_sum_ring``) and get their incidence
-        rows formed again.  ``mean_curvature`` forms h next on the ring and
+        A carried face's terms and caps, and a vertex's sums, h, |h| and
+        masses |h|^2, are gathered through the change's face and vertex
+        maps, one ``take`` each; the vertices are a copy of v's and the
+        face rows v's own, frozen (see ``snapshot``).  A vertex keeps its
+        sums when it keeps every face: the faces it keeps are carried in
+        the same order with the same terms.  So only the vertices of faces
+        the pass computed or removed (the ring) are summed again
+        (``_sum_ring``).  ``mean_curvature`` forms h next on the ring and
         on the vertices whose h the last step left to form.
         """
         if any(isinstance(r.ring, slice) for r in self._pending):
             self.mean_curvature()  # after a full build: h everywhere first
         src, vsrc = change.face_source, change.vertex_source
         computed = (src < 0).nonzero()[0]
-        # the new index of each face, -1 when removed, and of the padding;
-        # the computed faces (source -1) write the padding slot, set last
-        new_face = np.full(self.num_faces + 1, -1, dtype=np.int32)
-        new_face[src] = np.arange(len(src))
-        new_face[-1] = len(src)
-        # and of each vertex, the split midpoints writing a spare last slot
+        # the faces the pass kept; the computed faces (source -1) mark a
+        # spare last slot
+        kept = np.zeros(self.num_faces + 1, dtype=bool)
+        kept[src] = True
+        # the new index of each vertex, the split midpoints writing a spare
+        # last slot
         new_vertex = np.full(len(self.vertices) + 1, -1)
         new_vertex[vsrc] = np.arange(len(vsrc))
-        left = new_vertex.take(self.faces.take(
-            np.flatnonzero(new_face[:-1] < 0), axis=0))
+        left = new_vertex.take(self.faces.compress(~kept[:-1], axis=0))
         pending = [new_vertex.take(r.ring) for r in self._pending]
         fmap, vmap = np.maximum(src, 0), np.maximum(vsrc, 0)
-        incidence = new_face.take(self._incidence.take(vmap, axis=0))
         self.terms = self.terms.take(fmap, axis=0)
         self.terms[computed] = change.terms
-        self.alt, self.caps, self.face_min = (
-            a.take(fmap) for a in (self.alt, self.caps, self._shortest()))
+        self.alt, self.caps = self.alt.take(fmap), self.caps.take(fmap)
         self.masses, self.hn, self.mass_h2 = (
             a.take(vmap) for a in (self.masses, self.hn, self.mass_h2))
         self.gradient = self.gradient.take(vmap, axis=0)
@@ -411,16 +354,11 @@ class _StepWorkspace:
         self.rows = dict(v._cache)
         self.face_mass = self.mult * self.rows["measures"]
         self._mass = None
-        self.face_min[computed] = _row_max(
-            self.rows["edge_lengths"].take(computed, axis=0), np.minimum)
-        self.min_edge = _min_edge(self.face_min)
+        self.min_edge = _min_edge(self.rows["edge_lengths"])
         self._marks()
         mark = self._vertex_mark
         mark[self.faces.take(computed, axis=0)] = True
         mark[left[left >= 0]] = True
-        ring = np.flatnonzero(mark)
-        self._incidence = _ring_incidence(incidence, ring, vsrc[ring] >= 0,
-                                          self.faces, computed)
         for p in pending:
             mark[p[p >= 0]] = True
         ring = np.flatnonzero(mark)
@@ -429,11 +367,12 @@ class _StepWorkspace:
         self._sum_ring(_Ring(self, ring))
 
     def _faces_at(self, idx: np.ndarray) -> np.ndarray:
-        """The faces touching the vertices ``idx``, in increasing order."""
-        mark = self._face_mark
-        mark[self._incidence.take(idx, axis=0)] = True
-        out = mark[:-1].nonzero()[0]
-        mark[out] = False
+        """The faces touching the vertices ``idx``, in increasing order.
+        The vertex mark is clear on entry and on exit."""
+        mark = self._vertex_mark
+        mark[idx] = True
+        out = _corner_max(mark, self.faces).nonzero()[0]
+        mark[idx] = False
         return out
 
     def refresh(self, idx: np.ndarray) -> None:
@@ -455,14 +394,12 @@ class _StepWorkspace:
                 _require_positive_measures(rows["measures"])
                 self.terms = rows.pop("corner_gradients")
                 self.rows = rows
-                self._rewritten = rows["edge_lengths"].size  # bound lapses
                 self._sum_all()
                 return
             if not len(dirty):
                 return
             plan = self._plan = _StepPlan(self, idx, dirty)
         dirty = plan.dirty
-        self._shortest()  # of the rows before this step's
         rows = _face_pass(self.vertices, plan.faces, plan.mult)
         _require_positive_measures(rows["measures"])
         self.terms[dirty] = rows.pop("corner_gradients")
@@ -473,25 +410,8 @@ class _StepWorkspace:
             row[dirty] = new
         self.face_mass[dirty] = plan.mult * rows["measures"]
         self._mass = None
-        shortest = _row_max(rows["edge_lengths"], np.minimum)
-        # the minimum stays exact: it can rise only if a dirty face held it
-        held = self.face_min.take(dirty).min() <= self.min_edge
-        self.face_min[dirty] = shortest
-        self.min_edge = (float(self.face_min.min()) if held else
-                         min(self.min_edge, float(shortest.min())))
-        if self._bound is not None and self._rewritten < self._slack:
-            fresh = dirty[~self._rewritten_face.take(dirty)]
-            self._rewritten_face[fresh] = True
-            self._rewritten += fresh.size * rows["edge_lengths"].shape[1]
+        self.min_edge = _min_edge(self.rows["edge_lengths"])
         self._sum_ring(plan.ring)
-
-    def _shortest(self) -> np.ndarray:
-        """``face_min``, the shortest edge per face, formed from the rows on
-        its first use after a full build: a step that rebuilds every row
-        reads the minimum edge off the rows themselves."""
-        if self.face_min is None:
-            self.face_min = _row_max(self.rows["edge_lengths"], np.minimum)
-        return self.face_min
 
     def _sum_all(self) -> None:
         """The face masses, the minimum edge and the vertex sums of every
@@ -500,7 +420,6 @@ class _StepWorkspace:
         nv = len(self.vertices)
         self.face_mass = self.mult * self.rows["measures"]
         self._mass = None
-        self.face_min = None  # formed on first use (``_shortest``)
         self.min_edge = _min_edge(self.rows["edge_lengths"])
         self.masses = _lumped_masses(self.faces, self.mult,
                                      self.rows["measures"], nv)
@@ -584,84 +503,9 @@ def _take(a: np.ndarray, idx) -> np.ndarray:
     return a[idx] if isinstance(idx, slice) else a.take(idx, axis=0)
 
 
-def _padded_rows(owner: np.ndarray, values: np.ndarray, n: int, fill: int,
-                 width: int = 0) -> np.ndarray:
-    """(n, w) rows: row i lists the ``values`` whose ``owner`` (sorted) is
-    i, in order, padded with ``fill``; w is the longest row's length or
-    ``width``, whichever is larger."""
-    counts = np.bincount(owner, minlength=n)
-    width = max(width, int(counts.max(initial=0)))
-    slot = owner * width
-    slot += np.arange(len(owner))
-    slot -= (np.cumsum(counts) - counts)[owner]
-    rows = np.full((n, width), fill, dtype=np.int32)
-    rows.ravel()[slot] = values
-    return rows
-
-
-def _ring_incidence(incidence: np.ndarray, ring: np.ndarray,
-                    carried: np.ndarray, faces: np.ndarray,
-                    computed: np.ndarray) -> np.ndarray:
-    """``incidence`` with the rows of the vertices ``ring`` formed again:
-    a row keeps the faces it lists if its vertex is ``carried`` (-1 marks a
-    removed face) and gains the ``computed`` faces at its vertex."""
-    nf, width = len(faces), incidence.shape[1]
-    rows = incidence.take(ring, axis=0)
-    rows[~carried[:, None] | (rows < 0)] = nf
-    keys = np.concatenate([
-        (np.arange(len(ring)) * (nf + 1))[:, None] + rows,
-        np.searchsorted(ring, faces.take(computed, axis=0)) * (nf + 1)
-        + computed[:, None]], axis=None)
-    keys.sort()
-    owner, face = np.divmod(keys, nf + 1)
-    listed = face < nf
-    rows = _padded_rows(owner[listed], face[listed], len(ring), nf, width)
-    if rows.shape[1] > width:
-        incidence = np.hstack([incidence, np.full(
-            (len(incidence), rows.shape[1] - width), nf, dtype=np.int32)])
-    incidence[ring] = rows
-    return incidence
-
-
 def _min_edge(lengths: np.ndarray) -> float:
-    """The smallest of the edge lengths (all of them, or the shortest per
-    face), 0.0 with no face."""
+    """The smallest of the edge lengths, 0.0 with no face."""
     return float(lengths.min()) if len(lengths) else 0.0
-
-
-def _median_shortcut(bound, rewritten: int, slack: int, pred):
-    """``pred(median)`` for a monotone ``pred`` (see ``_median_holds``) from
-    ``bound``, the entries s_(k - slack) and s_(k + slack) of the sorted
-    edge lengths taken before ``rewritten`` of them were rewritten
-    (``_median_bounds``): True when pred holds at the lower bound, False
-    when it fails at the upper; None when the two do not settle it or
-    ``rewritten`` is not below ``slack``, so that the bound may have
-    lapsed."""
-    if rewritten < slack:
-        lo, hi = bound
-        if pred(lo):
-            return True
-        if not pred(hi):
-            return False
-    return None
-
-
-def _median_bounds(a: np.ndarray, slack: int):
-    """(s_(k - slack), s_(k + slack)) of the sorted entries s of a, k = n //
-    2, the indices clamped to the entries; (-inf, inf) with no entry.  Two
-    single-kth partitions, the second on the first's lower part: one
-    partition with both kths takes about twice as long."""
-    flat = a.ravel()
-    n = flat.size
-    if n == 0:
-        return -np.inf, np.inf
-    k = n // 2
-    lo, hi = max(k - slack, 0), min(k + slack, n - 1)
-    part = np.partition(flat, hi)
-    below = part[:hi]
-    if lo < hi:
-        below.partition(lo)
-    return float(below[lo] if lo < hi else part[hi]), float(part[hi])
 
 
 def evolve(v0: DiscreteVarifold, t_end: float,
@@ -703,15 +547,16 @@ def evolve(v0: DiscreteVarifold, t_end: float,
             need_remesh = (steps_since_remesh >= REMESH_EVERY)
             # the median edge length is read only through these two tests
             if not need_remesh and steps_since_remesh >= REMESH_BACKOFF:
-                need_remesh = ws.median_edge_holds(
+                need_remesh = _median_holds(
+                    ws.rows["edge_lengths"],
                     lambda e: ws.min_edge < REMESH_MIN_RATIO * e)
             if need_remesh:
                 delta = ws.remesh()
                 steps_since_remesh = 0
             # no median lies below the minimum edge
             if ws.num_faces == 0 or (
-                    ws.min_edge < floor and not ws.median_edge_holds(
-                        lambda e: e >= floor)):
+                    ws.min_edge < floor and not _median_holds(
+                        ws.rows["edge_lengths"], lambda e: e >= floor)):
                 raise ResolutionExhausted(
                     f"resolution exhausted at t={t:.6g}: surface collapsed "
                     "below the policy floor", traj)

@@ -416,8 +416,10 @@ def rescaled_window(traj: FlowTrajectory, eps: float,
                           ledger=[], policy=traj.policy)
 
 
-def _analytic_excess_bound(cfg: ExperimentConfig, h: int, e0: float):
-    """Flatness-driven bound on the window excess, unit c(n).
+def _analytic_excess_bound(cfg: ExperimentConfig, h: int, e0: float,
+                           n: int):
+    """Flatness-driven bound on the window excess of an n-dimensional
+    surface, unit c(n).
 
     Needs a window scale L >= 2 with 2 L lambda_h < r0; at coarse desk
     scales no such L exists and the bound is not applicable (NaN).
@@ -427,7 +429,6 @@ def _analytic_excess_bound(cfg: ExperimentConfig, h: int, e0: float):
     if l_max <= 2.0:
         return float("nan")
     big_l = min(l_max * (1.0 - 1e-9), max(2.0, math.log(max(3.0, 1.0 / lam))))
-    n = 2
     lb = math.log(cfg.log_base)
     arg = 1.0 / (2.0 ** ((h + 1) / 2.0) * cfg.eps * big_l)
     logterm = (math.log(arg) / lb) ** (-2.0 * cfg.alpha) if arg > 1 else float("inf")
@@ -485,7 +486,7 @@ def orchestrate(cfg: ExperimentConfig,
                                      t1=window_start(h))
         rep = expanding_holes_run(wtraj, cfg_h)
         reports.append(rep)
-        bound = _analytic_excess_bound(cfg, h, e0)
+        bound = _analytic_excess_bound(cfg, h, e0, n)
         if math.isnan(bound):
             schedule_notes.append(
                 f"h={h}: window-scale condition infeasible at this eps; "

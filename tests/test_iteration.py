@@ -15,7 +15,8 @@ from holeflow.iteration import (ExperimentConfig, am1_holds, am2_holds,
                                 build_schedule, choose_tail_start,
                                 density_floor_check, empty_spot_scale_log,
                                 orchestrate, partial_sum, series_term,
-                                tail_sum, _tail_integral)
+                                tail_sum, _analytic_excess_bound,
+                                _tail_integral)
 from holeflow.varifold import DiscreteVarifold
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -278,6 +279,17 @@ class TestDensityFloor:
 
 
 class TestOrchestrate:
+    def test_excess_bound_follows_the_surface_dimension(self):
+        # the bound carries L^(n + 2), so a curve's bound and a surface's
+        # differ by one factor of L; at eps = 1e-4 the window-scale
+        # condition holds (r0 / (2 lambda_1) = 500 > 2), L = log(1 / eps)
+        cfg = ExperimentConfig(eps=1e-4)
+        b1, b2 = (_analytic_excess_bound(cfg, 1, 1.0, n) for n in (1, 2))
+        assert math.isfinite(b1) and math.isfinite(b2)
+        assert b2 == pytest.approx(b1 * math.log(1e4), rel=1e-14)
+        assert math.isnan(_analytic_excess_bound(ExperimentConfig(), 1, 1.0,
+                                                 1))
+
     def test_scale_covariance_of_ratio_sequence(self):
         # running the pipeline on a 2x parabolically rescaled fixture with
         # eps scaled alongside reproduces the density-ratio sequence; for a

@@ -9,8 +9,8 @@ from holeflow.fixtures import (circle_mesh, cylinder_tube, disk_triangulation,
                                icosphere, make_fixture, square_sheet)
 from holeflow.remesh import remesh
 from holeflow.flow import (DISP_CAP, FRESH_BUILD_DIRTY_FRACTION,
-                           MOVING_SET_SHARE, REST_FLOOR, _median_bounds,
-                           _median_holds, _median_shortcut, _StepWorkspace)
+                           MOVING_SET_SHARE, REST_FLOOR, _median_holds,
+                           _StepWorkspace)
 from holeflow import flow, varifold
 from holeflow.varifold import (DiscreteVarifold, _column_face_pass,
                                _face_pass, _median, _stacked_face_pass,
@@ -614,8 +614,9 @@ def _assert_workspace_matches_fresh(ws):
     bitwise that of a mesh built fresh at its vertices; h, |h| and the step
     caps follow the flow's rest rule from the fresh mean curvature.  Every
     array is C-contiguous and equals that of a workspace built in full on
-    the fresh mesh, whose incidence rows list the same faces.  A row the
-    snapshot holds is read-only in the workspace as well."""
+    the fresh mesh, and the faces it finds at random vertex sets are those
+    with a corner in the set.  A row the snapshot holds is read-only in the
+    workspace as well."""
     fresh = DiscreteVarifold(ws.vertices.copy(), ws.faces, ws.mult,
                              ws.boundary)
     h = mean_curvature(ws)
@@ -630,16 +631,13 @@ def _assert_workspace_matches_fresh(ws):
     if fresh.num_faces:
         face_h = np.max(ref_hn[fresh.faces], axis=1)
         _assert_same_bits(ws.min_edge, fresh.min_edge_length())
-        _assert_same_bits(ws._shortest(),
-                          np.min(fresh._edge_lengths(), axis=1))
-        # the median tests, settled from the kept bounds or counted, at
-        # thresholds on and next to the median and the bounds
+        # the median tests at thresholds on and next to the median
         edges = fresh._edge_lengths()
         mid = _median(edges)
-        for x in (mid, np.nextafter(mid, 0.0), np.nextafter(mid, np.inf),
-                  *_median_bounds(edges, edges.size // 16)):
+        for x in (mid, np.nextafter(mid, 0.0), np.nextafter(mid, np.inf)):
             for pred in (lambda e: e >= x, lambda e: x < e):
-                assert ws.median_edge_holds(pred) == _median_holds(edges, pred)
+                assert (_median_holds(ws.rows["edge_lengths"], pred)
+                        == bool(pred(mid)))
         alt, active = fresh.face_altitudes(), face_h > 0.0
         with np.errstate(divide="ignore"):
             caps = np.minimum(ws.c_stab * alt**2, DISP_CAP * alt / face_h)
@@ -662,10 +660,14 @@ def _assert_workspace_matches_fresh(ws):
         ref = (built.rows[key[4:]] if key.startswith("row ")
                else getattr(built, key))
         _assert_same_bits(a, ref)
-    assert ws._incidence.flags.c_contiguous
-    for got, want in zip(ws._incidence, built._incidence, strict=True):
-        _assert_same_bits(got[got < ws.num_faces],
-                          want[want < ws.num_faces])
+    rng = np.random.default_rng(ws.num_faces)
+    nv = len(ws.vertices)
+    for size in (0, 1, 3, nv // 10, nv // 2, nv):
+        idx = np.sort(rng.choice(nv, size, replace=False))
+        assert not ws._vertex_mark.any()
+        _assert_same_bits(ws._faces_at(idx),
+                          np.isin(ws.faces, idx).any(axis=1).nonzero()[0])
+        assert not ws._vertex_mark.any()
     snap = ws.snapshot()
     rows = _face_pass(fresh.vertices, fresh.faces)
     assert sorted(snap._cache) == sorted(rows)
@@ -883,79 +885,6 @@ def test_first_step_after_patched_remesh_adds_to_every_vertex():
     _assert_same_bits(ws.vertices, want)
     assert not np.any(np.signbit(ws.vertices[:, 2]) & (ws.hn == 0.0))
     _assert_workspace_matches_fresh(ws)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(values=st.lists(st.floats(1e-3, 1.0), min_size=8, max_size=60,
-                       unique=True),
-       share=st.integers(4, 16), shift=st.sampled_from(["up", "down",
-                                                        "random"]),
-       seed=st.integers(0, 2**31 - 1), pick=st.integers(0, 10**6),
-       strict=st.booleans())
-def test_median_shortcut_equals_count_across_rewrites(values, share, shift,
-                                                      seed, pick, strict):
-    # the bounds taken before r entries are rewritten settle the test of
-    # the median, when they settle it, as counting does afterwards, while
-    # r < B; at r = B and B + 1 the shortcut must not answer.  The largest
-    # entries rewritten to tiny values, or the smallest to huge ones, move
-    # the median by r ranks, the most that r rewrites can
-    a = np.asarray(values)
-    slack = max(1, len(a) // share)
-    bound = _median_bounds(a, slack)
-    rng = np.random.default_rng(seed)
-    for r in (slack - 1, slack, slack + 1):
-        new = a.copy()
-        order = np.argsort(a)
-        if shift == "up":
-            new[order[:r]] = 2.0 + rng.random(r)
-        elif shift == "down":
-            new[order[len(a) - r:]] = 1e-4 * rng.random(r)
-        else:
-            new[rng.choice(len(a), r, replace=False)] = rng.random(r)
-        cands = np.concatenate([a, new, bound, [_median(a), _median(new)]])
-        x = float(cands[pick % len(cands)])
-        pred = (lambda e: e >= x) if strict else (lambda e: x < e)
-        got = _median_shortcut(bound, r, slack, pred)
-        if r >= slack:
-            assert got is None
-            continue
-        # below B the bounds hold the median, whatever was rewritten
-        assert bound[0] <= _median(new) <= bound[1]
-        if got is not None:
-            assert got == _median_holds(new, pred)
-
-
-def test_workspace_median_bound_lapses_after_rewrites():
-    # the bounds taken on the first test hold the median only while fewer
-    # than B edge lengths are rewritten: lifting the sheet's interior
-    # vertices up and down in turn, a few per step, lengthens most edges
-    # and moves the median above the upper bound, and the workspace must
-    # then count instead of answering from the stale bound
-    sheet = square_sheet(2.0, 4)
-    ws = _StepWorkspace(sheet, sheet.median_edge_length())
-    assert ws.median_edge_holds(lambda e: e >= 0.0)
-    lo, hi = ws._bound
-    inner = np.flatnonzero(~sheet.boundary)
-    for chunk in np.array_split(inner, 20):
-        ws.vertices[chunk, 2] = np.where(chunk % 2, 0.1, -0.1)
-        ws.refresh(chunk)
-    edges = ws.rows["edge_lengths"]
-    mid = _median(edges)
-    assert mid > hi
-    x = 0.5 * (mid + hi)
-    for pred in (lambda e: e >= x, lambda e: x < e):
-        assert ws.median_edge_holds(pred)
-        assert _median_holds(edges, pred)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(n=st.integers(1, 80), seed=st.integers(0, 2**31 - 1),
-       slack=st.integers(0, 50))
-def test_median_bounds_are_order_statistics(n, seed, slack):
-    a = np.random.default_rng(seed).random(n)
-    s, k = np.sort(a), n // 2
-    lo, hi = _median_bounds(a.reshape(-1, 1), slack)
-    assert lo == s[max(k - slack, 0)] and hi == s[min(k + slack, n - 1)]
 
 
 def test_workspace_keeps_the_mesh_checks():
