@@ -20,8 +20,8 @@ at the root of the checkout after every pair, holds:
 - ``environment``: the benchmark's own environment report (from the
   parent's first run) and numpy's SIMD extensions;
 - per workload, ``runs``: every run's result line as printed, with its
-  pair, its tree, its place in the pair, its per-call times and the load
-  average before and after it;
+  pair, its tree, its place in the pair and the load average before and
+  after it;
 - per workload and ``BENCHMARK.json`` end-to-end metric, ``metrics``:
   each tree's median and quartiles, the change/parent ratio of the
   medians, and ``change_won``, the number of pairs in which the change
@@ -66,7 +66,6 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     *_, report_line, result_line = out.stdout.splitlines()
     report = json.loads(report_line)["report"]
     return {"result": json.loads(result_line), "env": report["env"],
-            "call_s": report["call_s"],
             "loadavg": [report["loadavg_before"], report["loadavg_after"]]}
 
 
