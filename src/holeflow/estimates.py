@@ -20,14 +20,13 @@ from .geom import UNIT_BALL_VOLUME, Plane, dot_last, norm_last
 from .kernels import CutoffProfile, cylindrical_cutoff, radial_cutoff
 from .varifold import (DiscreteVarifold, _corner_max, _faces_reaching,
                        _normal_part, _quad_sums,
-                       ball_mass, interpolate_vertex_field, mean_curvature,
+                       interpolate_vertex_field, mean_curvature,
                        weight_measure, MEASUREMENT_SUBDIV, QUAD_ORDER)
 from .flow import FlowTrajectory
 
 DISSIPATION_COEF = 320.0          # rho^2 R^-4 mu^2 coefficient in the bound
 TOL_DISC_REL = 0.1
 TOL_DISC_ABS = 1e-8
-HEIGHT_BOUND_CONST = 50.0         # calibrated c(n,k) for the L^2 height bound
 MU_FLOOR = 1e-30
 DENSITY_RADII = 12                # radii of the gaussian_density_sup sweep
 
@@ -258,49 +257,6 @@ def expanding_holes_run(traj: FlowTrajectory,
                 "Rhat1": cfg.rhat1, "Rhat2": cfg.rhat2, "sigma": cfg.sigma,
                 "zeta": cfg.profile.zeta, "rho": cfg.profile.rho},
     )
-
-
-def ball_height_excess_sq(v: DiscreteVarifold, t_plane: Plane,
-                          r: float) -> float:
-    def integrand(p):
-        inside = norm_last(p) < r
-        return t_plane.normal_norm(p) ** 2 * inside
-
-    return weight_measure(v, integrand, subdiv=MEASUREMENT_SUBDIV)
-
-
-def l2_height_bound_check(traj: FlowTrajectory, t_plane: Plane, r: float,
-                          big_l: float) -> dict:
-    """Uniform-in-time L^2 height bound over [0, r^2] in the ball U_r.
-
-    lhs = sup_t r^-(k+2) integral_{U_r} |T_perp|^2 d||V_t||
-    rhs = e^(1/4) r^-(k+2) integral_{U_Lr} |T_perp|^2 d||V_0||
-          + c L^(k+2) exp(-(L-1)^2/8) sup_t ||V_t||(U_Lr) / (Lr)^k,
-    c = HEIGHT_BOUND_CONST.
-    Also reports the minimal constant in place of c closing the inequality.
-    """
-    if big_l < 2:
-        raise ValueError("need L >= 2")
-    k = traj.snapshots[0].surface_dim
-    t_max = r * r
-    window = traj.between(0.0, t_max)
-    if not window or window[-1][0] < t_max * (1 - 1e-9):
-        raise ValueError("trajectory too short for the height bound window")
-
-    lhs = max(ball_height_excess_sq(v, t_plane, r)
-              for _, v in window) / r ** (k + 2)
-
-    first = math.exp(0.25) * ball_height_excess_sq(
-        traj.snapshots[0], t_plane, big_l * r) / r ** (k + 2)
-    sup_mass_ratio = max(ball_mass(v, 0.0, big_l * r)
-                         for _, v in window) / (big_l * r) ** k
-    decay = big_l ** (k + 2) * math.exp(-(big_l - 1.0) ** 2 / 8.0)
-    rhs = first + HEIGHT_BOUND_CONST * decay * sup_mass_ratio
-    min_c = ((lhs - first) / (decay * sup_mass_ratio)
-             if decay * sup_mass_ratio > 0 else 0.0)
-    tol = 1e-9 + 0.01 * abs(rhs)
-    return {"lhs": lhs, "rhs": rhs, "pass": bool(lhs <= rhs + tol),
-            "min_c": min_c, "first_term": first, "L": big_l}
 
 
 def gaussian_density_sup(traj: FlowTrajectory, r0: float,

@@ -1,4 +1,4 @@
-"""Fixture surfaces: sheet stacks, branched disks, spheres, circles, tubes.
+"""Fixture surfaces: sheet stacks, branched disks and spheres.
 
 Stacked-disk fixtures stand in for stationary surfaces with a flat
 multiplicity-Q tangent at the origin; they are built from a common polar
@@ -98,28 +98,6 @@ def make_fixture(kind: str, q: int, mesh_level: int, radius: float = 1.0,
     return _stack_sheets(pts, faces, rim, heights)
 
 
-def square_sheet(side: float, level: int, height: float = 0.0) -> DiscreteVarifold:
-    """Flat square patch [-side/2, side/2]^2 x {height}, rim fixed."""
-    m = 2 ** level
-    xs = np.linspace(-side / 2, side / 2, m + 1)
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    verts = np.column_stack([xx.ravel(), yy.ravel(),
-                             np.full((m + 1) ** 2, float(height))])
-    faces = []
-    for i in range(m):
-        for j in range(m):
-            a = i * (m + 1) + j
-            b = a + 1
-            c = a + (m + 1)
-            d = c + 1
-            faces.append((a, b, c))
-            faces.append((b, d, c))
-    bnd = (np.abs(np.abs(verts[:, 0]) - side / 2) < 1e-15) | \
-          (np.abs(np.abs(verts[:, 1]) - side / 2) < 1e-15)
-    f = np.asarray(faces, dtype=np.int64)
-    return DiscreteVarifold(verts, f, np.ones(len(f), dtype=np.int64), bnd)
-
-
 def icosphere(level: int, radius: float = 1.0) -> DiscreteVarifold:
     """Subdivided icosahedron projected to the sphere; closed, no boundary."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
@@ -158,42 +136,3 @@ def icosphere(level: int, radius: float = 1.0) -> DiscreteVarifold:
     verts = verts * radius
     return DiscreteVarifold(verts, faces, np.ones(len(faces), dtype=np.int64),
                             np.zeros(len(verts), dtype=bool))
-
-
-def circle_mesh(level: int, radius: float = 1.0) -> DiscreteVarifold:
-    """Closed polygon in R^2 approximating a circle (n = 1)."""
-    n = 6 * 2 ** level
-    ang = 2.0 * np.pi * np.arange(n) / n
-    verts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    faces = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
-    return DiscreteVarifold(verts, faces, np.ones(n, dtype=np.int64),
-                            np.zeros(n, dtype=bool))
-
-
-def cylinder_tube(level: int, radius: float = 1.0,
-                  half_height: float = 1.0) -> DiscreteVarifold:
-    """Tube around the z-axis with fixed end rings."""
-    seg = 6 * 2 ** level
-    rows = 2 ** level + 1
-    zs = np.linspace(-half_height, half_height, rows)
-    ang = 2.0 * np.pi * np.arange(seg) / seg
-    verts = []
-    for z in zs:
-        verts.append(np.column_stack([radius * np.cos(ang),
-                                      radius * np.sin(ang),
-                                      np.full(seg, z)]))
-    verts = np.vstack(verts)
-    faces = []
-    for i in range(rows - 1):
-        for j in range(seg):
-            a = i * seg + j
-            b = i * seg + (j + 1) % seg
-            c = a + seg
-            d = b + seg
-            faces.append((a, b, c))
-            faces.append((b, d, c))
-    bnd = np.zeros(len(verts), dtype=bool)
-    bnd[:seg] = True
-    bnd[-seg:] = True
-    f = np.asarray(faces, dtype=np.int64)
-    return DiscreteVarifold(verts, f, np.ones(len(f), dtype=np.int64), bnd)

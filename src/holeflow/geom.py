@@ -168,11 +168,6 @@ def grassmann_gap(s: Plane, t: Plane) -> dict:
     }
 
 
-def tangential_divergence(g_jacobian: np.ndarray, s: Plane) -> float:
-    """div^S g = sum_ij S_ij dg_i/dx_j for a Jacobian J_ij = dg_i/dx_j."""
-    return float(np.sum(np.asarray(g_jacobian) * s.proj))
-
-
 def random_plane(k: int, ambient_dim: int, rng: np.random.Generator) -> Plane:
     """Random plane from orthonormalized Gaussian vectors (test sampling)."""
     while True:

@@ -70,15 +70,14 @@ def series_term(q, alpha: float, n: int, log_base: float = math.e):
     return out if out.ndim else float(out)
 
 
-def partial_sum(k_start: int, q_max: int, alpha: float, n: int,
-                log_base: float = math.e) -> float:
+def partial_sum(k_start: int, q_max: int, alpha: float, n: int) -> float:
     """Direct sum of a_q^2 for q in [k_start, q_max]; no convergence claim."""
     _check_q(k_start)
     total = 0.0
     q = k_start
     while q <= q_max:
         hi = min(q + PARTIAL_SUM_CHUNK, q_max + 1)
-        total += float(np.sum(series_term(np.arange(q, hi), alpha, n, log_base)))
+        total += float(np.sum(series_term(np.arange(q, hi), alpha, n)))
         q = hi
     return total
 
@@ -231,10 +230,9 @@ def empty_spot_scale_log(n: int, r0: float, alpha: float) -> float:
 
 
 def choose_tail_start(alpha: float, n: int, budget: float, r0: float,
-                      log_r1: float, c_e0_m: float,
-                      rel_tol: float = 1e-4,
-                      log_base: float = math.e) -> Optional[int]:
-    """Minimal admissible K with tail_sum(K) <= budget / c_e0_m, or None.
+                      log_r1: float, c_e0_m: float) -> Optional[int]:
+    """Minimal admissible K with tail_sum(K) <= budget / c_e0_m, or None;
+    the tails are summed to 1e-4 relative.
 
     None means no K up to 10^9 closes the budget (expected for exponents
     barely above 1/2, where the series total is astronomically large).
@@ -245,20 +243,20 @@ def choose_tail_start(alpha: float, n: int, budget: float, r0: float,
     # am2 holds exactly for q > -1 - 2 log r1 / ln 2, and am1 and am2 are
     # monotone in q, so no admissible index lies below this start
     q = max(3, int(-1.0 - 2.0 * log_r1 / LN2) - 1)
-    while q < MAX_TAIL_START and not (am1_holds(q, r0, log_base)
+    while q < MAX_TAIL_START and not (am1_holds(q, r0)
                                       and am2_holds(q, log_r1)):
         q += 1
     k_cond = q
     if k_cond >= MAX_TAIL_START:
         return None
-    if tail_sum(k_cond, alpha, n, rel_tol, log_base) <= target:
+    if tail_sum(k_cond, alpha, n, rel_tol=1e-4) <= target:
         return k_cond
-    if tail_sum(MAX_TAIL_START, alpha, n, rel_tol, log_base) > target:
+    if tail_sum(MAX_TAIL_START, alpha, n, rel_tol=1e-4) > target:
         return None
     lo, hi = k_cond, MAX_TAIL_START
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if tail_sum(mid, alpha, n, rel_tol, log_base) <= target:
+        if tail_sum(mid, alpha, n, rel_tol=1e-4) <= target:
             hi = mid
         else:
             lo = mid
@@ -307,8 +305,7 @@ class IterationSchedule:
 
 
 def build_schedule(depth: int, tail_start: int, alpha: float, n: int,
-                   r0: float, log_base: float = math.e,
-                   rel_tol: float = 1e-6) -> IterationSchedule:
+                   r0: float, log_base: float = math.e) -> IterationSchedule:
     if depth <= tail_start:
         raise ValueError("need depth J > tail start K")
     if tail_start < 3:
@@ -323,7 +320,7 @@ def build_schedule(depth: int, tail_start: int, alpha: float, n: int,
     terms = list(series_term(qs, alpha, n, log_base))
     failed = [int(q) for q in qs
               if not (am1_holds(int(q), r0, log_base) and am2_holds(int(q), log_r1))]
-    tail = tail_sum(tail_start, alpha, n, rel_tol, log_base)
+    tail = tail_sum(tail_start, alpha, n, log_base=log_base)
     return IterationSchedule(
         depth=depth, tail_start=tail_start, alpha=alpha, n=n, r0=r0,
         log_r1=log_r1, eps=eps, window_scales=windows, terms=terms,
@@ -446,6 +443,10 @@ def orchestrate(cfg: ExperimentConfig,
     h = 1 and the iteration window (t in [1/2, 1]) for h >= 2.  The result
     chains the density ratios, compares the final weighted mass against the
     initial surface (strict-drop check), and records the total mass drop.
+
+    Refuses (ValueError) a j whose last window's cylinder, of radius
+    sqrt(2) lambda_j, reaches past the nearest fixed-boundary vertex of v0
+    (in |T x|): that window would measure beyond the surface.
     """
     if v0 is None:
         v0 = make_fixture(cfg.kind, cfg.q, cfg.mesh_level,
@@ -453,6 +454,13 @@ def orchestrate(cfg: ExperimentConfig,
     n = v0.surface_dim
     omega = UNIT_BALL_VOLUME[n]
     t_plane = coordinate_plane(list(range(n)), v0.ambient_dim)
+    if np.any(v0.boundary):
+        reach = math.sqrt(2.0) * window_scale(cfg.eps, cfg.j)
+        rim = float(np.min(t_plane.tangential_norm(v0.vertices[v0.boundary])))
+        if reach > rim * (1.0 + 1e-12):
+            raise ValueError(
+                f"window {cfg.j} reaches |Tx| = {reach:.4g}, past the fixed "
+                f"boundary at {rim:.4g}; choose a smaller j")
     envelope = GrowthEnvelope(alpha=cfg.alpha, r0=cfg.r0)
     ok, excess = envelope_check(v0, envelope, t_plane)
     if not ok:

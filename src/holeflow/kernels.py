@@ -180,14 +180,14 @@ class HeatKernel:
 
 
 def heat_identity_residual(kernel: HeatKernel, x: np.ndarray, t: float,
-                           s_plane: Plane, floor: float = 1e-300):
+                           s_plane: Plane):
     """(D^2 rho . S) + |S_perp(grad rho)|^2 / rho + d rho/dt at (x, t).
 
     Vanishes identically in exact arithmetic for every k-plane S.  Returns
-    None (skip flag) when the kernel value underflows below the floor.
+    None (skip flag) when the kernel value underflows to 1e-300 or below.
     """
     val = kernel.value(x, t)
-    if np.any(val <= floor):
+    if np.any(val <= 1e-300):
         return None
     hess = kernel.hessian(x, t)
     grad = kernel.gradient(x, t)

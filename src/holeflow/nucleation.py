@@ -113,10 +113,6 @@ def squash_points(m: SquashMap, t_plane: Plane, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def squash_point(m: SquashMap, t_plane: Plane, x) -> np.ndarray:
-    return squash_points(m, t_plane, np.asarray(x, dtype=float)[None, :])[0]
-
-
 def validate_nucleation_scale(v: DiscreteVarifold, t_plane: Plane,
                               eps: float) -> None:
     """Height-bound precondition: inside U_2eps the surface stays within

@@ -119,12 +119,6 @@ class DiscreteVarifold:
         """Area (n=2) or length (n=1) of each face."""
         return self._cache["measures"]
 
-    def face_normals(self) -> np.ndarray:
-        """Unit normals (n=2 only), orientation per stored vertex order."""
-        if self.surface_dim != 2:
-            raise ValueError("face normals need surface dimension 2")
-        return self._cache["normals"]
-
     def face_projectors(self, keep=None) -> np.ndarray:
         """(nk, d, d) orthogonal projectors onto the tangent planes of all
         faces or of the faces ``keep`` selects: t t (n = 1) or I - nu nu
@@ -352,14 +346,13 @@ def _corner_max(values: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_max(a: np.ndarray, op=np.maximum) -> np.ndarray:
+def _row_max(a: np.ndarray) -> np.ndarray:
     """Largest entry of each row of an (m, k) array with few columns, k - 1
-    column-wise ``op`` calls: the values of ``np.max(a, axis=1)`` (``np.any``
-    for booleans; ``np.min`` with ``op=np.minimum``), several times
-    faster."""
+    column-wise ``np.maximum`` calls: the values of ``np.max(a, axis=1)``
+    (``np.any`` for booleans), several times faster."""
     out = a[:, 0].copy()
     for k in range(1, a.shape[1]):
-        op(out, a[:, k], out=out)
+        np.maximum(out, a[:, k], out=out)
     return out
 
 
@@ -610,45 +603,6 @@ def mean_curvature(v: DiscreteVarifold) -> np.ndarray:
     if v.ambient_dim not in (2, 3):
         raise ValueError("mean curvature implemented for ambient dim 2 and 3")
     return _curvature(area_gradient(v), vertex_masses(v), v.boundary)
-
-
-def vertex_projectors(v: DiscreteVarifold) -> np.ndarray:
-    """Averaged tangent projector per vertex.
-
-    Mass-weighted mean of adjacent face projectors, re-projected to the
-    nearest rank-n orthogonal projector via eigendecomposition.
-    """
-    d = v.ambient_dim
-    fw = v.multiplicity * v.face_measures()
-    idx = v.faces.ravel()
-    wfp = np.repeat(fw[:, None, None] * v.face_projectors(), d, axis=0)
-    acc = np.zeros((v.num_vertices, d, d))
-    for a in range(d):
-        for b in range(d):
-            acc[:, a, b] = _scatter_add(idx, wfp[:, a, b], v.num_vertices)
-    wsum = _scatter_add(idx, np.repeat(fw, d), v.num_vertices)
-    out = np.zeros_like(acc)
-    ok = wsum > 0
-    acc[ok] /= wsum[ok, None, None]
-    vecs = np.linalg.eigh(acc[ok]).eigenvectors
-    # top n eigenvectors span the averaged tangent plane
-    top = vecs[:, :, 1:]  # eigh sorts ascending; keep largest d-1 = n
-    out[ok] = np.einsum("vik,vjk->vij", top, top)
-    return out
-
-
-def perpendicularity_defect(v: DiscreteVarifold, h_field: np.ndarray,
-                            floor: float = 1e-30) -> float:
-    """max_vertices |S(h)| / (|h| + floor), S the averaged vertex tangent.
-
-    Diagnostic for the perpendicularity of the discrete mean curvature;
-    exact schemes would give 0, discrete ones converge under refinement.
-    """
-    proj = vertex_projectors(v)
-    tang = np.einsum("vij,vj->vi", proj, h_field)
-    num = np.linalg.norm(tang, axis=1)
-    den = np.linalg.norm(h_field, axis=1) + floor
-    return float(np.max(num / den)) if len(num) else 0.0
 
 
 def interpolate_vertex_field(v: DiscreteVarifold, field: np.ndarray,

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from holeflow.fixtures import icosphere, make_fixture, square_sheet
+from holeflow.fixtures import icosphere, make_fixture
 from holeflow.geom import coordinate_plane
 from holeflow.kernels import make_profile
+
+from helpers import square_sheet
 
 EPS = 0.05
 

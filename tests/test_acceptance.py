@@ -12,7 +12,7 @@ import numpy as np
 
 from holeflow import verify
 from holeflow.estimates import ExpandingHolesConfig, expanding_holes_run
-from holeflow.fixtures import icosphere, make_fixture, square_sheet
+from holeflow.fixtures import icosphere, make_fixture
 from holeflow.flow import DtPolicy, brakke_inequality_test, evolve
 from holeflow.geom import coordinate_plane
 from holeflow.iteration import (ExperimentConfig, orchestrate, partial_sum,
@@ -20,9 +20,10 @@ from holeflow.iteration import (ExperimentConfig, orchestrate, partial_sum,
                                 window_end, window_times)
 from holeflow.kernels import make_profile
 from holeflow.nucleation import nucleate
-from holeflow.testfunctions import random_scalar_test
 from holeflow.varifold import density_ratio, parabolic_rescale, weight_measure
 from holeflow.estimates import height_excess_sq
+
+from helpers import random_scalar_test, square_sheet
 
 EPS = 0.05
 T_PLANE = coordinate_plane([0, 1], 3)

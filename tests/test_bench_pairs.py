@@ -1,4 +1,5 @@
-"""The paired benchmark driver's summary, on made-up runs."""
+"""The paired benchmark driver's summary, on made-up runs, and the fixed
+directory it runs each tree from."""
 
 import importlib.util
 from pathlib import Path
@@ -42,3 +43,21 @@ def test_summary_reads_each_metric_in_its_direction(bench_pairs):
     assert rate["change_won"] == 1  # only pair 3 reads higher
     assert got["failed"] == {"parent": {"failed": 1, "attempted": 20},
                              "change": {"failed": 0, "attempted": 20}}
+
+
+def test_each_run_moves_its_tree_to_the_fixed_path_and_back(bench_pairs,
+                                                            tmp_path):
+    tree, fixed = tmp_path / "pairs-abc", tmp_path / "pairs-run"
+    tree.mkdir()
+    (tree / "marker").write_text("abc")
+    with bench_pairs.moved_to(tree, fixed) as here:
+        assert here == fixed
+        assert (here / "marker").read_text() == "abc"
+        assert not tree.exists()
+    assert (tree / "marker").read_text() == "abc"
+    assert not fixed.exists()
+    with pytest.raises(SystemExit):
+        with bench_pairs.moved_to(tree, fixed):
+            raise SystemExit("the run failed")
+    assert (tree / "marker").read_text() == "abc"
+    assert not fixed.exists()

@@ -310,6 +310,12 @@ class TestExperimentCommand:
         assert "--j: must be positive" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_window_past_the_rim_is_refused(self, tmp_path, capsys):
+        rc = run_cli("experiment", "--j", "5", "--level", "4",
+                     "--out-dir", str(tmp_path / "exp"))
+        assert rc == 1
+        assert "refused: window 5" in capsys.readouterr().err
+
 
 class TestEvolveCommand:
     def test_negative_end_time_is_usage_error(self, tmp_path, capsys):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holeflow.dvar import DvarParseError, read_dvar, write_dvar
-from holeflow.fixtures import circle_mesh, make_fixture
+from holeflow.fixtures import make_fixture
+
+from helpers import circle_mesh
 
 
 def test_roundtrip_triangle_mesh(tmp_path):

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from holeflow.estimates import (ExpandingHolesConfig, _faces_reaching,
                                 dissipation_check, expanding_holes_run,
                                 gaussian_density_sup, height_excess_sq,
-                                curvature_l2_sq, l2_height_bound_check,
-                                slab_mass, slab_weighted_mass)
-from holeflow.fixtures import icosphere, make_fixture, square_sheet
+                                curvature_l2_sq, slab_mass,
+                                slab_weighted_mass)
+from holeflow.fixtures import make_fixture
 from holeflow.flow import DtPolicy, FlowTrajectory, evolve
 from holeflow.geom import coordinate_plane, random_plane
 from holeflow.kernels import (cylindrical_cutoff, cylindrical_cutoff_gradient,
@@ -19,13 +19,14 @@ from holeflow.kernels import (cylindrical_cutoff, cylindrical_cutoff_gradient,
 from holeflow.nucleation import nucleate
 from holeflow.quadrature import simplex_rule
 from holeflow import varifold
-from holeflow.testfunctions import bump_test_field
 from holeflow.varifold import (QUAD_ORDER, DiscreteVarifold, _quad_sums,
                                _row_max, compact, density_ratio,
                                first_variation, mean_curvature,
                                parabolic_rescale, weight_measure,
                                weighted_first_variation,
                                weighted_first_variation_perp)
+
+from helpers import bump_test_field, square_sheet
 
 EPS = 0.05
 
@@ -168,6 +169,29 @@ class TestExpandingHolesRun:
         assert rep.mass_ratio_start == pytest.approx(
             2.0 * slab_weighted_mass(stack, window_cfg, 0.0) / 2.0, rel=1e-12)
 
+    def test_tilted_plane_M_is_quadrature_error(self, window_cfg):
+        # a plane is exact on any mesh, so its exact M is 0 and every
+        # nonzero M is quadrature error: it must fall at least 4x per subdiv
+        # step, and mu_bar^2 must meet the exact (pi/4) sin^2/cos^3 of the
+        # tilt once quadrature resolves it
+        theta = 0.036
+        c, s = math.cos(theta), math.sin(theta)
+        flat = make_fixture("flat_stack", 1, 4, radius=4.0)
+        rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        plane = DiscreteVarifold(flat.vertices @ rot.T, flat.faces,
+                                 flat.multiplicity, flat.boundary)
+        reps = [expanding_holes_run(
+                    static_trajectory(plane),
+                    ExpandingHolesConfig(t_plane=window_cfg.t_plane,
+                                         profile=window_cfg.profile,
+                                         subdiv=subdiv))
+                for subdiv in (2, 3, 4, 5)]
+        errors = [abs(rep.empirical_M) for rep in reps]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine <= coarse / 4.0, errors
+        assert reps[-1].mu_bar_sq == pytest.approx(
+            math.pi / 4.0 * s * s / c**3, rel=1e-3)
+
     def test_snapshots_keep_no_step_only_geometry(self, window_cfg, t_plane):
         # the per-corner area-gradient terms, the per-vertex area gradient
         # and the altitudes live only in the flow's step workspace: neither
@@ -197,40 +221,6 @@ class TestExpandingHolesRun:
         traj = static_trajectory(stack, times=(0.0, 0.25, 0.5))
         with pytest.raises(ValueError, match="endpoints"):
             expanding_holes_run(traj, window_cfg)
-
-
-class TestL2HeightBound:
-    def test_plane_in_reference(self, t_plane):
-        sheet = square_sheet(4.0, 4, height=0.0)
-        traj = evolve(sheet, 0.16, snapshot_times=np.linspace(0, 0.16, 5))
-        chk = l2_height_bound_check(traj, t_plane, 0.4, 4.0)
-        assert chk["lhs"] == 0.0 and chk["pass"]
-
-    def test_translated_plane_closed_form(self, t_plane):
-        c, big_r, big_l = 0.05, 0.4, 4.0
-        sheet = square_sheet(4.0, 4, height=c)
-        traj = evolve(sheet, big_r**2,
-                      snapshot_times=np.linspace(0, big_r**2, 5))
-        chk = l2_height_bound_check(traj, t_plane, big_r, big_l)
-        lhs_exact = c * c * np.pi * (big_r**2 - c * c) / big_r**4
-        assert chk["lhs"] == pytest.approx(lhs_exact, rel=0.02)
-        first_exact = (math.exp(0.25) * c * c * np.pi
-                       * ((big_l * big_r) ** 2 - c * c) / big_r**4)
-        assert chk["first_term"] == pytest.approx(first_exact, rel=0.02)
-        assert chk["pass"]
-
-    def test_shrinking_sphere(self, t_plane):
-        s = icosphere(3)
-        big_r = 0.3
-        traj = evolve(s, big_r**2,
-                      snapshot_times=np.linspace(0, big_r**2, 7))
-        chk = l2_height_bound_check(traj, t_plane, big_r, 4.0)
-        assert chk["pass"]
-
-    def test_requires_l_at_least_two(self, t_plane, flat_square):
-        traj = static_trajectory(flat_square, times=(0.0, 0.01))
-        with pytest.raises(ValueError):
-            l2_height_bound_check(traj, t_plane, 0.1, 1.5)
 
 
 class TestGaussianDensitySup:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from holeflow import verify
-from holeflow.fixtures import (circle_mesh, cylinder_tube, icosphere,
-                               make_fixture, square_sheet)
+from holeflow.fixtures import icosphere, make_fixture
 from holeflow import flow
 from holeflow.flow import (DISP_CAP, MIN_EDGE_FLOOR_REL, REMESH_BACKOFF,
                            REMESH_EVERY, REMESH_MIN_RATIO, REST_FLOOR,
@@ -19,10 +18,12 @@ from holeflow.nucleation import nucleate
 from holeflow import remesh as remesh_module
 from holeflow.remesh import (DEGENERATE_REL, _collapse_candidates, _edges_of,
                              remesh)
-from holeflow.testfunctions import bump_scalar_test, random_scalar_test
 from holeflow.varifold import (_face_pass, mean_curvature, vertex_masses,
                                weight_measure)
 from holeflow.kernels import make_profile
+
+from helpers import (bump_scalar_test, circle_mesh, cylinder_tube,
+                     random_scalar_test, square_sheet)
 from test_varifold import _assert_workspace_matches_fresh
 
 

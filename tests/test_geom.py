@@ -5,8 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 from holeflow import verify
 from holeflow.geom import (Plane, coordinate_plane, dot_last, grassmann_gap,
-                           make_plane, norm_last, operator_norm, random_plane,
-                           tangential_divergence)
+                           make_plane, norm_last, operator_norm)
 
 
 def gram_schmidt_projector(basis):
@@ -94,24 +93,6 @@ def test_gap_dimension_mismatch():
     t = coordinate_plane([0, 1], 3)
     with pytest.raises(ValueError):
         grassmann_gap(s, t)
-
-
-def test_tangential_divergence_identity_and_zero():
-    s = coordinate_plane([0, 1], 3)
-    assert tangential_divergence(np.eye(3), s) == pytest.approx(2.0)
-    assert tangential_divergence(np.zeros((3, 3)), s) == 0.0
-
-
-def test_tangential_divergence_rank_one(rng):
-    # J = u (x) v has div^S = S(v) . u; oracle is the explicit index sum
-    s = random_plane(2, 3, rng)
-    for _ in range(10):
-        u, v = rng.standard_normal(3), rng.standard_normal(3)
-        jac = np.outer(u, v)
-        direct = sum(s.proj[i, j] * jac[i, j] for i in range(3) for j in range(3))
-        assert tangential_divergence(jac, s) == pytest.approx(direct, abs=1e-14)
-        assert tangential_divergence(jac, s) == pytest.approx(
-            float(s.apply(v) @ u), abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -310,6 +310,26 @@ class TestOrchestrate:
             assert rb["ratio_after"] == pytest.approx(ra["ratio_after"],
                                                       rel=1e-12)
 
+    def test_window_past_the_fixed_boundary_refused(self, monkeypatch):
+        # window 5's cylinder, radius sqrt(2) lambda_5 = 4 sqrt(2) eps,
+        # reaches past the fixture's rim at 4 eps: refused before any
+        # surgery or flow
+        from holeflow import iteration
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the refusal")
+
+        monkeypatch.setattr(iteration, "nucleate", never)
+        monkeypatch.setattr(iteration, "evolve", never)
+        with pytest.raises(ValueError, match="past the fixed boundary"):
+            orchestrate(ExperimentConfig(j=5, mesh_level=4))
+
+    def test_window_ending_on_the_rim_runs(self):
+        # window 4's end cylinder, sqrt(2) lambda_4 = 4 eps, meets the rim
+        # to within roundoff, so it is admitted
+        res = orchestrate(ExperimentConfig(j=4, mesh_level=3))
+        assert [row["h"] for row in res.rows] == [1, 2, 3, 4]
+
     def test_envelope_precheck_refusal(self):
         cfg = ExperimentConfig(eps=0.05, j=1, mesh_level=4,
                                kind="perturbed_stack", spacing=4.0)

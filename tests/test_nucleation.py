@@ -10,8 +10,8 @@ from holeflow.fixtures import disk_triangulation, make_fixture
 from holeflow.nucleation import (MERGE_TOL, GrowthEnvelope, SquashMap,
                                  _outside_signature, _same_signature,
                                  envelope_check,
-                                 envelope_value, nucleate, squash_point,
-                                 squash_points, verify_nucleation)
+                                 envelope_value, nucleate, squash_points,
+                                 verify_nucleation)
 from holeflow.varifold import DiscreteVarifold, compact
 
 EPS = 0.05
@@ -110,7 +110,7 @@ class TestSquashMap:
         ((1.1, 0.0, 0.05), (1.1, 0.0, 0.05)),    # annulus identity: z <= |x'|-1
     ])
     def test_point_cases(self, squash, t_plane, point, expected):
-        got = squash_point(squash, t_plane, np.array(point))
+        got = squash_points(squash, t_plane, np.array(point)[None])[0]
         assert np.allclose(got, expected, atol=1e-15)
 
     def test_identity_outside(self, squash, t_plane):
@@ -141,8 +141,8 @@ class TestSquashMap:
 
     def test_lipschitz_constant_attained(self, squash, t_plane):
         # the doubling band realizes the constant
-        a = squash_point(squash, t_plane, np.array([0.3, 0.0, 0.11]))
-        b = squash_point(squash, t_plane, np.array([0.3, 0.0, 0.19]))
+        a = squash_points(squash, t_plane, np.array([[0.3, 0.0, 0.11]]))[0]
+        b = squash_points(squash, t_plane, np.array([[0.3, 0.0, 0.19]]))[0]
         assert abs(a[2] - b[2]) == pytest.approx(2 * 0.08, rel=1e-12)
 
 

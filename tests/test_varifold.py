@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holeflow.fixtures import (circle_mesh, cylinder_tube, disk_triangulation,
-                               icosphere, make_fixture, square_sheet)
+from holeflow.fixtures import disk_triangulation, icosphere, make_fixture
 from holeflow.remesh import remesh
 from holeflow.flow import (DISP_CAP, FRESH_BUILD_DIRTY_FRACTION,
                            MOVING_SET_SHARE, REST_FLOOR, _median_holds,
@@ -18,12 +17,14 @@ from holeflow.varifold import (DiscreteVarifold, _column_face_pass,
                                density_ratio,
                                first_variation, interpolate_vertex_field,
                                mean_curvature,
-                               parabolic_rescale, perpendicularity_defect,
+                               parabolic_rescale,
                                vertex_masses, weight_measure,
                                weighted_first_variation,
                                weighted_first_variation_perp)
-from holeflow.testfunctions import (bump_test_field, plateau_test_field,
-                                    random_test_field)
+
+from helpers import (bump_test_field, circle_mesh, cylinder_tube,
+                     perpendicularity_defect, plateau_test_field,
+                     random_test_field, square_sheet)
 
 # Riesz-consistency regression bound, measured over the fixture battery and
 # frozen with 1.5x headroom (see test_first_variation_riesz_consistency).
@@ -352,7 +353,7 @@ def _assert_cached_geometry_matches(v):
     ref = _direct_geometry(v)
     _assert_same_bits(v.face_measures(), ref["measures"])
     if ref["normals"] is not None:
-        _assert_same_bits(v.face_normals(), ref["normals"])
+        _assert_same_bits(v._cache["normals"], ref["normals"])
     _assert_same_bits(v.min_edge_length(), ref["min_edge"])
     _assert_same_bits(v.median_edge_length(), ref["median_edge"])
     _assert_same_bits(v.face_altitudes(), ref["altitudes"])
@@ -489,7 +490,7 @@ def test_face_pass_form_follows_face_count(monkeypatch):
     for limit in (v.num_faces, v.num_faces - 1):
         monkeypatch.setattr(varifold, "STACKED_PASS_FACES", limit)
         rows = _face_pass(v.vertices, v.faces, v.multiplicity)
-        _assert_same_bits(rows["normals"], v.face_normals())
+        _assert_same_bits(rows["normals"], v._cache["normals"])
     assert calls == [v.num_faces]
 
 
