@@ -10,8 +10,9 @@ Run from anywhere inside a checkout:
 It exports REV's committed files (``git archive``) into
 ``.bench_build/certified-<sha>/`` and runs ``scripts/dump_certified.py``
 for every benchmark workload on seeds 0 and 1, once in that copy and once
-in the working tree.  For each pair of dumps that differ it prints the
-first key whose value differs (``ledger[12].mass``, say) with both values.
+in the working tree.  For each pair of dumps that differ it prints every
+entry whose value differs (``ledger[12].mass``, say) with both values and
+the relative change.
 It then makes one traced call of each workload of ``TRACED`` on seed 0 in
 each tree, with that tree's ``perfbench/tracing.py`` recorder, and
 compares the tracer's exact counters (``tracing.EXACT_COUNTERS``: the step,
@@ -19,7 +20,7 @@ face-step, remesh and quadrature counts and the remesh mass change); it
 prints each counter that differs.  Last it runs each command of
 ``CLI_RUNS`` as ``python -m holeflow.cli`` on each tree's ``src/``, in a
 fresh directory per tree, and compares the two directories' files byte for
-byte; for each pair that differs it prints the first file that does.  It
+byte; for each pair that differs it prints every file that does.  It
 exits 1 if any dump, counter or output tree differs and 0 when all are
 identical; the exported copy is removed either way.  The copy is an export
 rather than a ``git worktree``: nothing is registered in ``.git``, so an
@@ -129,27 +130,52 @@ def cli_tree(tree: Path, commands) -> dict:
                 for p in Path(work).rglob("*") if p.is_file()}
 
 
-def first_difference(a, b, path: str = ""):
-    """(path, value in a, value in b) of the first differing entry of two
-    JSON values, in a's key order; None when they are equal."""
+def differences(a, b, path: str = ""):
+    """Yield (path, value in a, value in b) for every differing entry of
+    two JSON values, in a's key order."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in [*a, *(k for k in b if k not in a)]:
             sub = f"{path}.{key}" if path else str(key)
             if key not in a or key not in b:
-                return sub, a.get(key), b.get(key)
-            found = first_difference(a[key], b[key], sub)
-            if found:
-                return found
-        return None
-    if isinstance(a, list) and isinstance(b, list):
+                yield sub, a.get(key), b.get(key)
+            else:
+                yield from differences(a[key], b[key], sub)
+    elif isinstance(a, list) and isinstance(b, list):
         for i, (x, y) in enumerate(zip(a, b)):
-            found = first_difference(x, y, f"{path}[{i}]")
-            if found:
-                return found
+            yield from differences(x, y, f"{path}[{i}]")
         if len(a) != len(b):
-            return f"{path} (length)", len(a), len(b)
+            yield f"{path} (length)", len(a), len(b)
+    elif a != b:
+        yield path or "<top>", a, b
+
+
+def _number(x):
+    """x as a float when it is a number or a decimal or ``float.hex``
+    string; None otherwise."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    if isinstance(x, str):
+        try:
+            return float.fromhex(x) if "0x" in x.lower() else float(x)
+        except ValueError:
+            return None
+    return None
+
+
+def relative_change(a, b):
+    """|b - a| / |a| of two numbers or number strings; None when either is
+    not a number or a is zero."""
+    x, y = _number(a), _number(b)
+    if x is None or y is None or x == 0.0:
         return None
-    return None if a == b else (path or "<top>", a, b)
+    return abs(y - x) / abs(x)
+
+
+def describe(path: str, a, b) -> str:
+    """One differing entry: its path, both values and the relative change."""
+    rel = relative_change(a, b)
+    return (f"{path}: {a!r} -> {b!r}"
+            + ("" if rel is None else f" (relative change {rel:.2e})"))
 
 
 def main(argv=None) -> int:
@@ -167,10 +193,12 @@ def main(argv=None) -> int:
                     print(f"same    {workload} seed {seed}")
                     continue
                 differ += 1
-                found = first_difference(json.loads(old), json.loads(new))
-                where = ("bytes only (same JSON values)" if found is None
-                         else f"{found[0]}: {found[1]!r} -> {found[2]!r}")
-                print(f"DIFFERS {workload} seed {seed}: {where}")
+                found = list(differences(json.loads(old), json.loads(new)))
+                print(f"DIFFERS {workload} seed {seed}: "
+                      + (f"{len(found)} entries" if found
+                         else "bytes only (same JSON values)"))
+                for entry in found:
+                    print("    " + describe(*entry))
         counters_differ = 0
         for workload in TRACED:
             old, new = counters(base, workload, 0), counters(ROOT, workload,
@@ -188,13 +216,15 @@ def main(argv=None) -> int:
         trees_differ = 0
         for name, commands in CLI_RUNS:
             old, new = cli_tree(base, commands), cli_tree(ROOT, commands)
-            path = next((p for p in sorted(old.keys() | new.keys())
-                         if old.get(p) != new.get(p)), None)
-            if path is None:
+            paths = [p for p in sorted(old.keys() | new.keys())
+                     if old.get(p) != new.get(p)]
+            if not paths:
                 print(f"same    cli {name}: {len(new)} files")
                 continue
             trees_differ += 1
-            print(f"DIFFERS cli {name}: {path}")
+            print(f"DIFFERS cli {name}: {len(paths)} files")
+            for path in paths:
+                print(f"    {path}")
     finally:
         shutil.rmtree(base, ignore_errors=True)
     print(f"{differ} of {len(WORKLOADS) * len(SEEDS)} dumps, "

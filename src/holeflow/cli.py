@@ -191,13 +191,13 @@ def cmd_nucleate(cfg: Config, args) -> int:
 
 def cmd_evolve(cfg: Config, args) -> int:
     v0 = read_dvar(args.mesh)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = output_header(cfg, command_inputs(cfg, args,
                                                ("t_end", "snapshots")))
     policy = DtPolicy(c_stab=cfg.dt_factor)
     times = np.linspace(0.0, args.t_end, args.snapshots)
     traj = evolve(v0, args.t_end, policy, snapshot_times=times)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i, v in enumerate(traj.snapshots):
         write_dvar(v, out_dir / f"snapshot_{i:04d}.dvar")
     write_table(out_dir / "ledger.csv", header, traj.ledger)
@@ -266,8 +266,6 @@ def cmd_series(cfg: Config, args) -> int:
 
 
 def cmd_experiment(cfg: Config, args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     blobs = command_inputs(cfg, args, ("j", "kind", "spacing"))
     header = output_header(cfg, blobs)
     meta = {"config": config_echo(cfg), "inputs_sha1": inputs_sha1(blobs)}
@@ -277,6 +275,8 @@ def cmd_experiment(cfg: Config, args) -> int:
         kind=args.kind, spacing=args.spacing, dt_factor=cfg.dt_factor,
         log_base=cfg.log_base_value())
     res = orchestrate(exp_cfg, keep_trajectory=True)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_table(out_dir / "experiment.csv", header, res.rows)
     write_table(out_dir / "ledger.csv", header, res.trajectory.ledger)
     for h, rep in enumerate(res.reports, start=1):

@@ -126,7 +126,7 @@ def slab_mass(v: DiscreteVarifold, profile: CutoffProfile, t_plane: Plane,
 
     # chi is +0.0 where |T x| >= R
     return weight_measure(v, integrand, subdiv=subdiv,
-                          reach=_faces_reaching(
+                          keep=_faces_reaching(
                               v, t_plane.tangential_norm(v.vertices), big_r))
 
 

@@ -240,8 +240,8 @@ def verify_nucleation(v_before: DiscreteVarifold, v_after: DiscreteVarifold,
     def hole_mass(v):
         # hole_ind is +0.0 outside U_2eps
         return weight_measure(v, hole_ind, subdiv=MEASUREMENT_SUBDIV,
-                              reach=_faces_reaching(v, norm_last(v.vertices),
-                                                    2.0 * eps))
+                              keep=_faces_reaching(v, norm_last(v.vertices),
+                                                   2.0 * eps))
 
     mass5, mass5_before = hole_mass(v_after), hole_mass(v_before)
     bound5 = omega * eps ** n

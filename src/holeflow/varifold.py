@@ -190,32 +190,31 @@ class ScalarTest:
 
 
 def weight_measure(v: DiscreteVarifold, phi, quad_order: int = QUAD_ORDER,
-                   subdiv: int = 0, reach=None) -> float:
+                   subdiv: int = 0, keep=None) -> float:
     """Integral of phi against the weight measure of v.
 
     phi maps an (m, d) array of points to (m,) values; exact for face-wise
-    polynomials of degree <= quad_order.  ``reach`` (``_faces_reaching``)
-    marks the faces that can meet phi's support, where phi is not +0.0;
-    a block of faces that holds none of them is not evaluated
-    (``_quad_sums``), which leaves the sum's bits as they are.
+    polynomials of degree <= quad_order.  ``keep`` (``_faces_reaching``)
+    masks every face where phi may be other than +0.0; phi is evaluated
+    there only, and the sum keeps its bits (``_quad_sums``).
     """
     def integrand(pts, bary, sel):
         return [phi(pts.reshape(-1, v.ambient_dim)).reshape(pts.shape[:2])]
 
-    return _quad_sums(v, quad_order, subdiv, integrand, reach=reach)[0]
+    return _quad_sums(v, quad_order, subdiv, integrand, keep)[0]
 
 
 def ball_mass(v: DiscreteVarifold, center, r: float,
               subdiv: int = MEASUREMENT_SUBDIV) -> float:
     """||V||(U_r(center)), clipped at quadrature points; 0.0: the origin.
-    Blocks of faces that cannot reach the ball are skipped."""
+    Only the faces that can reach the ball are evaluated."""
     center = np.asarray(center, dtype=float)
 
     def indicator(p):
         return (norm_last(p - center) < r).astype(float)
 
     return weight_measure(v, indicator, subdiv=subdiv,
-                          reach=_faces_reaching(
+                          keep=_faces_reaching(
                               v, norm_last(v.vertices - center), r))
 
 
@@ -239,43 +238,34 @@ def first_variation(v: DiscreteVarifold, g: TestField) -> float:
 
 
 def _quad_sums(v: DiscreteVarifold, quad_order: int, subdiv: int, integrand,
-               keep=None, reach=None) -> list:
-    """Face-weighted quadrature sums of k integrands on the faces of the
-    boolean mask ``keep`` (all faces when None), one block of faces at a
-    time: ``integrand(points (b, m, d), bary (m, d), sel)``, ``sel`` the
-    block's faces as an index, returns k (b, m) arrays of values at the
-    points ``v.quad_points(quad_order, subdiv, sel)`` placed.  Sum j is
-    sum_f mult_f measure_f sum_i w_i vals_j[f, i].
+               keep=None) -> list:
+    """Face-weighted quadrature sums of k integrands, evaluated on the
+    faces of the boolean mask ``keep`` (all faces when None) one block of
+    faces at a time: ``integrand(points (b, m, d), bary (m, d), sel)``,
+    ``sel`` the block's faces as an index, returns k (b, m) arrays of
+    values at the points ``v.quad_points(quad_order, subdiv, sel)`` placed.
+    Sum j is sum_f mult_f measure_f sum_i w_i vals_j[f, i].
 
-    A block holds at most ``QUAD_BLOCK_POINTS`` points but a multiple of
-    four faces, and a lone last face joins the block before it: the BLAS
-    kernel of ``vals @ w`` sums rows in fours in another order than the
-    rows left over, and one row takes yet another path.  So each face gets
-    the bits of one product over all faces, whatever the block size.
-
-    ``reach``, a boolean face mask, marks the faces on which an integrand
-    may be other than +0.0 at a point.  A block after the first with none
-    of them gets +0.0 per face, the value its product would give, without
-    being evaluated; the cuts do not move, so every other block keeps its
-    bits.
+    A block holds at most ``QUAD_BLOCK_POINTS`` points and at least one
+    face.  Each face's rule sum is numpy's reduction of that face's own row
+    (``einsum``, not the BLAS product ``vals @ w``), and the weighted sum
+    runs over all faces, those off ``keep`` at +0.0.  So a sum has the
+    same bits whatever the blocks, the BLAS kernel or the mask, as long as
+    the mask holds every face where an integrand is other than +0.0.
     """
     idx = np.arange(v.num_faces) if keep is None else np.flatnonzero(keep)
     m = len(simplex_rule(v.surface_dim, quad_order, subdiv)[1])
-    step = 4 * max(1, QUAD_BLOCK_POINTS // (4 * m))
-    cuts = [0, *range(step, len(idx) - 1, step), len(idx)]
-    reached = None if reach is None else reach[idx]
+    step = max(1, QUAD_BLOCK_POINTS // m)
     per = None  # (k, faces): sum_i w_i vals_j[f, i]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if (per is not None and reached is not None
-                and not reached[lo:hi].any()):
-            continue
-        sel = slice(lo, hi) if keep is None else idx[lo:hi]
+    for lo in range(0, len(idx), step) or [0]:  # [0]: no face is kept
+        sel = idx[lo:lo + step]
         pts, bary, w = v.quad_points(quad_order, subdiv, sel)
-        sums = [vals @ w for vals in integrand(pts, bary, sel)]
+        sums = [np.einsum("fm,m->f", vals, w)
+                for vals in integrand(pts, bary, sel)]
         if per is None:
-            per = np.zeros((len(sums), len(idx)))
-        per[:, lo:hi] = sums
-    fw = (v.multiplicity * v.face_measures())[idx]
+            per = np.zeros((len(sums), v.num_faces))
+        per[:, sel] = sums
+    fw = v.multiplicity * v.face_measures()
     return [float(np.sum(fw * row)) for row in per]
 
 

@@ -315,6 +315,7 @@ class TestExperimentCommand:
                      "--out-dir", str(tmp_path / "exp"))
         assert rc == 1
         assert "refused: window 5" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
 
 
 class TestEvolveCommand:
@@ -358,6 +359,7 @@ class TestEvolveCommand:
                      "--out-dir", str(tmp_path / "run"))
         assert rc == 1
         assert "refused: isolated vertex" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_resolution_exhausted_exit_code(self, tmp_path, capsys):
         from holeflow.dvar import write_dvar
@@ -367,6 +369,7 @@ class TestEvolveCommand:
         rc = run_cli("evolve", "--mesh", str(mesh), "--t-end", "0.01",
                      "--out-dir", str(tmp_path / "run"))
         assert rc == 3
+        assert not (tmp_path / "run").exists()
 
     def test_evolve_outputs(self, tmp_path):
         from holeflow.dvar import write_dvar

@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+
+import mpmath as mp
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from holeflow import estimates, nucleation
 from holeflow.estimates import (ExpandingHolesConfig, _faces_reaching,
                                 dissipation_check, expanding_holes_run,
                                 gaussian_density_sup, height_excess_sq,
@@ -16,7 +23,8 @@ from holeflow.flow import DtPolicy, FlowTrajectory, evolve
 from holeflow.geom import coordinate_plane, random_plane
 from holeflow.kernels import (cylindrical_cutoff, cylindrical_cutoff_gradient,
                               make_profile)
-from holeflow.nucleation import nucleate
+from holeflow.iteration import GrowthEnvelope
+from holeflow.nucleation import nucleate, verify_nucleation
 from holeflow.quadrature import simplex_rule
 from holeflow import varifold
 from holeflow.varifold import (QUAD_ORDER, DiscreteVarifold, _quad_sums,
@@ -29,6 +37,7 @@ from holeflow.varifold import (QUAD_ORDER, DiscreteVarifold, _quad_sums,
 from helpers import bump_test_field, square_sheet
 
 EPS = 0.05
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def static_trajectory(v, times=(0.0, 0.5, 1.0)):
@@ -41,6 +50,30 @@ def static_trajectory(v, times=(0.0, 0.5, 1.0)):
 def window_cfg():
     return ExpandingHolesConfig(t_plane=coordinate_plane([0, 1], 3),
                                 profile=make_profile(0.1))
+
+
+@pytest.fixture(scope="module")
+def window_l4(t_plane):
+    """(v0, its nucleation, the nucleation rescaled to the window): the
+    level-4 perturbed stack that the window_l4 benchmark measures."""
+    v0 = make_fixture("perturbed_stack", 2, 4, radius=4 * EPS, spacing=0.06)
+    v_nuc = nucleate(v0, t_plane, EPS)
+    return v0, v_nuc, parabolic_rescale(v_nuc, EPS)
+
+
+def _record_blocks(monkeypatch) -> list:
+    """The (faces, points per face) of every block of quadrature points
+    placed from now on."""
+    blocks = []
+    real = DiscreteVarifold.quad_points
+
+    def recorded(mesh, *args, **kwargs):
+        pts, bary, w = real(mesh, *args, **kwargs)
+        blocks.append(pts.shape[:2])
+        return pts, bary, w
+
+    monkeypatch.setattr(DiscreteVarifold, "quad_points", recorded)
+    return blocks
 
 
 class TestHeightExcess:
@@ -192,6 +225,41 @@ class TestExpandingHolesRun:
         assert reps[-1].mu_bar_sq == pytest.approx(
             math.pi / 4.0 * s * s / c**3, rel=1e-3)
 
+    def test_tilted_plane_certified_rule_meets_exact_numbers(self,
+                                                              window_cfg):
+        # a sheet tilted by theta = 0.3 is exact on any mesh: both ratios
+        # are sec(theta) 2 pi int_0^1 chi(s)^2 s ds (2.9098106243696495),
+        # M = lhs = 0 and mu_bar^2 = (pi/4) sin^2/cos^3, so every deviation
+        # is quadrature error of the certified rule (subdiv 2).  Radius 1.5
+        # >= sqrt(2) / cos(theta) keeps the cutoff's ellipse on the sheet.
+        theta, zeta = 0.3, window_cfg.profile.zeta
+        c, s = math.cos(theta), math.sin(theta)
+
+        def chi(x):  # B(1-u) / (B(u) + B(1-u)) on the band, B = exp(-1/.)
+            u = (x - (1 - zeta)) / zeta
+            return 1 / (1 + mp.exp(1 / (1 - u) - 1 / u)) if u > 0 else 1
+
+        with mp.workdps(30):
+            exact = float(mp.sec(theta) * 2 * mp.pi * mp.quad(
+                lambda x: chi(x) ** 2 * x, [0, 1 - zeta, 1]))
+        rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        reps = []
+        for level in (3, 4, 5, 6):
+            flat = make_fixture("flat_stack", 1, level, radius=1.5)
+            plane = DiscreteVarifold(flat.vertices @ rot.T, flat.faces,
+                                     flat.multiplicity, flat.boundary)
+            reps.append(expanding_holes_run(static_trajectory(plane),
+                                            window_cfg))
+        ratio_errors = [max(_rel(rep.mass_ratio_start, exact),
+                            _rel(rep.mass_ratio_end, exact)) for rep in reps]
+        assert ratio_errors[0] <= 2e-5 and ratio_errors[-1] <= 1e-10, \
+            ratio_errors
+        m_errors = [abs(rep.empirical_M) for rep in reps]
+        assert all(f < c for c, f in zip(m_errors, m_errors[1:])), m_errors
+        for rep in reps:
+            assert max(abs(d["lhs"]) for d in rep.dissipation) <= 1e-13
+            assert _rel(rep.mu_bar_sq, math.pi / 4.0 * s * s / c**3) <= 5e-3
+
     def test_snapshots_keep_no_step_only_geometry(self, window_cfg, t_plane):
         # the per-corner area-gradient terms, the per-vertex area gradient
         # and the altitudes live only in the flow's step workspace: neither
@@ -325,23 +393,23 @@ class TestCulledPasses:
                     slab_weighted_mass(v, cfg, cfg.t2)) <= 1e-12
 
     @pytest.mark.parametrize("subdiv", [2, 3])
-    def test_skipped_blocks_keep_the_bits(self, t_plane, profile_01, subdiv,
-                                          monkeypatch):
-        # weight_measure skips the blocks of faces that cannot reach the
-        # support of its integrand.  On a level-4 stack the edge of the
-        # support falls inside blocks that also hold faces out of reach, and
-        # other blocks are skipped whole; the sums of ball_mass, slab_mass
-        # and a weight given the mask equal those of the pass that
-        # evaluates every block, bit for bit
+    def test_culled_faces_keep_the_bits(self, t_plane, profile_01, subdiv,
+                                        monkeypatch):
+        # weight_measure evaluates only the faces of its keep mask, those
+        # that can reach the support of its integrand.  On a level-4 stack
+        # the edge of the support falls inside blocks of the full pass that
+        # also hold faces out of reach, and other blocks hold none; the sums
+        # of ball_mass, slab_mass and a weight given the mask equal those of
+        # the pass that evaluates every face, bit for bit
         v = make_fixture("flat_stack", 2, 4, radius=4 * EPS)
         centre, radius = np.array([0.03, -0.02, 0.0]), 2 * EPS
-        reach = _faces_reaching(v, np.linalg.norm(v.vertices - centre,
-                                                  axis=1), radius)
+        keep = _faces_reaching(v, np.linalg.norm(v.vertices - centre,
+                                                 axis=1), radius)
         m = len(simplex_rule(2, QUAD_ORDER, subdiv)[1])
-        step = 4 * max(1, varifold.QUAD_BLOCK_POINTS // (4 * m))
-        blocks = [reach[lo:lo + step] for lo in range(0, v.num_faces, step)]
+        step = max(1, varifold.QUAD_BLOCK_POINTS // m)
+        blocks = [keep[lo:lo + step] for lo in range(0, v.num_faces, step)]
         assert any(b.any() and not b.all() for b in blocks)
-        assert any(not b.any() for b in blocks[1:])
+        assert any(not b.any() for b in blocks)
 
         def inside(p):
             return np.linalg.norm(p - centre, axis=1) < radius
@@ -353,28 +421,55 @@ class TestCulledPasses:
             return (cylindrical_cutoff(profile_01, t_plane, radius, p) ** 2
                     * (t_plane.normal_norm(p) <= 1.0 + 1e-12))
 
-        placed = []
-        real = DiscreteVarifold.quad_points
-
-        def counted(mesh, *args, **kwargs):
-            placed.append(1)
-            return real(mesh, *args, **kwargs)
-
-        monkeypatch.setattr(DiscreteVarifold, "quad_points", counted)
-        got = {"weight": weight_measure(v, weight, subdiv=subdiv,
-                                        reach=reach),
+        placed = _record_blocks(monkeypatch)
+        got = {"weight": weight_measure(v, weight, subdiv=subdiv, keep=keep),
                "ball": varifold.ball_mass(v, centre, radius, subdiv),
                "slab": slab_mass(v, profile_01, t_plane, radius,
                                           1.0, subdiv)}
-        skipped = len(placed)
+        culled = sum(b for b, _ in placed)
         want = {"weight": weight_measure(v, weight, subdiv=subdiv),
                 "ball": weight_measure(v, lambda p: inside(p).astype(float),
                                        subdiv=subdiv),
                 "slab": weight_measure(v, slab, subdiv=subdiv)}
-        assert skipped < len(placed) - skipped
+        assert culled < sum(b for b, _ in placed) - culled
         for key, x in want.items():
             assert got[key] > 0.0
             assert float(got[key]).hex() == float(x).hex(), key
+
+    def test_cull_never_moves_a_bit(self, window_l4, t_plane, profile_01,
+                                    monkeypatch):
+        # the faces a cull drops give +0.0 at every point, and the weighted
+        # sum runs over every face, so each culled integral of the level-4
+        # window snapshot equals, bit for bit, the pass that keeps every face
+        v0, v_nuc, v = window_l4
+        cfg = ExpandingHolesConfig(t_plane=t_plane, profile=profile_01,
+                                   subdiv=3)
+        h = mean_curvature(v)
+        assert not np.all(_faces_reaching(v, t_plane.tangential_norm(
+            v.vertices), cfg.r2))
+
+        def integrals():
+            out = {}
+            for t in (cfg.t1, cfg.t2):
+                out.update({f"{key}@{t}": x for key, x in dissipation_check(
+                    v, cfg, t, h).items() if isinstance(x, float)})
+            out["density_sup"] = gaussian_density_sup(static_trajectory(v),
+                                                      1.0, 0.3)
+            out["slab_mass"] = slab_mass(v, profile_01, t_plane, cfg.r2,
+                                         cfg.rhat1, cfg.subdiv)
+            out["ball_mass"] = varifold.ball_mass(
+                v, np.array([0.3, -0.2, 0.0]), 1.0)
+            out.update({key: x for key, x in verify_nucleation(
+                v0, v_nuc, t_plane, EPS, GrowthEnvelope(alpha=0.51, r0=0.1),
+                2).items() if isinstance(x, float)})
+            return {key: float(x).hex() for key, x in out.items()}
+
+        culled = integrals()
+        for module in (estimates, varifold, nucleation):
+            monkeypatch.setattr(module, "_faces_reaching",
+                                lambda v, dist, radius: np.ones(
+                                    v.num_faces, dtype=bool))
+        assert integrals() == culled
 
     def test_cull_reads_the_cached_longest_edges(self, nucleated):
         # the cull's longest edge per face, against the corner-difference
@@ -395,7 +490,7 @@ class TestCulledPasses:
         want = max(density_ratio(v, np.zeros(3), r)
                    for v in traj.snapshots
                    for r in np.geomspace(eps, r0, 12))
-        assert _rel(got, want) <= 1e-12
+        assert float(got).hex() == float(want).hex()
 
 
 class TestBlockedQuadrature:
@@ -444,18 +539,22 @@ class TestBlockedQuadrature:
                                                 monkeypatch):
         monkeypatch.setattr(varifold, "QUAD_BLOCK_POINTS", 2**40)
         one_block = self._integrals(window_mesh, t_plane)
-        # 1 point: one face, rounded up to four; then 20 and 28 faces at
-        # subdiv 3, 384 points per face
+        blocks = _record_blocks(monkeypatch)
+        # 1 point: one face per block; then 20 and 28 faces at subdiv 3,
+        # 384 points per face.  No block places more than the limit, or
+        # one face when a face holds more.
         for points in (1, 20 * 384, 28 * 384):
             monkeypatch.setattr(varifold, "QUAD_BLOCK_POINTS", points)
+            blocks.clear()
             assert self._integrals(window_mesh, t_plane) == one_block, points
+            assert all(b * m <= max(points, m) for b, m in blocks), points
 
     def test_every_face_sum_is_that_of_one_product(self, window_mesh,
                                                    monkeypatch):
         # one integrand per face, zero off it: a face whose rule sum moves
-        # by one bit with the blocks changes its integral.  The last face is
-        # the one that blocks leaving one face over would move, on about 70 %
-        # of random rows, so several draws are made.
+        # by one bit with the blocks changes its integral.  A BLAS product
+        # would move the last face of blocks leaving one face over, on about
+        # 70 % of random rows, so several draws are made.
         v = window_mesh
         m = len(simplex_rule(2, 3, 1)[1])
         faces = [0, 1, 2, 3, 4, 370] + list(range(v.num_faces - 9,
@@ -475,20 +574,64 @@ class TestBlockedQuadrature:
                 assert [x.hex() for x in _quad_sums(v, 3, 1, integrand)] \
                     == one_block, (seed, points)
 
-    def test_subdiv5_window_pass_memory(self, t_plane):
-        v0 = make_fixture("perturbed_stack", 2, 4, radius=4 * EPS,
-                          spacing=0.06)
-        v = parabolic_rescale(nucleate(v0, t_plane, EPS), EPS)
+    def test_subdiv5_window_pass_memory(self, window_l4, t_plane,
+                                        monkeypatch):
+        # 6144 points per face at subdiv 5: one face per block, within 2^13
+        # points; the traced peak measured 1.28 MB (x86-64)
+        v = window_l4[2]
         cfg = ExpandingHolesConfig(t_plane=t_plane, profile=make_profile(0.1),
                                    subdiv=5)
         h = mean_curvature(v)
+        blocks = _record_blocks(monkeypatch)
         tracemalloc.start()
         try:
             assert dissipation_check(v, cfg, cfg.t2, h)["pass"]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 3 * 2**20
+        assert blocks
+        assert all(b * m <= max(varifold.QUAD_BLOCK_POINTS, m)
+                   for b, m in blocks)
+
+    def test_face_sums_do_not_depend_on_the_blas_kernel(self):
+        # each face's rule sum is numpy's own reduction of the face's row:
+        # the same bits under other OpenBLAS kernels (which change the bits
+        # of a gemv) and with numpy's AVX2 and AVX-512 paths disabled
+        code = FACE_SUMS + "print(face_sums())\n"
+        namespace = {}
+        exec(FACE_SUMS, namespace)
+        want = namespace["face_sums"]()
+        base = dict(os.environ)
+        base["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [base.get("PYTHONPATH")] if p])
+        for var, value in (("OPENBLAS_CORETYPE", "Prescott"),
+                           ("OPENBLAS_CORETYPE", "Sandybridge"),
+                           ("NPY_DISABLE_CPU_FEATURES",
+                            "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR")):
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  env={**base, var: value},
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == want, (var, value)
+
+
+# A quadrature sum whose integrand is a random row per face, seeded by the
+# face and independent of the points: 768 faces of 384 points (subdiv 3).
+FACE_SUMS = """
+import numpy as np
+from holeflow.fixtures import make_fixture
+from holeflow.varifold import _quad_sums
+
+def face_sums():
+    v = make_fixture("flat_stack", 2, 3, radius=0.2)
+
+    def integrand(pts, bary, sel):
+        return [np.array([np.random.default_rng(f).standard_normal(
+            pts.shape[1]) for f in np.arange(v.num_faces)[sel]])]
+
+    return _quad_sums(v, 3, 3, integrand)[0].hex()
+"""
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -71,9 +71,10 @@ _STACKS = {}
 @given(level=st.integers(2, 4), subdiv=st.integers(0, 2),
        x=st.floats(-0.25, 0.25), y=st.floats(-0.25, 0.25),
        radius=st.floats(0.005, 0.3), kind=st.sampled_from(["cos", "ball"]))
-def test_reach_mask_keeps_the_bits(level, subdiv, x, y, radius, kind):
-    # an integrand that is +0.0 off a ball: the sum that skips the blocks
-    # of faces out of reach equals the sum over every block, bit for bit
+def test_keep_mask_keeps_the_bits(level, subdiv, x, y, radius, kind):
+    # an integrand that is +0.0 off a ball: the sum that evaluates only
+    # the faces that can reach it equals the sum over every face, bit for
+    # bit
     if level not in _STACKS:
         _STACKS[level] = make_fixture("flat_stack", 2, level, radius=0.2)
     v = _STACKS[level]
@@ -84,10 +85,10 @@ def test_reach_mask_keeps_the_bits(level, subdiv, x, y, radius, kind):
         return np.where(d < radius, np.cos(d) if kind == "cos" else 1.0,
                         0.0)
 
-    reach = varifold._faces_reaching(
+    keep = varifold._faces_reaching(
         v, np.linalg.norm(v.vertices - centre, axis=1), radius)
     want = weight_measure(v, phi, subdiv=subdiv)
-    _assert_same_bits(weight_measure(v, phi, subdiv=subdiv, reach=reach),
+    _assert_same_bits(weight_measure(v, phi, subdiv=subdiv, keep=keep),
                       want)
     if kind == "ball":
         _assert_same_bits(varifold.ball_mass(v, centre, radius, subdiv),
