@@ -6,7 +6,6 @@ import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
-
 import numpy as np
 import pytest
 
@@ -255,7 +254,8 @@ class TestExpandingHolesRun:
         assert ratio_errors[0] <= 2e-5 and ratio_errors[-1] <= 1e-10, \
             ratio_errors
         m_errors = [abs(rep.empirical_M) for rep in reps]
-        assert all(f < c for c, f in zip(m_errors, m_errors[1:])), m_errors
+        assert all(fine < coarse for coarse, fine
+                   in zip(m_errors, m_errors[1:])), m_errors
         for rep in reps:
             assert max(abs(d["lhs"]) for d in rep.dissipation) <= 1e-13
             assert _rel(rep.mu_bar_sq, math.pi / 4.0 * s * s / c**3) <= 5e-3
